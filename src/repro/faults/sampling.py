@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.config.technology import EMParameters, default_em
 from repro.em.black import (
@@ -86,7 +86,7 @@ def em_fault_plan(
             per_conductor, _cross_section_for(key), em
         )
         # Vectorised lognormal CDF at time t across per-branch medians.
-        p_segment = norm.cdf((np.log(at_time) - np.log(medians)) / em.sigma)
+        p_segment = ndtr((np.log(at_time) - np.log(medians)) / em.sigma)
         # A conductor dies when any of its series segments dies.
         p_conductor = 1.0 - (1.0 - p_segment) ** group.segments
         failures = gen.binomial(group.multiplicity, p_conductor)

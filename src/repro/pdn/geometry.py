@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -84,26 +84,37 @@ class GridGeometry:
         return row, col
 
 
-def _lattice_points(count: int, width: float, height: float) -> List[Tuple[float, float]]:
+def _lattice_points(count: int, width: float, height: float) -> Tuple[np.ndarray, np.ndarray]:
     """``count`` points spread evenly over a width x height rectangle.
 
     Uses the smallest near-square lattice with at least ``count`` sites
     and keeps the first ``count`` in row-major order; points sit at cell
     centres of that lattice, so they never touch the rectangle boundary.
+    Returns the aligned ``(x, y)`` coordinate arrays.
     """
     check_positive_int("count", count)
     cols = int(math.ceil(math.sqrt(count * width / height)))
     cols = max(cols, 1)
     rows = int(math.ceil(count / cols))
-    points: List[Tuple[float, float]] = []
-    for r in range(rows):
-        for c in range(cols):
-            if len(points) >= count:
-                return points
-            points.append(
-                ((c + 0.5) * width / cols, (r + 0.5) * height / rows)
-            )
-    return points
+    site = np.arange(count)
+    x = (np.arange(cols) + 0.5) * width / cols
+    y = (np.arange(rows) + 0.5) * height / rows
+    return x[site % cols], y[site // cols]
+
+
+def _cell_index(geometry: GridGeometry, coord: np.ndarray) -> np.ndarray:
+    """Grid index along one axis, exactly as :meth:`GridGeometry.cell_of_point`."""
+    index = (coord / geometry.cell_size).astype(np.int64)
+    return np.clip(index, 0, geometry.grid_nodes - 1)
+
+
+def _bin_points(geometry: GridGeometry, j: np.ndarray, i: np.ndarray) -> CellMultiplicity:
+    """Count points per cell from their (row j, col i) grid indices."""
+    g = geometry.grid_nodes
+    counts = np.bincount((j * g + i).ravel(), minlength=g * g)
+    flat = np.flatnonzero(counts)
+    rows, cols = np.divmod(flat, g)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), counts[flat].tolist()))
 
 
 def distribute_uniform(geometry: GridGeometry, count: int) -> CellMultiplicity:
@@ -111,30 +122,26 @@ def distribute_uniform(geometry: GridGeometry, count: int) -> CellMultiplicity:
 
     Returns per-cell multiplicities summing exactly to ``count``.
     """
-    cells: CellMultiplicity = {}
-    for x, y in _lattice_points(count, geometry.die_side, geometry.die_side):
-        cell = geometry.cell_of_point(x, y)
-        cells[cell] = cells.get(cell, 0) + 1
-    return cells
+    x, y = _lattice_points(count, geometry.die_side, geometry.die_side)
+    return _bin_points(geometry, _cell_index(geometry, y), _cell_index(geometry, x))
 
 
 def distribute_per_core(geometry: GridGeometry, count_per_core: int) -> CellMultiplicity:
     """Spread ``count_per_core`` objects uniformly within every core tile.
 
     Matches the paper's assumption that TSVs (Sec. 4.2) and SC converters
-    (Sec. 3.2) are uniformly distributed within each core.
+    (Sec. 3.2) are uniformly distributed within each core.  One core's
+    lattice is tiled over every core origin (:meth:`GridGeometry.core_tile_origin`).
     """
     check_positive_int("count_per_core", count_per_core)
     tile_w = geometry.die_side / geometry.core_cols
     tile_h = geometry.die_side / geometry.core_rows
-    cells: CellMultiplicity = {}
-    for core_row in range(geometry.core_rows):
-        for core_col in range(geometry.core_cols):
-            ox, oy = geometry.core_tile_origin(core_row, core_col)
-            for x, y in _lattice_points(count_per_core, tile_w, tile_h):
-                cell = geometry.cell_of_point(ox + x, oy + y)
-                cells[cell] = cells.get(cell, 0) + 1
-    return cells
+    x, y = _lattice_points(count_per_core, tile_w, tile_h)
+    # (core_col, point) and (core_row, point) indices; x depends only on
+    # the core column and y only on the core row.
+    i = _cell_index(geometry, np.arange(geometry.core_cols)[:, None] * tile_w + x)
+    j = _cell_index(geometry, np.arange(geometry.core_rows)[:, None] * tile_h + y)
+    return _bin_points(geometry, j[:, None, :], i[None, :, :])
 
 
 def cells_to_arrays(cells: CellMultiplicity):

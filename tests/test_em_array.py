@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import norm
 
-from repro.config.technology import EMParameters
+from repro.config.technology import EMParameters, default_em
+from repro.em.black import TSV_CROSS_SECTION, median_lifetimes_from_currents
 from repro.em.array_mttf import (
     array_failure_cdf,
     expected_em_lifetime,
@@ -93,3 +95,93 @@ class TestExpectedLifetime:
         without_last = expected_em_lifetime(base[:-1])
         with_all = expected_em_lifetime(base)
         assert with_all <= without_last * (1 + 1e-9)
+
+
+def _ungrouped_lifetime(medians, sigma):
+    """Reference ``P(t) = 0.5`` root: ``scipy.stats.norm`` and ``brentq``
+    over every conductor of the expanded array, one term each."""
+
+    def objective(log_t):
+        f = norm.cdf((np.log(np.exp(log_t)) - np.log(medians)) / sigma)
+        f = np.minimum(f, 1.0 - 1e-16)
+        return float(1.0 - np.exp(np.sum(np.log1p(-f)))) - 0.5
+
+    lo = float(np.log(medians.min()) - 20.0 * sigma)
+    hi = float(np.log(medians.min()) + 5.0 * sigma)
+    while objective(lo) > 0:
+        lo -= 5.0 * sigma
+    while objective(hi) < 0:
+        hi += 5.0 * sigma
+    return float(np.exp(brentq(objective, lo, hi, xtol=1e-10)))
+
+
+#: A conductor array as bundles: distinct median lifetimes, each repeated
+#: by its bundle multiplicity (as every conductor of a bundle carries the
+#: same current).
+bundles = st.lists(
+    st.tuples(
+        st.floats(min_value=1.0, max_value=1e6),
+        st.integers(min_value=1, max_value=2000),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _expand(bundle_list):
+    return np.repeat(
+        np.array([m for m, _ in bundle_list]), [n for _, n in bundle_list]
+    )
+
+
+class TestGroupedLifetime:
+    """The root solve runs over distinct medians with multiplicities."""
+
+    @given(bundles)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_ungrouped_reference(self, bundle_list):
+        medians = _expand(bundle_list)
+        sigma = default_em().sigma
+        expected = _ungrouped_lifetime(medians, sigma)
+        assert expected_em_lifetime(medians) == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_ungrouped_reference_on_large_array(self):
+        rng = np.random.default_rng(7)
+        distinct = np.exp(rng.uniform(8.0, 14.0, 400))
+        medians = np.repeat(distinct, rng.integers(1, 500, distinct.size))
+        expected = _ungrouped_lifetime(medians, default_em().sigma)
+        assert expected_em_lifetime(medians) == pytest.approx(expected, rel=1e-12)
+
+    @given(bundles, st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_permutation_is_bit_identical(self, bundle_list, seed):
+        medians = _expand(bundle_list)
+        shuffled = np.random.default_rng(seed).permutation(medians)
+        assert expected_em_lifetime(shuffled) == expected_em_lifetime(medians)
+        sigma = default_em().sigma
+        t = float(np.median(medians))
+        assert array_failure_cdf(t, shuffled, sigma) == array_failure_cdf(t, medians, sigma)
+
+    @given(
+        st.lists(st.floats(min_value=1e-4, max_value=1.0), min_size=1, max_size=40),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_more_current_never_lengthens_life(self, currents, data):
+        currents = np.array(currents)
+        factors = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(min_value=1.0, max_value=10.0),
+                    min_size=currents.size,
+                    max_size=currents.size,
+                )
+            )
+        )
+        base = expected_em_lifetime(
+            median_lifetimes_from_currents(currents, TSV_CROSS_SECTION)
+        )
+        stressed = expected_em_lifetime(
+            median_lifetimes_from_currents(currents * factors, TSV_CROSS_SECTION)
+        )
+        assert stressed <= base * (1 + 1e-9)

@@ -1,7 +1,9 @@
 """Grid geometry and physical-object distribution."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config.stackups import StackConfig
@@ -79,6 +81,77 @@ class TestDistribution:
         # 64 objects over 64 cells of an 8x8 grid: every cell hit once.
         assert len(cells) == 64
         assert all(m == 1 for m in cells.values())
+
+    @staticmethod
+    def _cell_of_point_oracle(geometry, points):
+        """Row-major binning through ``GridGeometry.cell_of_point``, one
+        point at a time: the reference layout."""
+        cells = {}
+        for x, y in points:
+            cell = geometry.cell_of_point(x, y)
+            cells[cell] = cells.get(cell, 0) + 1
+        return cells
+
+    @staticmethod
+    def _lattice_oracle(count, width, height):
+        cols = max(int(math.ceil(math.sqrt(count * width / height))), 1)
+        rows = int(math.ceil(count / cols))
+        points = []
+        for r in range(rows):
+            for c in range(cols):
+                if len(points) >= count:
+                    return points
+                points.append(((c + 0.5) * width / cols, (r + 0.5) * height / rows))
+        return points
+
+    # Square core arrays of 1, 4, 9 or 16 cores, as GridGeometry.from_stack builds.
+    geometries = st.builds(
+        lambda grid, side, cores: GridGeometry(grid, side, cores, cores),
+        st.integers(min_value=2, max_value=40),
+        st.floats(min_value=1e-4, max_value=5e-2),
+        st.integers(min_value=1, max_value=4),
+    )
+
+    @given(geometries, st.integers(min_value=1, max_value=10_000))
+    @example(GridGeometry(40, 1.17e-2, 4, 4), 10_000)
+    @settings(max_examples=40, deadline=None)
+    def test_uniform_matches_pointwise_oracle(self, geometry, count):
+        side = geometry.die_side
+        points = self._lattice_oracle(count, side, side)
+        expected = self._cell_of_point_oracle(geometry, points)
+        assert distribute_uniform(geometry, count) == expected
+
+    @given(geometries, st.integers(min_value=1, max_value=10_000))
+    @example(GridGeometry(40, 1.17e-2, 4, 4), 10_000)
+    @example(GridGeometry(20, 1.17e-2, 4, 4), 3_333)
+    @settings(max_examples=40, deadline=None)
+    def test_per_core_matches_pointwise_oracle(self, geometry, count):
+        tile_w = geometry.die_side / geometry.core_cols
+        tile_h = geometry.die_side / geometry.core_rows
+        points = []
+        for core_row in range(geometry.core_rows):
+            for core_col in range(geometry.core_cols):
+                ox, oy = geometry.core_tile_origin(core_row, core_col)
+                points.extend(
+                    (ox + x, oy + y)
+                    for x, y in self._lattice_oracle(count, tile_w, tile_h)
+                )
+        expected = self._cell_of_point_oracle(geometry, points)
+        assert distribute_per_core(geometry, count) == expected
+
+    def test_per_core_matches_oracle_on_rectangular_cores(self):
+        geometry = GridGeometry(grid_nodes=13, die_side=7.3e-3, core_rows=2, core_cols=3)
+        tile_w = geometry.die_side / 3
+        tile_h = geometry.die_side / 2
+        points = [
+            (ox + x, oy + y)
+            for ox, oy in (
+                geometry.core_tile_origin(r, c) for r in range(2) for c in range(3)
+            )
+            for x, y in self._lattice_oracle(37, tile_w, tile_h)
+        ]
+        expected = self._cell_of_point_oracle(geometry, points)
+        assert distribute_per_core(geometry, 37) == expected
 
     def test_cells_to_arrays_alignment(self):
         cells = {(1, 2): 3, (0, 0): 1}

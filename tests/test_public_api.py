@@ -1,6 +1,10 @@
 """The package's public surface: imports, __all__, quickstart flow."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,28 @@ class TestPublicSurface:
             "repro.utils",
         ):
             importlib.import_module(module)
+
+
+class TestLazyImports:
+    """Client and service entry points must not pay for scipy.stats or
+    scipy.optimize; only an EM lifetime solve loads scipy.optimize."""
+
+    HEAVY = ("scipy.stats", "scipy.optimize")
+
+    @pytest.mark.parametrize("module", ["repro.cli", "repro.service"])
+    def test_entry_point_skips_heavy_scipy(self, module):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            f"import sys, {module}\n"
+            f"print(sorted(m for m in {self.HEAVY!r} if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestQuickstartFlow:
