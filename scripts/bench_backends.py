@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Benchmark every registered solver backend on the bench-smoke systems.
 
-Two stages, because the backends target different matrix structures:
+Three kinds of stage, because the backends target different matrix
+structures:
 
 ``pdn``
     The bench-smoke stacked PDN (grid ``REPRO_BENCH_GRID`` or 10,
@@ -11,6 +12,13 @@ Two stages, because the backends target different matrix structures:
     here by design; the stage exists to show the degradation is honest
     (same numbers as ``lu``, one structured-log notice) and to time
     ``iterative`` on the structure the experiments actually solve.
+    ``lu`` factorises it with the general (COLAMD) ordering.
+``pdn_regular``
+    The regular (non-stacked) 4-layer PDN at the same grid: exactly
+    symmetric but indefinite (zero-diagonal voltage-source rows), so
+    ``lu`` takes its SuperLU symmetric-mode path here and ``cholesky``
+    refuses it like the stacked one.  The agreement check below covers
+    that path against ``iterative``.
 ``spd`` / ``spd_large``
     The HotSpotLite thermal grid of the same stack — a pure conductance
     network, genuinely SPD — at the bench-smoke grid and at twice that
@@ -61,7 +69,7 @@ from repro.config.stackups import (  # noqa: E402
     StackConfig,
     few_tsv,
 )
-from repro.core.scenarios import build_stacked_pdn  # noqa: E402
+from repro.core.scenarios import build_regular_pdn, build_stacked_pdn  # noqa: E402
 from repro.grid.backends import (  # noqa: E402
     backend_availability,
     get_backend,
@@ -86,6 +94,11 @@ def _pdn_system():
     return asm._matrix, rhs
 
 
+def _regular_pdn_system():
+    asm = build_regular_pdn(N_LAYERS, grid_nodes=GRID).assembled()
+    return asm._matrix, _stacked_rhs(asm, seed=13)
+
+
 def _thermal_system(grid: int):
     stack = StackConfig(
         n_layers=N_LAYERS,
@@ -106,7 +119,10 @@ def _stacked_rhs(asm, seed: int) -> np.ndarray:
 
 
 def _time_backend(name: str, matrix, rhs):
-    """Best-of-ROUNDS factorize and batched-solve walls for one backend."""
+    """Best-of-ROUNDS factorize and batched-solve walls for one backend.
+
+    Returns ``(timing, solution, factorisation)``.
+    """
     backend = get_backend(name)
     factorize_s = []
     solve_s = []
@@ -125,7 +141,7 @@ def _time_backend(name: str, matrix, rhs):
         "factorize_s": min(factorize_s),
         "solve_s": min(solve_s),
         "total_s": min(f + s for f, s in zip(factorize_s, solve_s)),
-    }, solution
+    }, solution, fact
 
 
 def _run_stage(stage: str, matrix, rhs, availability):
@@ -135,7 +151,7 @@ def _run_stage(stage: str, matrix, rhs, availability):
     for name in ("lu", "cholesky", "iterative"):
         entry = dict(availability[name])
         try:
-            timing, solution = _time_backend(name, matrix, rhs)
+            timing, solution, fact = _time_backend(name, matrix, rhs)
         except Exception as exc:  # honest skip: record why, keep going
             results[name] = {
                 **entry,
@@ -144,7 +160,7 @@ def _run_stage(stage: str, matrix, rhs, availability):
             continue
         record = {**entry, "status": "ok", **{
             k: round(v, 6) for k, v in timing.items()
-        }}
+        }, "ordering": fact.ordering, "factor_entries": fact.factor_entries}
         if name == "lu":
             reference = solution
             record["speedup_vs_lu"] = 1.0
@@ -177,6 +193,7 @@ def main() -> int:
     # refusal — in production the solver layer answers it with the
     # in-rung lu fallback, so the pdn/lu row *is* its cost there.
     pdn_matrix, pdn_rhs = _pdn_system()
+    regular_matrix, regular_rhs = _regular_pdn_system()
     spd_matrix, spd_rhs = _thermal_system(GRID)
     large_grid = max(2 * GRID, 20)
     spd_large_matrix, spd_large_rhs = _thermal_system(large_grid)
@@ -187,10 +204,14 @@ def main() -> int:
             "spd_large", spd_large_matrix, spd_large_rhs, availability
         ),
         "pdn": _run_stage("pdn", pdn_matrix, pdn_rhs, availability),
+        "pdn_regular": _run_stage(
+            "pdn_regular", regular_matrix, regular_rhs, availability
+        ),
     }
     stages["spd"]["grid"] = GRID
     stages["spd_large"]["grid"] = large_grid
     stages["pdn"]["grid"] = GRID
+    stages["pdn_regular"]["grid"] = GRID
 
     failures = []
     spd = stages["spd_large"]["backends"]
@@ -229,7 +250,10 @@ def main() -> int:
             "~1x and recorded honestly); pdn: saddle-point MNA system "
             "(never SPD), where cholesky refuses with a typed error and "
             "degrades to lu in production, and iterative runs "
-            "preconditioned LGMRES"
+            "preconditioned LGMRES; pdn_regular: the regular PDN's "
+            "symmetric-indefinite MNA system, which lu factorises in "
+            "SuperLU symmetric mode (ordering 'symmetric') and cholesky "
+            "refuses like pdn"
         ),
     }
     path = write_bench_json("solver_backends", payload, out_dir)

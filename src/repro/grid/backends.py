@@ -5,8 +5,20 @@ right-hand sides".  This module turns the *how* of that factorisation
 into a registry of interchangeable :class:`SolverBackend` objects:
 
 ``lu`` (default)
-    SuperLU via ``scipy.sparse.linalg.splu`` — the historical behaviour,
-    bit-for-bit.  Handles any nonsingular system, real or complex.
+    SuperLU via ``scipy.sparse.linalg.splu``, full partial pivoting.
+    Handles any nonsingular system, real or complex.  A real matrix
+    that equals its transpose bit for bit *and* has a non-positive
+    diagonal entry (a voltage-source constraint row: the regular 3D
+    PDN's symmetric-indefinite MNA system) is factorised in SuperLU
+    symmetric mode — ``MMD_AT_PLUS_A`` ordering, pivot threshold still
+    1.0 — which stores ~2.8x fewer factor entries than the default
+    COLAMD ordering on these grids.  Its solutions therefore differ
+    from plain ``splu`` in round-off only, far inside the 1e-9
+    cross-backend tolerance.  Every
+    other system — the unsymmetric V-S matrices (symmetric mode gives
+    them ~1.7x *more* fill), SPD thermal grids (the ``cholesky``
+    backend's domain) and complex AC systems — keeps plain
+    ``splu(matrix)`` and its bit-identical answers.
 ``cholesky``
     For symmetric positive-definite systems (pure conductance networks:
     thermal grids, ground-net Laplacians, resistor-mesh PDNs without
@@ -112,16 +124,37 @@ def spd_screen(matrix) -> Optional[str]:
         return "complex-valued system"
     if matrix.shape[0] == 0:
         return None
-    diagonal = matrix.diagonal()
-    if diagonal.size < matrix.shape[0] or np.any(diagonal <= 0):
+    if _has_constraint_row(matrix):
         return "non-positive diagonal entry (constraint row?)"
-    asym = abs(matrix - matrix.T)
-    if asym.nnz:
-        scale = max(1.0, float(abs(matrix).max()))
-        worst = float(asym.max())
-        if worst > SPD_SYMMETRY_RTOL * scale:
-            return f"asymmetric stamps (|A - A^T| up to {worst:.1e})"
+    worst = _asymmetry(matrix)
+    if worst and worst > SPD_SYMMETRY_RTOL * max(1.0, float(abs(matrix).max())):
+        return f"asymmetric stamps (|A - A^T| up to {worst:.1e})"
     return None
+
+
+def _has_constraint_row(matrix) -> bool:
+    """Whether a square real matrix has a diagonal entry <= 0."""
+    return bool(np.any(matrix.diagonal() <= 0))
+
+
+def _asymmetry(matrix) -> float:
+    """Largest ``|A - A^T|`` entry; exactly 0.0 when ``A == A^T`` bit for bit."""
+    asym = abs(matrix - matrix.T)
+    return float(asym.max()) if asym.nnz else 0.0
+
+
+def _symmetric_indefinite(matrix) -> bool:
+    """A real, exactly symmetric matrix that fails the SPD screen's diagonal test.
+
+    These are the regular PDN's MNA systems: a conductance block
+    bordered by zero-diagonal voltage-source constraint rows.
+    """
+    return (
+        matrix.shape[0] == matrix.shape[1]
+        and not np.issubdtype(matrix.dtype, np.complexfloating)
+        and _has_constraint_row(matrix)
+        and _asymmetry(matrix) == 0.0
+    )
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +177,11 @@ class Factorization(ABC):
     #: (direct factorisations: yes; an iterative solve is already its
     #: own refinement loop).
     supports_refine: bool = True
+    #: Fill-reducing ordering family, ``"symmetric"`` (on ``A + A^T``)
+    #: or ``"general"`` (on ``A^T A``); None when nothing is factorised.
+    ordering: Optional[str] = None
+    #: Entries stored in the factors (``L`` plus ``U``), when known.
+    factor_entries: Optional[int] = None
 
     def __init__(self, matrix):
         self.matrix = matrix
@@ -184,10 +222,13 @@ class Factorization(ABC):
 class _SuperLUFactorization(Factorization):
     """Wraps a SuperLU handle (plain or symmetric-mode)."""
 
-    def __init__(self, matrix, handle, backend_name: str):
+    def __init__(self, matrix, handle, backend_name: str, ordering: str):
         super().__init__(matrix)
         self._handle = handle
         self.backend_name = backend_name
+        self.ordering = ordering
+        # ``nnz`` is a count; ``handle.L``/``.U`` would copy the factors.
+        self.factor_entries = int(handle.nnz)
 
     def solve(self, z):
         return self._handle.solve(z)
@@ -200,6 +241,7 @@ class _CholmodFactorization(Factorization):
     """Wraps a CHOLMOD factor from scikit-sparse."""
 
     backend_name = "cholesky"
+    ordering = "symmetric"
 
     def __init__(self, matrix, factor):
         super().__init__(matrix)
@@ -346,12 +388,29 @@ class SolverBackend(ABC):
         return {"available": True, "native": True, "note": ""}
 
 
+def _splu_symmetric(matrix, diag_pivot_thresh: float):
+    """SuperLU in symmetric mode: minimum degree on ``A + A^T``.
+
+    ``diag_pivot_thresh`` 1.0 keeps full partial pivoting (indefinite
+    input); 0.0 takes the diagonal as pivot (SPD input).
+    """
+    return splu(
+        matrix.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=diag_pivot_thresh,
+        options=dict(SymmetricMode=True),
+    )
+
+
 class LUBackend(SolverBackend):
     name = "lu"
     description = "SuperLU sparse LU (scipy.sparse.linalg.splu); the default"
 
     def factorize(self, matrix) -> Factorization:
-        return _SuperLUFactorization(matrix, splu(matrix), self.name)
+        if _symmetric_indefinite(matrix):
+            handle = _splu_symmetric(matrix, diag_pivot_thresh=1.0)
+            return _SuperLUFactorization(matrix, handle, self.name, "symmetric")
+        return _SuperLUFactorization(matrix, splu(matrix), self.name, "general")
 
 
 def _cholmod():
@@ -395,13 +454,8 @@ class CholeskyBackend(SolverBackend):
             "using SuperLU symmetric mode instead",
             backend=self.name,
         )
-        handle = splu(
-            matrix.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-        return _SuperLUFactorization(matrix, handle, self.name)
+        handle = _splu_symmetric(matrix, diag_pivot_thresh=0.0)
+        return _SuperLUFactorization(matrix, handle, self.name, "symmetric")
 
     def availability(self) -> Dict[str, object]:
         native = _cholmod() is not None

@@ -624,15 +624,18 @@ class AssembledCircuit:
         return self._factorization(get_backend("lu"), pruned), prefix + "lu"
 
     @property
-    def _lu(self) -> Optional[Factorization]:
-        """The assembly backend's cached full-matrix factorisation."""
-        fact = self._facts.get((self.backend.name, "full"))
-        return None if fact in (None, _FACT_FAILED) else fact
+    def factorization(self) -> Optional[Factorization]:
+        """The cached full-matrix factorisation strict solves use.
 
-    @property
-    def _pruned_lu(self) -> Optional[Factorization]:
-        fact = self._facts.get((self.backend.name, "pruned"))
-        return None if fact in (None, _FACT_FAILED) else fact
+        The assembly backend's own, or its ``lu`` fallback's when the
+        backend refused the matrix; None before :meth:`factorize` or
+        when neither could factorise it.
+        """
+        for name in (self.backend.name, "lu"):
+            fact = self._facts.get((name, "full"))
+            if fact not in (None, _FACT_FAILED):
+                return fact
+        return None
 
     # ------------------------------------------------------------------
     # solving

@@ -201,6 +201,11 @@ def _build_group(spec: PDNSpec, plan: Any, solver: Optional[str] = None):
         # A faulted system may be singular; factorize() then reports False
         # and the resilient solve path deals with it per batch.
         assembled.factorize()
+        fact = assembled.factorization
+        if fact is not None:
+            factorize_span.set(
+                ordering=fact.ordering, factor_entries=fact.factor_entries
+            )
         t2 = time.perf_counter()
     if tracer.enabled:
         return pdn, report, build_span.duration_s, factorize_span.duration_s

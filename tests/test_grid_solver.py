@@ -156,9 +156,10 @@ class TestOverridesAndReuse:
         c = divider()
         asm = c.assemble()
         asm.solve()
-        lu = asm._lu
+        lu = asm.factorization
+        assert lu is not None
         asm.solve()
-        assert asm._lu is lu
+        assert asm.factorization is lu
 
 
 class TestSingularDetection:

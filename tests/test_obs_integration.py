@@ -79,6 +79,17 @@ class TestSpanTreeAcrossProcesses:
         names = {n.span.name for n in roots[0].walk()}
         assert {"group", "build", "factorize", "solve", "post"} <= names
 
+    def test_factorize_span_reports_ordering_and_fill(self, traced):
+        regular = PDNSpec.regular(2, grid_nodes=TEST_GRID)
+        stacked = PDNSpec.stacked(2, converters_per_core=4, grid_nodes=TEST_GRID)
+        run = SweepEngine().run(
+            [SweepPoint(spec=regular), SweepPoint(spec=stacked)]
+        )
+        spans = load_trace(trace_path(run.metrics.run_fingerprint, traced))
+        factorize = [s.attributes for s in spans if s.name == "factorize"]
+        assert [a["ordering"] for a in factorize] == ["symmetric", "general"]
+        assert all(a["factor_entries"] > 0 for a in factorize)
+
     def test_process_fanout_reassembles_under_sweep(self, traced):
         run = SweepEngine(workers=2).run(_points(), extract=_ir_extract)
         assert run.metrics.mode == "process"

@@ -6,7 +6,10 @@ difference, ``spd_only`` backends raise a typed error on non-SPD
 systems, unknown ``--solver`` values are a one-line ReproError (API and
 CLI), the deprecated solve entry points warn exactly once, the
 condition estimate is computed once per factorisation, and the engine's
-structure cache keys on the backend.
+structure cache keys on the backend.  ``lu``'s ordering choice is
+pinned too: symmetric-indefinite regular PDNs take SuperLU symmetric
+mode (less fill, same answers to round-off, checked against a dense
+oracle), every other system stays bit-identical to plain ``splu``.
 """
 
 from __future__ import annotations
@@ -20,9 +23,15 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from repro.core.scenarios import build_stacked_pdn
-from repro.errors import NotSPDError, ReproError, SolverBackendError
+from repro.core.scenarios import build_regular_pdn, build_stacked_pdn
+from repro.errors import (
+    NotSPDError,
+    ReproError,
+    SingularCircuitError,
+    SolverBackendError,
+)
 from repro.grid import backends as backends_mod
 from repro.grid.backends import (
     available_backends,
@@ -274,6 +283,110 @@ class TestCrossBackendEquivalence:
             )
         finally:
             backends_mod._REGISTRY.pop("dud-test")
+
+
+# ----------------------------------------------------------------------
+# lu ordering: symmetric mode for symmetric-indefinite systems only
+# ----------------------------------------------------------------------
+def _operating_point(asm) -> np.ndarray:
+    """The assembled circuit's production right-hand side."""
+    return asm._rhs(*asm._resolve_sources(None, None))
+
+
+def _thermal_matrix():
+    from repro.config.stackups import PadAllocation, ProcessorSpec, StackConfig, few_tsv
+    from repro.thermal.grid3d import HotSpotLite
+
+    stack = StackConfig(
+        n_layers=2,
+        processor=ProcessorSpec(),
+        tsv_topology=few_tsv(),
+        pads=PadAllocation(power_fraction=0.25),
+        grid_nodes=TEST_GRID,
+    )
+    thermal = HotSpotLite(stack)
+    thermal.solve()
+    return thermal._assembled._matrix
+
+
+def _ac_matrix():
+    from repro.grid.ac import ACAnalysis
+
+    pdn = build_regular_pdn(2, grid_nodes=TEST_GRID)
+    return ACAnalysis(pdn.circuit)._system(2 * np.pi * 1e8)[0]
+
+
+def _floating_node_pdn():
+    """A regular PDN with every resistor on one mesh node opened."""
+    from repro.grid.netlist import RESISTOR
+
+    pdn = build_regular_pdn(2, grid_nodes=6)
+    store = pdn.circuit.store(RESISTOR)
+    n1, n2 = store.column("n1"), store.column("n2")
+    node = n1[len(n1) // 3]
+    pdn.circuit.open_elements(RESISTOR, np.flatnonzero((n1 == node) | (n2 == node)))
+    return pdn
+
+
+class TestLUOrdering:
+    def test_regular_pdn_takes_symmetric_path(self):
+        asm = build_regular_pdn(4, grid_nodes=12).assembled()
+        matrix = asm._matrix
+        fact = get_backend("lu").factorize(matrix)
+        reference = splu(matrix)
+        assert fact.ordering == "symmetric"
+        assert fact.factor_entries <= 0.5 * reference.nnz
+        rhs = np.column_stack(
+            [_operating_point(asm)]
+            + list(np.random.default_rng(3).standard_normal((4, asm.dimension)))
+        )
+        x, expected = fact.solve(rhs), reference.solve(rhs)
+        for col in range(rhs.shape[1]):
+            scale = np.linalg.norm(expected[:, col])
+            assert np.linalg.norm(x[:, col] - expected[:, col]) <= 1e-9 * scale
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            lambda: build_stacked_pdn(
+                n_layers=4, converters_per_core=4, grid_nodes=TEST_GRID
+            ).assembled()._matrix,
+            _thermal_matrix,
+            _ac_matrix,
+        ],
+        ids=["stacked", "thermal-spd", "ac-complex"],
+    )
+    def test_other_systems_stay_bit_identical_to_splu(self, system):
+        matrix = system()
+        fact = get_backend("lu").factorize(matrix)
+        reference = splu(matrix)
+        assert fact.ordering == "general"
+        assert fact.factor_entries == reference.nnz
+        rng = np.random.default_rng(5)
+        rhs = rng.standard_normal((matrix.shape[0], 3)).astype(matrix.dtype)
+        np.testing.assert_array_equal(fact.solve(rhs), reference.solve(rhs))
+
+    @pytest.mark.parametrize("grid", [4, 5, 6])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
+    def test_dense_oracle_agrees_with_lu(self, grid, n_layers):
+        asm = build_regular_pdn(n_layers, grid_nodes=grid).assembled()
+        assert asm.factorize() is True
+        assert asm.factorization.ordering == "symmetric"
+        z = _operating_point(asm)
+        dense = np.linalg.solve(asm._matrix.toarray(), z)
+        x = asm.solve(SolveRequest())._x
+        assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
+
+    def test_floating_node_strict_raises_resilient_prunes(self):
+        with pytest.raises(SingularCircuitError):
+            _floating_node_pdn().circuit.assemble().solve(SolveRequest())
+        asm = _floating_node_pdn().circuit.assemble()
+        solution = asm.solve(SolveRequest(options=SolveOptions(resilient=True)))
+        diag = solution.diagnostics
+        assert diag.n_islands == 1
+        assert diag.n_dropped_nodes == 1
+        assert np.all(np.isfinite(solution.node_voltage))
+        assert asm._facts[("lu", "pruned")].ordering == "symmetric"
 
 
 # ----------------------------------------------------------------------
