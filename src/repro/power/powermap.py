@@ -111,19 +111,38 @@ def rasterize_blocks(
         rect = block_rects[name]
         if rect.area <= 0:
             continue
-        density = power / rect.area
-        # Cell index ranges the rectangle can overlap.
-        i_lo = max(0, int(np.floor(rect.x / cell)))
-        i_hi = min(grid_nodes - 1, int(np.ceil(rect.x2 / cell)) - 1)
-        j_lo = max(0, int(np.floor(rect.y / cell)))
-        j_hi = min(grid_nodes - 1, int(np.ceil(rect.y2 / cell)) - 1)
-        for i in range(i_lo, i_hi + 1):
-            for j in range(j_lo, j_hi + 1):
-                cell_rect = Rect(i * cell, j * cell, cell, cell)
-                overlap = rect.overlap_area(cell_rect)
-                if overlap > 0:
-                    grid[j, i] += density * overlap
+        _add_rect_power(grid, rect, power / rect.area, cell)
     return PowerMap(grid, die_side)
+
+
+def _add_rect_power(grid: np.ndarray, rect: Rect, density: float, cell: float) -> None:
+    """Add ``density`` times each cell's overlap area with ``rect`` to ``grid``.
+
+    A rect/cell overlap is separable into an x and a y extent, so the
+    window of cells the rect can touch gets ``density * outer(dy, dx)``.
+    The arithmetic is :meth:`Rect.overlap_area`'s, so the sums match a
+    per-cell loop bit for bit.
+    """
+    g = grid.shape[0]
+    # Cell index ranges the rectangle can overlap.
+    i_lo = max(0, int(np.floor(rect.x / cell)))
+    i_hi = min(g - 1, int(np.ceil(rect.x2 / cell)) - 1)
+    j_lo = max(0, int(np.floor(rect.y / cell)))
+    j_hi = min(g - 1, int(np.ceil(rect.y2 / cell)) - 1)
+    if i_hi < i_lo or j_hi < j_lo:
+        return  # entirely off the die
+    dx = _overlap_extent(rect.x, rect.x2, i_lo, i_hi, cell)
+    dy = _overlap_extent(rect.y, rect.y2, j_lo, j_hi, cell)
+    grid[j_lo:j_hi + 1, i_lo:i_hi + 1] += density * np.outer(dy, dx)
+
+
+def _overlap_extent(
+    lo: float, hi: float, k_lo: int, k_hi: int, cell: float
+) -> np.ndarray:
+    """Overlap of ``[lo, hi]`` with cells ``k_lo..k_hi`` (0 when disjoint)."""
+    start = np.arange(k_lo, k_hi + 1) * cell
+    extent = np.minimum(hi, start + cell) - np.maximum(lo, start)
+    return np.where(extent > 0, extent, 0.0)
 
 
 def layer_power_map(
@@ -204,15 +223,5 @@ def layer_power_map(
         for c in range(cols):
             power = model.core_power(core_activities[r * cols + c])
             outline = Rect(c * tile, r * tile, tile, tile)
-            density = power / outline.area
-            i_lo = max(0, int(np.floor(outline.x / cell)))
-            i_hi = min(g - 1, int(np.ceil(outline.x2 / cell)) - 1)
-            j_lo = max(0, int(np.floor(outline.y / cell)))
-            j_hi = min(g - 1, int(np.ceil(outline.y2 / cell)) - 1)
-            for i in range(i_lo, i_hi + 1):
-                for j in range(j_lo, j_hi + 1):
-                    cell_rect = Rect(i * cell, j * cell, cell, cell)
-                    overlap = outline.overlap_area(cell_rect)
-                    if overlap > 0:
-                        grid[j, i] += density * overlap
+            _add_rect_power(grid, outline, power / outline.area, cell)
     return PowerMap(grid, die_side)

@@ -37,7 +37,7 @@ from repro.runtime.fingerprint import run_fingerprint, task_fingerprint
 from repro.runtime.metrics import (
     GroupMetrics,
     SweepMetrics,
-    maybe_write_bench_json,
+    write_bench_json,
 )
 from repro.runtime.spec import PDNSpec
 
@@ -433,7 +433,8 @@ class SweepEngine:
         metrics.cache_misses = info["misses"]
         metrics.cache_rebuilds = info["rebuilds"]
         metrics.wall_s = time.perf_counter() - t_start
-        maybe_write_bench_json(bench_name, metrics.to_json())
+        if bench_name is not None:
+            write_bench_json(bench_name, metrics.to_json())
         if tracer.enabled:
             from repro.obs.export import flush_spans
 

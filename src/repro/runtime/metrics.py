@@ -307,12 +307,10 @@ def write_bench_json(
 
 
 def maybe_write_bench_json(name: Optional[str], payload: Dict) -> Optional[pathlib.Path]:
-    """Write a BENCH file only when a name is given and the env opts in.
+    """Write a BENCH file when a name is given; do nothing for ``None``.
 
-    The engine calls this after every run: with ``bench_name`` set the
-    file is always written; otherwise nothing happens unless
-    ``REPRO_BENCH_DIR`` is exported, which turns on fleet-wide metric
-    collection without touching call sites.
+    ``REPRO_BENCH_DIR`` only picks the directory (see
+    :func:`write_bench_json`); it does not turn writing on.
     """
     if name is None:
         return None

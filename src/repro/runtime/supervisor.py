@@ -80,7 +80,7 @@ from repro.runtime.journal import (
 from repro.runtime.metrics import (
     GroupMetrics,
     SweepMetrics,
-    maybe_write_bench_json,
+    write_bench_json,
 )
 
 __all__ = [
@@ -539,7 +539,8 @@ class RunSupervisor:
             atomic_write_text(
                 path, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
             )
-        maybe_write_bench_json(bench_name, metrics.to_json())
+        if bench_name is not None:
+            write_bench_json(bench_name, metrics.to_json())
         if tracer.enabled:
             from repro.obs.export import flush_spans
 

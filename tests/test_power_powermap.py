@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config.stackups import StackConfig
+from repro.config.stackups import ProcessorSpec, StackConfig
 from repro.floorplan.blocks import Rect
+from repro.power.mcpat_lite import CorePowerModel
 from repro.power.powermap import (
     PowerMap,
     layer_power_map,
@@ -132,3 +133,92 @@ class TestLayerPowerMap:
         bad = np.full(stack.processor.core_count, 1.5)
         with pytest.raises(ValueError):
             layer_power_map(stack, core_activities=bad)
+
+
+def _per_cell_add(grid, rect, density, cell):
+    """Accumulate ``rect``'s power cell by cell with ``Rect.overlap_area``."""
+    g = grid.shape[0]
+    i_lo = max(0, int(np.floor(rect.x / cell)))
+    i_hi = min(g - 1, int(np.ceil(rect.x2 / cell)) - 1)
+    j_lo = max(0, int(np.floor(rect.y / cell)))
+    j_hi = min(g - 1, int(np.ceil(rect.y2 / cell)) - 1)
+    for i in range(i_lo, i_hi + 1):
+        for j in range(j_lo, j_hi + 1):
+            overlap = rect.overlap_area(Rect(i * cell, j * cell, cell, cell))
+            if overlap > 0:
+                grid[j, i] += density * overlap
+
+
+def _per_cell_loop_power_map(stack, core_activities):
+    """The uniform-per-core map, accumulated one cell at a time."""
+    processor = stack.processor
+    model = CorePowerModel(processor)
+    rows = cols = int(round(np.sqrt(processor.core_count)))
+    g = stack.grid_nodes
+    tile = processor.die_side / rows
+    cell = processor.die_side / g
+    grid = np.zeros((g, g))
+    for r in range(rows):
+        for c in range(cols):
+            power = model.core_power(core_activities[r * cols + c])
+            outline = Rect(c * tile, r * tile, tile, tile)
+            _per_cell_add(grid, outline, power / outline.area, cell)
+    return grid
+
+
+class TestRasterizationOracle:
+    """The vectorised accumulation equals a per-cell loop bit for bit."""
+
+    @given(
+        grid=st.integers(min_value=4, max_value=40),
+        cores=st.sampled_from([1, 4, 16, 64]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_layer_power_map_matches_per_cell_loop(self, grid, cores, data):
+        stack = StackConfig(
+            n_layers=2, grid_nodes=grid, processor=ProcessorSpec(core_count=cores)
+        )
+        activities = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(min_value=0.0, max_value=1.0),
+                    min_size=cores,
+                    max_size=cores,
+                )
+            )
+        )
+        pm = layer_power_map(stack, core_activities=activities)
+        assert np.array_equal(
+            pm.cell_power, _per_cell_loop_power_map(stack, activities)
+        )
+
+    @given(
+        grid=st.integers(min_value=2, max_value=24),
+        boxes=st.lists(
+            st.tuples(
+                st.floats(min_value=-0.5, max_value=1.2),
+                st.floats(min_value=-0.5, max_value=1.2),
+                st.floats(min_value=1e-3, max_value=0.8),
+                st.floats(min_value=1e-3, max_value=0.8),
+                st.floats(min_value=0.0, max_value=5.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rasterize_blocks_matches_per_cell_loop(self, grid, boxes):
+        """Blocks may hang over, or lie wholly off, the die's edge."""
+        die = 1e-3
+        rects = {
+            f"b{k}": Rect(x * die, y * die, w * die, h * die)
+            for k, (x, y, w, h, _) in enumerate(boxes)
+        }
+        powers = {f"b{k}": p for k, (*_, p) in enumerate(boxes)}
+        cell = die / grid
+        expected = np.zeros((grid, grid))
+        for name, power in powers.items():
+            _per_cell_add(expected, rects[name], power / rects[name].area, cell)
+        pm = rasterize_blocks(rects, powers, die, grid)
+        assert np.array_equal(pm.cell_power, expected)
