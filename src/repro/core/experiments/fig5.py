@@ -153,6 +153,65 @@ def _normalised_series(
     return series, degraded
 
 
+_FIG5A_VS_SERIES = "V-S PDN, Few TSV"
+_FIG5B_VS_SERIES = "V-S PDN (25% Power C4)"
+
+
+def fig5a_specs(layers: LayerSweep, grid_nodes: int) -> List[Tuple[str, PDNSpec]]:
+    """Fig. 5a's ``(series name, spec)`` points, in sweep order."""
+    named_specs: List[Tuple[str, PDNSpec]] = []
+    for topology in ("Dense", "Sparse", "Few"):
+        name = f"Reg. PDN, {topology} TSV"
+        for n in layers:
+            named_specs.append(
+                (name, PDNSpec.regular(n, topology=topology, grid_nodes=grid_nodes))
+            )
+    for n in layers:
+        named_specs.append(
+            (
+                _FIG5A_VS_SERIES,
+                PDNSpec.stacked(
+                    n,
+                    topology="Few",
+                    vdd_pads_per_core=VS_VDD_PADS_PER_CORE,
+                    grid_nodes=grid_nodes,
+                ),
+            )
+        )
+    return named_specs
+
+
+def fig5b_specs(
+    layers: LayerSweep, pad_fractions: Sequence[float], grid_nodes: int
+) -> List[Tuple[str, PDNSpec]]:
+    """Fig. 5b's ``(series name, spec)`` points, in sweep order."""
+    named_specs: List[Tuple[str, PDNSpec]] = []
+    for fraction in pad_fractions:
+        name = f"Reg. PDN ({int(round(fraction * 100))}% Power C4)"
+        for n in layers:
+            named_specs.append(
+                (
+                    name,
+                    PDNSpec.regular(
+                        n,
+                        topology="Few",
+                        power_pad_fraction=fraction,
+                        grid_nodes=grid_nodes,
+                    ),
+                )
+            )
+    for n in layers:
+        named_specs.append(
+            (
+                _FIG5B_VS_SERIES,
+                PDNSpec.stacked(
+                    n, topology="Few", power_pad_fraction=0.25, grid_nodes=grid_nodes
+                ),
+            )
+        )
+    return named_specs
+
+
 def compute_fig5a(
     layers: LayerSweep = DEFAULT_LAYERS,
     grid_nodes: int = 20,
@@ -166,28 +225,12 @@ def compute_fig5a(
     em = em or default_em()
     engine = engine or SweepEngine()
     layers = tuple(layers)
-    named_specs: List[Tuple[str, PDNSpec]] = []
-    for topology in ("Dense", "Sparse", "Few"):
-        name = f"Reg. PDN, {topology} TSV"
-        for n in layers:
-            named_specs.append(
-                (name, PDNSpec.regular(n, topology=topology, grid_nodes=grid_nodes))
-            )
-    vs_name = "V-S PDN, Few TSV"
-    for n in layers:
-        named_specs.append(
-            (
-                vs_name,
-                PDNSpec.stacked(
-                    n,
-                    topology="Few",
-                    vdd_pads_per_core=VS_VDD_PADS_PER_CORE,
-                    grid_nodes=grid_nodes,
-                ),
-            )
-        )
     series, degraded = _normalised_series(
-        layers, named_specs, partial(_extract_tsv_lifetime, em=em), vs_name, engine
+        layers,
+        fig5a_specs(layers, grid_nodes),
+        partial(_extract_tsv_lifetime, em=em),
+        _FIG5A_VS_SERIES,
+        engine,
     )
     return Fig5aResult(layers=layers, series=series, degraded_points=degraded)
 
@@ -206,33 +249,12 @@ def compute_fig5b(
     em = em or default_em()
     engine = engine or SweepEngine()
     layers = tuple(layers)
-    named_specs: List[Tuple[str, PDNSpec]] = []
-    for fraction in pad_fractions:
-        name = f"Reg. PDN ({int(round(fraction * 100))}% Power C4)"
-        for n in layers:
-            named_specs.append(
-                (
-                    name,
-                    PDNSpec.regular(
-                        n,
-                        topology="Few",
-                        power_pad_fraction=fraction,
-                        grid_nodes=grid_nodes,
-                    ),
-                )
-            )
-    vs_name = "V-S PDN (25% Power C4)"
-    for n in layers:
-        named_specs.append(
-            (
-                vs_name,
-                PDNSpec.stacked(
-                    n, topology="Few", power_pad_fraction=0.25, grid_nodes=grid_nodes
-                ),
-            )
-        )
     series, degraded = _normalised_series(
-        layers, named_specs, partial(_extract_c4_lifetime, em=em), vs_name, engine
+        layers,
+        fig5b_specs(layers, pad_fractions, grid_nodes),
+        partial(_extract_c4_lifetime, em=em),
+        _FIG5B_VS_SERIES,
+        engine,
     )
     return Fig5bResult(layers=layers, series=series, degraded_points=degraded)
 

@@ -100,20 +100,13 @@ class Fig6Result:
         return table + "\n" + "\n".join(lines)
 
 
-def compute_fig6(
+def fig6_points(
     n_layers: int = 8,
     imbalances: Sequence[float] = DEFAULT_IMBALANCES,
     converters_per_core: Sequence[int] = DEFAULT_CONVERTERS,
     grid_nodes: int = 20,
-    engine: Optional[SweepEngine] = None,
-) -> Fig6Result:
-    """Reproduce the Fig. 6 noise comparison.
-
-    The engine-backed implementation behind :class:`Fig6Experiment`.
-    """
-    engine = engine or SweepEngine()
-    imbalances = tuple(imbalances)
-
+) -> Tuple[List[SweepPoint], List[SweepPoint]]:
+    """Fig. 6's V-S sweep points (converter-major) and regular lines."""
     vs_points = [
         SweepPoint(
             spec=PDNSpec.stacked(
@@ -127,6 +120,32 @@ def compute_fig6(
         for k in converters_per_core
         for imbalance in imbalances
     ]
+    regular_points = [
+        SweepPoint(
+            spec=PDNSpec.regular(n_layers, topology=topology, grid_nodes=grid_nodes),
+            layer_activities=(1.0,) * n_layers,
+        )
+        for topology in ("Dense", "Sparse", "Few")
+    ]
+    return vs_points, regular_points
+
+
+def compute_fig6(
+    n_layers: int = 8,
+    imbalances: Sequence[float] = DEFAULT_IMBALANCES,
+    converters_per_core: Sequence[int] = DEFAULT_CONVERTERS,
+    grid_nodes: int = 20,
+    engine: Optional[SweepEngine] = None,
+) -> Fig6Result:
+    """Reproduce the Fig. 6 noise comparison.
+
+    The engine-backed implementation behind :class:`Fig6Experiment`.
+    """
+    engine = engine or SweepEngine()
+    imbalances = tuple(imbalances)
+    vs_points, regular_points = fig6_points(
+        n_layers, imbalances, converters_per_core, grid_nodes
+    )
     vs_flagged = engine.run(vs_points, extract=_extract_rated_ir_drop).values
     vs_series: Dict[int, List[Optional[float]]] = {}
     vs_degraded: Dict[int, List[bool]] = {}
@@ -136,13 +155,6 @@ def compute_fig6(
         vs_series[k] = [value for value, _ in chunk]
         vs_degraded[k] = [bool(flag) for _, flag in chunk]
 
-    regular_points = [
-        SweepPoint(
-            spec=PDNSpec.regular(n_layers, topology=topology, grid_nodes=grid_nodes),
-            layer_activities=(1.0,) * n_layers,
-        )
-        for topology in ("Dense", "Sparse", "Few")
-    ]
     regular_flagged = engine.run(regular_points, extract=_extract_ir_drop).values
     regular_lines = dict(
         zip(("Dense", "Sparse", "Few"), (value for value, _ in regular_flagged))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ContractViolationError, ReproError
 from repro.grid.backends import default_backend_name, resolve_backend
@@ -126,6 +126,8 @@ class _CachedStructure:
     revision: int
     build_s: float
     factorize_s: float
+    #: ``Factorization.factor_entries`` at insertion (0 when unknown).
+    factor_entries: int = 0
 
 
 GroupKey = Tuple[PDNSpec, Any, bool, str]
@@ -347,19 +349,39 @@ class SweepEngine:
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_rebuilds = 0
+        # Running total of the cached entries' factor_entries, kept on
+        # insert/replace/clear so cache_info() stays O(1).
+        self._factor_entries = 0
 
     # ------------------------------------------------------------------
     def cache_info(self) -> Dict[str, int]:
-        """Structure-cache counters (for tests and metrics)."""
+        """Structure-cache counters (for tests and metrics).
+
+        ``factor_entries`` is the number of factor entries the cached
+        structures hold (backends that report none count as 0).
+        """
         return {
             "entries": len(self._cache),
             "hits": self._cache_hits,
             "misses": self._cache_misses,
             "rebuilds": self._cache_rebuilds,
+            "factor_entries": self._factor_entries,
         }
 
-    def clear_cache(self) -> None:
-        self._cache.clear()
+    def clear_cache(self, specs: Optional[Iterable[PDNSpec]] = None) -> None:
+        """Drop cached structures: all of them, or those built from ``specs``.
+
+        With ``specs``, every entry of those specs goes, whatever its
+        fault plan, resilient flag or backend; specs with no entry are
+        ignored.  The hit/miss/rebuild counters are kept.
+        """
+        if specs is None:
+            self._cache.clear()
+            self._factor_entries = 0
+            return
+        drop = set(specs)
+        for key in [key for key in self._cache if key[0] in drop]:
+            self._factor_entries -= self._cache.pop(key).factor_entries
 
     # ------------------------------------------------------------------
     def run(
@@ -488,7 +510,13 @@ class SweepEngine:
             factorize_s=factorize_s,
         )
         if self._cacheable(key):
+            fact = pdn.assembled().factorization
+            entry.factor_entries = getattr(fact, "factor_entries", None) or 0
+            replaced = self._cache.get(key)
+            if replaced is not None:
+                self._factor_entries -= replaced.factor_entries
             self._cache[key] = entry
+            self._factor_entries += entry.factor_entries
         return entry
 
     def _run_group_local(

@@ -44,7 +44,7 @@ import pathlib
 import pickle
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     QuarantinedTopologyError,
@@ -82,6 +82,7 @@ from repro.runtime.metrics import (
     SweepMetrics,
     write_bench_json,
 )
+from repro.runtime.spec import PDNSpec
 
 __all__ = [
     "SupervisorConfig",
@@ -385,8 +386,8 @@ class RunSupervisor:
     def cache_info(self) -> Dict[str, int]:
         return self.engine.cache_info()
 
-    def clear_cache(self) -> None:
-        self.engine.clear_cache()
+    def clear_cache(self, specs: Optional[Iterable[PDNSpec]] = None) -> None:
+        self.engine.clear_cache(specs)
 
     def deadline_scoped(self, remaining_s: float) -> "RunSupervisor":
         """A supervisor for one deadline-bounded run over the same engine.

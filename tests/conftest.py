@@ -13,6 +13,13 @@ from repro.pdn.stacked3d import StackedPDN3D
 TEST_GRID = 8
 
 
+def factor_entries(spec) -> int:
+    """Factor entries of one spec's pristine, default-backend factorisation."""
+    assembled = spec.build().assembled()
+    assembled.factorize()
+    return assembled.factorization.factor_entries
+
+
 @pytest.fixture(scope="session")
 def processor() -> ProcessorSpec:
     return ProcessorSpec()

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.scenarios import build_pdn, build_regular_pdn, build_stacked_pdn
 from repro.faults import FaultPlan, severed_layer_plan
+from repro.grid.backends import set_default_backend
 from repro.runtime import PDNSpec, SweepEngine, SweepPoint
 from repro.workload.imbalance import interleaved_layer_activities
 
-from tests.conftest import TEST_GRID
+from tests.conftest import TEST_GRID, factor_entries
 
 REL_TOL = 1e-12
 
@@ -149,7 +150,13 @@ class TestStructureCache:
         first = engine.run(points)
         second = engine.run(points)
         info = engine.cache_info()
-        assert info == {"entries": 1, "hits": 1, "misses": 1, "rebuilds": 0}
+        assert info == {
+            "entries": 1,
+            "hits": 1,
+            "misses": 1,
+            "rebuilds": 0,
+            "factor_entries": factor_entries(spec),
+        }
         assert second.metrics.groups[0].cached
         _assert_close(
             first.values[0].unwrap().max_ir_drop_fraction(),
@@ -168,12 +175,85 @@ class TestStructureCache:
         rebuilt = engine.run(points).values[0].unwrap().max_ir_drop_fraction()
         assert engine.cache_info()["rebuilds"] == 1
         _assert_close(baseline, rebuilt)  # rebuilt from the pristine spec
+        # The replaced entry's factor is no longer counted.
+        assert engine.cache_info()["factor_entries"] == factor_entries(spec)
 
     def test_clear_cache(self):
         engine = SweepEngine()
         engine.run([SweepPoint(spec=PDNSpec.regular(2, grid_nodes=TEST_GRID))])
+        assert engine.cache_info()["factor_entries"] > 0
         engine.clear_cache()
         assert engine.cache_info()["entries"] == 0
+        assert engine.cache_info()["factor_entries"] == 0
+
+
+class TestClearCacheBySpec:
+    SPEC = PDNSpec.stacked(2, converters_per_core=4, grid_nodes=TEST_GRID)
+    OTHER = PDNSpec.regular(2, grid_nodes=TEST_GRID)
+
+    def test_drops_every_key_of_a_spec(self):
+        """Plan, resilient flag and backend variants all go; others stay."""
+        engine = SweepEngine()
+        engine.run(
+            [
+                SweepPoint(spec=self.SPEC),
+                SweepPoint(spec=self.SPEC, resilient=True),
+                SweepPoint(
+                    spec=self.SPEC,
+                    fault_plan=FaultPlan().open_converter_bank("sc.rail1"),
+                ),
+                SweepPoint(spec=self.OTHER),
+            ]
+        )
+        try:
+            set_default_backend("iterative")
+            engine.run([SweepPoint(spec=self.SPEC)])
+        finally:
+            set_default_backend(None)
+        assert engine.cache_info()["entries"] == 5
+
+        engine.clear_cache([self.SPEC])
+        info = engine.cache_info()
+        assert info["entries"] == 1
+        assert info["factor_entries"] == factor_entries(self.OTHER)
+        assert [key[0] for key in engine._cache] == [self.OTHER]
+
+    def test_next_run_is_a_miss_with_equal_values(self):
+        points = [
+            SweepPoint(spec=self.SPEC, layer_activities=a) for a in _activities(2)
+        ]
+        engine = SweepEngine()
+        first = engine.run(points, extract=_ir_drop).values
+        entries = engine.cache_info()["factor_entries"]
+        engine.clear_cache([self.SPEC])
+        assert engine.cache_info()["factor_entries"] == 0
+        second = engine.run(points, extract=_ir_drop).values
+        info = engine.cache_info()
+        assert (info["misses"], info["hits"]) == (2, 0)
+        assert info["factor_entries"] == entries
+        assert second == first
+
+    def test_unknown_specs_are_a_no_op(self):
+        engine = SweepEngine()
+        engine.run([SweepPoint(spec=self.SPEC)])
+        before = engine.cache_info()
+        engine.clear_cache([self.OTHER, self.SPEC.with_(n_layers=3)])
+        engine.clear_cache([])
+        assert engine.cache_info() == before
+
+    def test_factory_plan_groups_are_never_cached(self):
+        points = [
+            SweepPoint(spec=self.OTHER, fault_plan=severed_layer_plan, resilient=True)
+        ]
+        engine = SweepEngine()
+        first = engine.run(points, extract=_ir_drop).values
+        assert engine.cache_info()["entries"] == 0
+        assert engine.cache_info()["factor_entries"] == 0
+        engine.clear_cache([self.OTHER])
+        second = engine.run(points, extract=_ir_drop).values
+        info = engine.cache_info()
+        assert (info["entries"], info["misses"], info["hits"]) == (0, 2, 0)
+        assert second == first
 
 
 class TestOrderingAndFanOut:

@@ -398,3 +398,11 @@ class TestEngineDuckTyping:
         sup.clear_cache()
         assert sup.cache_info()["entries"] == 0
         assert sup.workers == sup.engine.workers
+
+    def test_clear_cache_forwards_specs(self):
+        sup = RunSupervisor()
+        sup.run([SweepPoint(spec=_spec(2)), SweepPoint(spec=_spec(3))])
+        assert sup.cache_info()["entries"] == 2
+        sup.clear_cache([_spec(2)])
+        assert [key[0] for key in sup.engine._cache] == [_spec(3)]
+        assert sup.cache_info() == sup.engine.cache_info()
