@@ -20,9 +20,11 @@ HA tier claims to survive:
    epoch (``REPRO_EPOCH`` override); a previously-cached query must
    re-solve (fresh answer, not served from the old generation), with
    the old entries reachable only through the degraded stale path.
-4. **Torn entry** — one cache entry is truncated on disk; the next
-   query of it must be re-solved and the corruption *counted* in the
-   service metrics (``cache.corrupt``), never served.
+4. **Torn entry** — one cache entry is answered from the cache (so the
+   surviving replica holds its verified record in memory), then
+   truncated on disk by this process; the next query of it must be
+   re-solved and the corruption *counted* in the service metrics
+   (``cache.corrupt``), never served from the kept copy.
 
 Exit status 0 = all proofs hold.
 
@@ -266,6 +268,17 @@ def check_torn_entry(work: pathlib.Path) -> None:
         client_timeout_s=120.0,
     )
     fingerprint = probe.get("fingerprint")
+    # A cache hit first: the replica now serves this entry from the
+    # record it verified, so the truncation below is a cross-process
+    # change it must notice on its own.
+    hit = robust_query(
+        spec_payload(BURST_LAYERS[1]),
+        cache_dir=work / "cache",
+        deadline_s=300.0,
+        client_timeout_s=120.0,
+    )
+    if hit.get("status") != "ok" or not hit.get("cached"):
+        fail(f"repeat query was not a cache hit: {hit}")
     path = work / "cache" / f"result-{fingerprint}.json"
     if not path.exists():
         fail(f"no cache entry at {path} to truncate")

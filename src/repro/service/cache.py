@@ -21,8 +21,13 @@ Robustness properties:
 * **Integrity.**  Every entry carries a checksum over its payload; a
   truncated or bit-flipped entry is detected on read, evicted, and
   counted (``corrupt``) instead of crashing the server or poisoning an
-  answer.  ``repro cache verify`` runs the same check over the whole
-  directory offline.
+  answer.  Hits are served from the record this process verified (or
+  wrote), kept beside the file's ``(inode, size, mtime)`` stamp: any
+  change to one of the three — a peer's atomic rename, a truncation, a
+  rewrite — forces a re-read and re-check.  An in-place rewrite that
+  keeps all three is never served either, because the kept copy is the
+  verified one; ``repro cache verify`` (which always reads the disk)
+  or a restart finds it.
 * **Version coherence.**  Every entry is stamped with the code-version
   epoch (:func:`repro.service.epoch.code_epoch`) that produced it.  An
   entry from a *different* epoch is stale-but-keepable: never served as
@@ -55,7 +60,7 @@ import pathlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.logs import get_logger
 from repro.runtime.fingerprint import task_fingerprint
@@ -138,6 +143,14 @@ class CacheEntry:
     epoch: Optional[str] = None
 
 
+#: ``(st_ino, st_size, st_mtime_ns)`` of one entry file.
+_Stamp = Tuple[int, int, int]
+
+
+def _stamp_of(stat: os.stat_result) -> _Stamp:
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
 @dataclass
 class _Stored:
     """Index record for one on-disk entry."""
@@ -147,6 +160,10 @@ class _Stored:
     #: Last-used stamp (monotonic): hits refresh it, eviction sorts by it.
     used_at: float = 0.0
     created_at: float = field(default_factory=time.time)
+    #: The checksum-verified record, and the stamp of the file it was
+    #: verified from; served again while the file's stamp still matches.
+    record: Optional[Dict[str, Any]] = None
+    stamp: Optional[_Stamp] = None
 
 
 class ResultCache:
@@ -252,19 +269,33 @@ class ResultCache:
         return stored
 
     def _load_record(
-        self, fingerprint: str, stored: _Stored
+        self, fingerprint: str, stored: _Stored, reread: bool = False
     ) -> Optional[Dict[str, Any]]:
         """Read + integrity-check one entry (lock held); None = dropped.
 
-        Every failure mode — unreadable file, torn JSON, wrong schema,
-        checksum mismatch — evicts the entry so it cannot fail again.
-        Integrity failures count in ``corrupt``; a wrong-schema entry is
-        not corruption (it is a legacy layout) and is dropped silently.
+        While the file's ``(inode, size, mtime)`` stamp matches the one
+        the kept record was verified from, the kept record is returned
+        without opening the file; ``reread`` forces the disk read.
+
+        A file that vanished (a peer replica evicted or invalidated it)
+        just leaves the index.  Every other failure mode — unreadable
+        file, torn JSON, wrong schema, checksum mismatch — evicts the
+        entry so it cannot fail again.  Integrity failures count in
+        ``corrupt``; a wrong-schema entry is not corruption (it is a
+        legacy layout) and is dropped silently.
         """
         try:
+            stamp = _stamp_of(os.stat(stored.path))
+            if not reread and stored.record is not None and (
+                stamp == stored.stamp
+            ):
+                return stored.record
             record = json.loads(stored.path.read_text(encoding="utf-8"))
             if not isinstance(record, dict):
                 raise json.JSONDecodeError("not an object", "", 0)
+        except FileNotFoundError:
+            self._index.pop(fingerprint, None)
+            return None
         except (OSError, json.JSONDecodeError) as exc:
             _log.warning(
                 "service cache: dropping unreadable entry",
@@ -287,6 +318,7 @@ class ResultCache:
             self._discard(fingerprint, stored)
             self.corrupt += 1
             return None
+        stored.record, stored.stamp = record, stamp
         return record
 
     def get(
@@ -342,14 +374,20 @@ class ResultCache:
             else:
                 if count:
                     self.hits += 1
-                stored.used_at = time.time()
+                now_ns = time.time_ns()
+                stored.used_at = now_ns / 1e9
                 try:
-                    os.utime(stored.path)
+                    os.utime(stored.path, ns=(now_ns, now_ns))
                 except OSError:
                     pass
+                else:
+                    # Our own recency bump must not force a re-read.
+                    ino, size, _ = stored.stamp
+                    stored.stamp = (ino, size, now_ns)
             return CacheEntry(
                 fingerprint=fingerprint,
-                payload=record.get("payload", {}),
+                # A copy: callers must not edit the kept record.
+                payload=dict(record.get("payload", {})),
                 age_s=age_s,
                 stale=stale,
                 stale_reason=(
@@ -363,7 +401,10 @@ class ResultCache:
 
         The record is stamped with this cache's epoch and a payload
         checksum; the tmp token makes concurrent same-fingerprint
-        writes from different replica processes collision-free.
+        writes from different replica processes collision-free.  The
+        record as written (parsed back, so it equals a disk read) is
+        kept for later hits, with the file's stamp taken after the
+        rename.
         """
         record = {
             "schema": CACHE_SCHEMA,
@@ -381,6 +422,10 @@ class ResultCache:
             durable=False,
             tmp_token=f"{os.getpid()}-{threading.get_ident()}",
         )
+        try:
+            stamp: Optional[_Stamp] = _stamp_of(os.stat(path))
+        except OSError:
+            stamp = None  # evicted by a peer already: the next get misses
         now = time.time()
         with self._lock:
             self._index[fingerprint] = _Stored(
@@ -388,6 +433,8 @@ class ResultCache:
                 size=len(text.encode("utf-8")),
                 used_at=now,
                 created_at=now,
+                record=json.loads(text),
+                stamp=stamp,
             )
             self.writes += 1
             self._evict_over_cap(protect=fingerprint)
@@ -397,8 +444,10 @@ class ResultCache:
     # Offline inspection (the ``repro cache`` CLI)
     # ------------------------------------------------------------------
     def verify(self) -> Dict[str, Any]:
-        """Integrity-check every entry; evict what fails.
+        """Integrity-check every entry on disk; evict what fails.
 
+        Always re-reads each file, kept records notwithstanding, so an
+        in-place rewrite that kept the file's stamp is found here.
         Returns ``{"checked", "ok", "evicted", "by_epoch"}`` —
         ``evicted`` counts entries dropped for *any* reason (torn JSON,
         checksum mismatch, legacy schema), ``by_epoch`` histograms the
@@ -413,7 +462,7 @@ class ResultCache:
             with self._lock:
                 if fingerprint not in self._index:
                     continue  # evicted underneath us
-                record = self._load_record(fingerprint, stored)
+                record = self._load_record(fingerprint, stored, reread=True)
             if record is None:
                 evicted += 1
                 continue

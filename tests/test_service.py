@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import time
 
 import pytest
@@ -85,6 +87,32 @@ class TestSpecPayload:
 # result cache
 # ----------------------------------------------------------------------
 
+@pytest.fixture
+def file_reads(monkeypatch):
+    """Count ``pathlib.Path.read_text`` calls (every cache file read)."""
+    reads = []
+    original = pathlib.Path.read_text
+
+    def counting(self, *args, **kwargs):
+        reads.append(self.name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", counting)
+    return reads
+
+
+def _kept(cache: ResultCache) -> set:
+    """Fingerprints whose verified record the cache holds in memory."""
+    return {fp for fp, s in cache._index.items() if s.record is not None}
+
+
+def _tamper_same_size(path: pathlib.Path) -> None:
+    """Rewrite the entry in place (same inode, same size), v 1 -> 7."""
+    text = path.read_text()
+    assert '"v": 1' in text
+    path.write_text(text.replace('"v": 1', '"v": 7'))
+
+
 class TestResultCache:
     def test_put_get_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path / "c").open()
@@ -129,7 +157,7 @@ class TestResultCache:
         cache.open()
         assert cache.get("old1") is None
 
-    def test_ttl_expiry_and_stale_serving(self, tmp_path):
+    def test_ttl_expiry_and_stale_serving(self, tmp_path, file_reads):
         cache = ResultCache(tmp_path / "c", ttl_s=0.05).open()
         cache.put("k1", {"v": 2})
         assert cache.get("k1") is not None
@@ -140,6 +168,8 @@ class TestResultCache:
         assert stale is not None and stale.stale
         assert stale.age_s > 0.05
         assert cache.stale_hits == 1
+        # The TTL was judged on the record kept in memory.
+        assert file_reads == []
 
     def test_lru_eviction_under_size_cap(self, tmp_path):
         payload = {"pad": "x" * 200}
@@ -169,6 +199,98 @@ class TestResultCache:
             "entries", "size_bytes", "hits", "misses", "stale_hits",
             "writes", "evictions", "corrupt", "epoch_misses",
         }
+
+
+class TestKeptRecords:
+    """Hits are served from the verified in-memory record while the
+    file's (inode, size, mtime) stamp still matches."""
+
+    def test_hits_after_put_open_no_file(self, tmp_path, file_reads):
+        cache = ResultCache(tmp_path / "c").open()
+        cache.put("k1", {"v": 1})
+        assert cache.get("k1").payload == {"v": 1}
+        assert cache.get("k1").payload == {"v": 1}
+        assert file_reads == []
+        assert cache.hits == 2
+
+    def test_second_hit_after_first_read_opens_no_file(
+        self, tmp_path, file_reads
+    ):
+        cache = ResultCache(tmp_path / "c").open()
+        cache.put("k1", {"v": 1})
+        cache.open()  # re-indexing drops the kept records
+        assert _kept(cache) == set()
+        assert cache.get("k1").payload == {"v": 1}
+        assert file_reads == ["result-k1.json"]
+        assert cache.get("k1").payload == {"v": 1}
+        assert file_reads == ["result-k1.json"]
+
+    def test_served_payload_is_a_copy(self, tmp_path):
+        cache = ResultCache(tmp_path / "c").open()
+        cache.put("k1", {"v": 1})
+        cache.get("k1").payload["v"] = 999
+        assert cache.get("k1").payload == {"v": 1}
+
+    def test_recency_bump_moves_mtime_without_a_reread(
+        self, tmp_path, file_reads
+    ):
+        cache = ResultCache(tmp_path / "c").open()
+        path = cache.put("k1", {"v": 1})
+        old_ns = 1_000_000_000_000_000_000  # 2001: far from any bump
+        os.utime(path, ns=(old_ns, old_ns))
+        cache.get("k1")  # the stamp moved: one re-read, then kept again
+        assert file_reads == ["result-k1.json"]
+        assert path.stat().st_mtime_ns > old_ns
+        cache.get("k1")
+        cache.get("k1")
+        assert file_reads == ["result-k1.json"]
+
+    def test_same_size_in_place_tamper_is_caught(self, tmp_path):
+        cache = ResultCache(tmp_path / "c").open()
+        path = cache.put("k1", {"v": 1})
+        assert cache.get("k1") is not None
+        size, mtime_ns = path.stat().st_size, path.stat().st_mtime_ns
+        _tamper_same_size(path)
+        # A mtime ten seconds off differs at any timestamp granularity.
+        os.utime(path, ns=(mtime_ns, mtime_ns - 10_000_000_000))
+        assert path.stat().st_size == size
+        assert cache.get("k1") is None
+        assert cache.corrupt == 1 and cache.misses == 1
+        assert not path.exists()
+
+    def test_verify_catches_a_tamper_that_kept_the_stamp(self, tmp_path):
+        cache = ResultCache(tmp_path / "c").open()
+        path = cache.put("k1", {"v": 1})
+        before = path.stat()
+        _tamper_same_size(path)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            before.st_ino, before.st_size, before.st_mtime_ns
+        )
+        # Never served: the kept copy is the verified one.
+        assert cache.get("k1").payload == {"v": 1}
+        report = cache.verify()
+        assert report["evicted"] == 1 and report["ok"] == 0
+        assert cache.corrupt == 1
+        assert not path.exists()
+        assert cache.get("k1") is None
+
+    def test_invalidate_drops_kept_records(self, tmp_path):
+        cache = ResultCache(tmp_path / "c", epoch="e1").open()
+        cache.put("k1", {"v": 1})
+        cache.put("k2", {"v": 2})
+        assert _kept(cache) == {"k1", "k2"}
+        assert cache.invalidate(epoch="e1") == 2
+        assert _kept(cache) == set()
+        assert cache.get("k1") is None
+
+    def test_eviction_drops_kept_records(self, tmp_path):
+        cache = ResultCache(tmp_path / "c", max_mb=1e-6).open()
+        cache.put("old", {"v": 1})
+        cache.put("new", {"v": 2})
+        assert cache.evictions == 1
+        assert _kept(cache) == {"new"}
 
 
 # ----------------------------------------------------------------------

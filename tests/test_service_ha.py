@@ -231,6 +231,38 @@ class TestEpochCoherence:
         assert solver.calls == 2
         assert metrics["counters"]["cache"]["corrupt"] == 1
 
+    def test_peer_put_under_another_epoch_is_an_epoch_miss(self, tmp_path):
+        """A peer's atomic rename (new inode) voids the kept record."""
+        mine = ResultCache(tmp_path / "c", epoch="epoch-aaa").open()
+        mine.put("fp1", {"v": 1})
+        assert mine.get("fp1") is not None
+        peer = ResultCache(tmp_path / "c", epoch="epoch-bbb").open()
+        peer.put("fp1", {"v": 2})
+        assert mine.get("fp1") is None
+        assert mine.epoch_misses == 1 and mine.corrupt == 0
+        stale = mine.get("fp1", allow_stale=True)
+        assert stale.epoch == "epoch-bbb" and stale.payload == {"v": 2}
+
+    def test_entry_vanished_under_a_peer_is_a_plain_miss(
+        self, tmp_path, monkeypatch
+    ):
+        """A peer's invalidate is not corruption: no warning, no count."""
+        from repro.service import cache as cache_module
+
+        warnings = []
+        monkeypatch.setattr(
+            cache_module._log, "warning", lambda *a, **k: warnings.append(a)
+        )
+        peer = ResultCache(tmp_path / "c", epoch="epoch-aaa").open()
+        peer.put("fp1", {"v": 1})
+        mine = ResultCache(tmp_path / "c", epoch="epoch-aaa").open()
+        assert mine.get("fp1") is not None
+        assert peer.invalidate(epoch="epoch-aaa") == 1
+        assert mine.get("fp1") is None
+        assert mine.corrupt == 0 and mine.misses == 1
+        assert len(mine) == 0
+        assert warnings == []
+
     def test_checksum_mismatch_is_corruption(self, tmp_path):
         cache = ResultCache(tmp_path / "c").open()
         cache.put("fp1", {"v": 1})
