@@ -15,11 +15,11 @@ def test_headline_claims(benchmark, record_output):
         iterations=1,
     )
     record_output(report.format(), "headline_claims")
-    # Only the 10 topologies the claims read are factorised, each freed
-    # after its last reader: Fig. 6's four 8-layer stacks stay cached.
+    # Only the 10 topologies the claims read are factorised, one at a
+    # time, each freed after its last reader: the engine ends empty.
     info = engine.cache_info()
     assert (info["misses"], info["hits"]) == (10, 6)
-    assert info["entries"] == 4
+    assert (info["entries"], info["factor_entries"]) == (0, 0)
     for band in HEADLINE_CLAIM_BANDS:
         value = getattr(report, band.field)
         assert band.contains(value), f"{band.field}={value!r}: {band.reason}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -27,6 +27,7 @@ __all__ = [
     "Experiment",
     "ExperimentConfig",
     "ExperimentResult",
+    "FigurePlan",
     "register",
     "get_experiment",
     "all_experiments",
@@ -89,6 +90,27 @@ class ExperimentResult:
     def to_json(self) -> str:
         return json.dumps(
             {"experiment": self.name, **self.data}, indent=2, sort_keys=True
+        )
+
+
+@dataclass(frozen=True)
+class FigurePlan:
+    """A figure's engine runs as data, plus the step that assembles them.
+
+    Each of ``runs`` is a ``(points, extract)`` pair, one
+    ``engine.run(points, extract=extract)``; ``assemble`` turns their
+    values (one list per run, in run order) into the figure's result.
+    :meth:`compute` runs them in order.  A caller may instead run any
+    subset of a run's points at a time (the headline report runs one
+    topology at a time) and assemble the values itself.
+    """
+
+    runs: Tuple[Tuple[Sequence[Any], Callable[[Any], Any]], ...]
+    assemble: Callable[[List[List[Any]]], Any]
+
+    def compute(self, engine) -> Any:
+        return self.assemble(
+            [engine.run(points, extract=extract).values for points, extract in self.runs]
         )
 
 

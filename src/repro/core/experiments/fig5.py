@@ -31,6 +31,7 @@ from repro.core.experiments.base import (
     Experiment,
     ExperimentConfig,
     ExperimentResult,
+    FigurePlan,
     add_grid_argument,
     degraded_notes,
     outcome_degraded,
@@ -131,34 +132,43 @@ class Fig5bResult:
         )
 
 
-def _normalised_series(
+def _normalised_plan(
     layers: LayerSweep,
     named_specs: List[Tuple[str, PDNSpec]],
     extract,
     vs_name: str,
-    engine: SweepEngine,
-) -> Tuple[Dict[str, List[float]], int]:
-    """Sweep all specs in one engine run and normalise to 2-layer V-S.
+    result_type,
+) -> FigurePlan:
+    """One run over all specs, normalised to 2-layer V-S on assembly.
 
-    Returns the normalised series plus the degraded-point count.
+    The assembled result also carries the degraded-point count.
     """
     points = [SweepPoint(spec=spec, tag=name) for name, spec in named_specs]
-    flagged = engine.run(points, extract=extract).values
-    degraded = sum(1 for _, flag in flagged if flag)
-    raw: Dict[str, List[float]] = {}
-    for (name, _), (value, _) in zip(named_specs, flagged):
-        raw.setdefault(name, []).append(value)
-    reference = raw[vs_name][layers.index(2)] if 2 in layers else raw[vs_name][0]
-    series = {k: [v / reference for v in vals] for k, vals in raw.items()}
-    return series, degraded
+
+    def assemble(values):
+        (flagged,) = values
+        degraded = sum(1 for _, flag in flagged if flag)
+        raw: Dict[str, List[float]] = {}
+        for (name, _), (value, _) in zip(named_specs, flagged):
+            raw.setdefault(name, []).append(value)
+        reference = raw[vs_name][layers.index(2)] if 2 in layers else raw[vs_name][0]
+        series = {k: [v / reference for v in vals] for k, vals in raw.items()}
+        return result_type(layers=layers, series=series, degraded_points=degraded)
+
+    return FigurePlan(runs=((points, extract),), assemble=assemble)
 
 
 _FIG5A_VS_SERIES = "V-S PDN, Few TSV"
 _FIG5B_VS_SERIES = "V-S PDN (25% Power C4)"
 
 
-def fig5a_specs(layers: LayerSweep, grid_nodes: int) -> List[Tuple[str, PDNSpec]]:
-    """Fig. 5a's ``(series name, spec)`` points, in sweep order."""
+def fig5a_plan(
+    layers: LayerSweep = DEFAULT_LAYERS,
+    grid_nodes: int = 20,
+    em: Optional[EMParameters] = None,
+) -> FigurePlan:
+    """Fig. 5a's engine run (points in sweep order) and its assembly."""
+    layers = tuple(layers)
     named_specs: List[Tuple[str, PDNSpec]] = []
     for topology in ("Dense", "Sparse", "Few"):
         name = f"Reg. PDN, {topology} TSV"
@@ -178,13 +188,23 @@ def fig5a_specs(layers: LayerSweep, grid_nodes: int) -> List[Tuple[str, PDNSpec]
                 ),
             )
         )
-    return named_specs
+    return _normalised_plan(
+        layers,
+        named_specs,
+        partial(_extract_tsv_lifetime, em=em or default_em()),
+        _FIG5A_VS_SERIES,
+        Fig5aResult,
+    )
 
 
-def fig5b_specs(
-    layers: LayerSweep, pad_fractions: Sequence[float], grid_nodes: int
-) -> List[Tuple[str, PDNSpec]]:
-    """Fig. 5b's ``(series name, spec)`` points, in sweep order."""
+def fig5b_plan(
+    layers: LayerSweep = DEFAULT_LAYERS,
+    pad_fractions: Sequence[float] = (0.25, 0.50, 0.75, 1.00),
+    grid_nodes: int = 20,
+    em: Optional[EMParameters] = None,
+) -> FigurePlan:
+    """Fig. 5b's engine run (points in sweep order) and its assembly."""
+    layers = tuple(layers)
     named_specs: List[Tuple[str, PDNSpec]] = []
     for fraction in pad_fractions:
         name = f"Reg. PDN ({int(round(fraction * 100))}% Power C4)"
@@ -209,7 +229,13 @@ def fig5b_specs(
                 ),
             )
         )
-    return named_specs
+    return _normalised_plan(
+        layers,
+        named_specs,
+        partial(_extract_c4_lifetime, em=em or default_em()),
+        _FIG5B_VS_SERIES,
+        Fig5bResult,
+    )
 
 
 def compute_fig5a(
@@ -222,17 +248,7 @@ def compute_fig5a(
 
     The engine-backed implementation behind :class:`Fig5aExperiment`.
     """
-    em = em or default_em()
-    engine = engine or SweepEngine()
-    layers = tuple(layers)
-    series, degraded = _normalised_series(
-        layers,
-        fig5a_specs(layers, grid_nodes),
-        partial(_extract_tsv_lifetime, em=em),
-        _FIG5A_VS_SERIES,
-        engine,
-    )
-    return Fig5aResult(layers=layers, series=series, degraded_points=degraded)
+    return fig5a_plan(layers, grid_nodes, em).compute(engine or SweepEngine())
 
 
 def compute_fig5b(
@@ -246,17 +262,9 @@ def compute_fig5b(
 
     The engine-backed implementation behind :class:`Fig5bExperiment`.
     """
-    em = em or default_em()
-    engine = engine or SweepEngine()
-    layers = tuple(layers)
-    series, degraded = _normalised_series(
-        layers,
-        fig5b_specs(layers, pad_fractions, grid_nodes),
-        partial(_extract_c4_lifetime, em=em),
-        _FIG5B_VS_SERIES,
-        engine,
+    return fig5b_plan(layers, pad_fractions, grid_nodes, em).compute(
+        engine or SweepEngine()
     )
-    return Fig5bResult(layers=layers, series=series, degraded_points=degraded)
 
 
 class Fig5aExperiment(Experiment):

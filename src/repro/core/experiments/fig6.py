@@ -21,6 +21,7 @@ from repro.core.experiments.base import (
     Experiment,
     ExperimentConfig,
     ExperimentResult,
+    FigurePlan,
     add_grid_argument,
     add_layers_argument,
     degraded_notes,
@@ -100,13 +101,18 @@ class Fig6Result:
         return table + "\n" + "\n".join(lines)
 
 
-def fig6_points(
+def fig6_plan(
     n_layers: int = 8,
     imbalances: Sequence[float] = DEFAULT_IMBALANCES,
     converters_per_core: Sequence[int] = DEFAULT_CONVERTERS,
     grid_nodes: int = 20,
-) -> Tuple[List[SweepPoint], List[SweepPoint]]:
-    """Fig. 6's V-S sweep points (converter-major) and regular lines."""
+) -> FigurePlan:
+    """Fig. 6's two engine runs and their assembly.
+
+    The first run is the V-S series (converter-major, one topology per
+    converter count), the second the regular PDN's worst-case lines.
+    """
+    imbalances = tuple(imbalances)
     vs_points = [
         SweepPoint(
             spec=PDNSpec.stacked(
@@ -127,7 +133,38 @@ def fig6_points(
         )
         for topology in ("Dense", "Sparse", "Few")
     ]
-    return vs_points, regular_points
+
+    def assemble(values) -> Fig6Result:
+        vs_flagged, regular_flagged = values
+        vs_series: Dict[int, List[Optional[float]]] = {}
+        vs_degraded: Dict[int, List[bool]] = {}
+        n_imb = len(imbalances)
+        for i, k in enumerate(converters_per_core):
+            chunk = vs_flagged[i * n_imb:(i + 1) * n_imb]
+            vs_series[k] = [value for value, _ in chunk]
+            vs_degraded[k] = [bool(flag) for _, flag in chunk]
+        regular_lines = dict(
+            zip(("Dense", "Sparse", "Few"), (value for value, _ in regular_flagged))
+        )
+        degraded = sum(1 for _, flag in vs_flagged if flag) + sum(
+            1 for _, flag in regular_flagged if flag
+        )
+        return Fig6Result(
+            n_layers=n_layers,
+            imbalances=imbalances,
+            vs_series=vs_series,
+            regular_lines=regular_lines,
+            vs_degraded=vs_degraded,
+            degraded_points=degraded,
+        )
+
+    return FigurePlan(
+        runs=(
+            (vs_points, _extract_rated_ir_drop),
+            (regular_points, _extract_ir_drop),
+        ),
+        assemble=assemble,
+    )
 
 
 def compute_fig6(
@@ -141,35 +178,8 @@ def compute_fig6(
 
     The engine-backed implementation behind :class:`Fig6Experiment`.
     """
-    engine = engine or SweepEngine()
-    imbalances = tuple(imbalances)
-    vs_points, regular_points = fig6_points(
-        n_layers, imbalances, converters_per_core, grid_nodes
-    )
-    vs_flagged = engine.run(vs_points, extract=_extract_rated_ir_drop).values
-    vs_series: Dict[int, List[Optional[float]]] = {}
-    vs_degraded: Dict[int, List[bool]] = {}
-    n_imb = len(imbalances)
-    for i, k in enumerate(converters_per_core):
-        chunk = vs_flagged[i * n_imb:(i + 1) * n_imb]
-        vs_series[k] = [value for value, _ in chunk]
-        vs_degraded[k] = [bool(flag) for _, flag in chunk]
-
-    regular_flagged = engine.run(regular_points, extract=_extract_ir_drop).values
-    regular_lines = dict(
-        zip(("Dense", "Sparse", "Few"), (value for value, _ in regular_flagged))
-    )
-    degraded = sum(1 for _, flag in vs_flagged if flag) + sum(
-        1 for _, flag in regular_flagged if flag
-    )
-
-    return Fig6Result(
-        n_layers=n_layers,
-        imbalances=imbalances,
-        vs_series=vs_series,
-        regular_lines=regular_lines,
-        vs_degraded=vs_degraded,
-        degraded_points=degraded,
+    return fig6_plan(n_layers, imbalances, converters_per_core, grid_nodes).compute(
+        engine or SweepEngine()
     )
 
 

@@ -14,26 +14,19 @@ Abstract / conclusions checked:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.experiments.base import (
     Experiment,
     ExperimentConfig,
     ExperimentResult,
+    FigurePlan,
     add_grid_argument,
     degraded_notes,
     resolve_engine,
 )
-from repro.core.experiments.fig5 import (
-    Fig5aResult,
-    Fig5bResult,
-    compute_fig5a,
-    compute_fig5b,
-    fig5a_specs,
-    fig5b_specs,
-)
-from repro.core.experiments.fig6 import Fig6Result, compute_fig6, fig6_points
+from repro.core.experiments.fig5 import Fig5aResult, Fig5bResult, fig5a_plan, fig5b_plan
+from repro.core.experiments.fig6 import Fig6Result, fig6_plan
 from repro.core.experiments.fig7 import Fig7Result, compute_fig7
 from repro.runtime import SweepEngine
 
@@ -150,6 +143,34 @@ HEADLINE_CLAIM_BANDS: Tuple[ClaimBand, ...] = (
 )
 
 
+def _compute_topology_major(plans: Sequence[FigurePlan], engine) -> List[Any]:
+    """Assemble each plan's result, running one topology at a time.
+
+    Topologies go in first-appearance order over the plans' points.
+    Each is built once; every run of every plan that reads it then gets
+    its points on that topology, in plan and run order; then it is
+    dropped from the engine before the next topology is built.  A run's
+    points on one topology are exactly the group the whole run would
+    solve as one batch, so the values equal those of
+    :meth:`FigurePlan.compute` bit for bit.
+    """
+    values = [[[None] * len(points) for points, _ in plan.runs] for plan in plans]
+    specs = dict.fromkeys(
+        point.spec for plan in plans for points, _ in plan.runs for point in points
+    )
+    for spec in specs:
+        for plan, plan_values in zip(plans, values):
+            for (points, extract), run_values in zip(plan.runs, plan_values):
+                indices = [i for i, point in enumerate(points) if point.spec == spec]
+                if not indices:
+                    continue
+                result = engine.run([points[i] for i in indices], extract=extract)
+                for i, value in zip(indices, result.values):
+                    run_values[i] = value
+        engine.clear_cache([spec])
+    return [plan.assemble(plan_values) for plan, plan_values in zip(plans, values)]
+
+
 def run_headline(
     grid_nodes: int = 20,
     fig5a: Optional[Fig5aResult] = None,
@@ -167,49 +188,31 @@ def run_headline(
     full figures' 35; the claims come out identical to those taken from
     full-axis figures.  Supplied figures are used as given.
 
-    All sub-experiments share one :class:`SweepEngine`, so topologies
-    common to Figs. 5a/5b/6 (e.g. the regular Few-TSV stacks) are built
-    and factorised exactly once across the whole report.  After each
-    figure it computes, the topologies no later computed figure reads
-    are dropped from the engine's structure cache (even ones cached
-    before the call), so peak memory holds the factors still to be
-    read, not all ten.  The engine ends holding the topologies the last
-    computed figure read: Fig. 6's four 8-layer stacks by default.
+    The figures are computed topology-major on one engine (see
+    :func:`_compute_topology_major`): each topology is built and
+    factorised once, every figure run that reads it runs on it, and it
+    is dropped from the engine (even if it was cached before the call)
+    before the next one is built.  Peak memory therefore holds one
+    topology's factor, and the engine ends holding none of the ten.
+    Each figure keeps its own right-hand-side batches, so the report
+    equals the one from figure-by-figure runs; a default report makes
+    16 engine runs, with 10 structure-cache misses and 6 hits.
     """
     engine = engine or SweepEngine()
-    # (name, compute, topologies read) per figure to compute, in run order.
-    stages = []
+    plans = {}
     if fig5a is None:
-        args = dict(layers=HEADLINE_FIG5_LAYERS, grid_nodes=grid_nodes)
-        stages.append((
-            "fig5a",
-            partial(compute_fig5a, engine=engine, **args),
-            {spec for _, spec in fig5a_specs(**args)},
-        ))
+        plans["fig5a"] = fig5a_plan(HEADLINE_FIG5_LAYERS, grid_nodes)
     if fig5b is None:
-        args = dict(
-            layers=HEADLINE_FIG5_LAYERS,
-            pad_fractions=HEADLINE_FIG5B_PAD_FRACTIONS,
-            grid_nodes=grid_nodes,
+        plans["fig5b"] = fig5b_plan(
+            HEADLINE_FIG5_LAYERS, HEADLINE_FIG5B_PAD_FRACTIONS, grid_nodes
         )
-        stages.append((
-            "fig5b",
-            partial(compute_fig5b, engine=engine, **args),
-            {spec for _, spec in fig5b_specs(**args)},
-        ))
     if fig6 is None:
-        args = dict(converters_per_core=HEADLINE_FIG6_CONVERTERS, grid_nodes=grid_nodes)
-        stages.append((
-            "fig6",
-            partial(compute_fig6, engine=engine, **args),
-            {point.spec for points in fig6_points(**args) for point in points},
-        ))
-    computed = {}
-    for i, (name, compute, specs) in enumerate(stages):
-        computed[name] = compute()
-        later = stages[i + 1:]
-        if later:
-            engine.clear_cache(specs.difference(*(read for _, _, read in later)))
+        plans["fig6"] = fig6_plan(
+            converters_per_core=HEADLINE_FIG6_CONVERTERS, grid_nodes=grid_nodes
+        )
+    computed = dict(
+        zip(plans, _compute_topology_major(list(plans.values()), engine))
+    )
     fig5a = computed.get("fig5a", fig5a)
     fig5b = computed.get("fig5b", fig5b)
     fig6 = computed.get("fig6", fig6)

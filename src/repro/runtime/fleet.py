@@ -779,6 +779,14 @@ def execute_fleet(
     finally:
         coordinator.close()
         state.fleet_workers.extend(coordinator.accounting())
+    if not coordinator._ever_connected:
+        # Pay the grace wait once per supervisor, not once per run of a
+        # multi-run experiment.
+        supervisor._fleet_unattended = True
+        _log.warning(
+            "fleet: no worker attached; later runs of this supervisor "
+            "run in-process"
+        )
     return leftovers
 
 

@@ -373,6 +373,9 @@ class RunSupervisor:
         #: callers find all of them in :attr:`reports`).
         self.last_report: Optional[RunReport] = None
         self.reports: List[RunReport] = []
+        #: Set once a fleet run ends with no worker ever attached; later
+        #: runs then skip the fleet's grace wait and run in-process.
+        self._fleet_unattended = False
 
     # ------------------------------------------------------------------
     # Engine-compatible surface
@@ -484,7 +487,11 @@ class RunSupervisor:
             )
             pending = self._restore(tasks, journaled, state)
 
-            if pending and self.config.fleet is not None:
+            if (
+                pending
+                and self.config.fleet is not None
+                and not self._fleet_unattended
+            ):
                 # Distributed path; returns whatever it could not place
                 # on workers (everything, when the transport is down or
                 # no worker ever connected) for the in-process paths.

@@ -291,6 +291,30 @@ class TestFleetDegradation:
         assert fleet.report.worker_deaths == 0
         assert len(fleet.report.completed) == 2
 
+    def test_grace_wait_is_paid_once_per_supervisor(self, tmp_path, monkeypatch):
+        # A multi-run experiment (headline makes 16 runs) must not wait
+        # out fleet_wait_s in every run when no worker ever attaches.
+        from repro.runtime.fleet import FleetCoordinator
+
+        waits = []
+        poll = FleetCoordinator.poll
+
+        def counting_poll(coordinator):
+            waits.append(coordinator)
+            return poll(coordinator)
+
+        monkeypatch.setattr(FleetCoordinator, "poll", counting_poll)
+        supervisor = RunSupervisor(
+            config=_fleet_config(tmp_path / "run", fleet_wait_s=0.5)
+        )
+        sweeps = [_points(n_groups=1, per_group=k) for k in (1, 2, 3)]
+        fleet = [supervisor.run(points, extract=_fleet_extract) for points in sweeps]
+        assert len(waits) == 1
+        for result, points in zip(fleet, sweeps):
+            serial = RunSupervisor().run(points, extract=_fleet_extract)
+            assert result.values == serial.values
+            assert result.metrics.mode == "serial"
+
     def test_unbindable_address_falls_back(self, tmp_path):
         supervisor = RunSupervisor(
             config=SupervisorConfig(

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.experiments import compute_fig5a, compute_fig5b, compute_fig6, compute_fig7, run_headline
 from repro.core.experiments.headline import HEADLINE_CLAIM_BANDS, HeadlineReport
-from repro.runtime import PDNSpec, SweepEngine
+from repro.runtime import PDNSpec, RunSupervisor, SupervisorConfig, SweepEngine, SweepPoint
 
 from tests.conftest import factor_entries
 
@@ -80,16 +80,25 @@ class TestHeadlineClaims:
 
 
 class _RecordingEngine(SweepEngine):
-    """Records the cached specs and ``cache_info()`` as each run starts."""
+    """Records, per run, the cached specs and ``cache_info()`` as it
+    starts, the specs it reads and ``factor_entries`` as it ends."""
 
-    def __init__(self):
-        super().__init__(workers=1)
-        self.starts = []
+    def __init__(self, workers=1):
+        super().__init__(workers=workers)
+        self.runs = []
 
     def run(self, points, extract=None, bench_name=None):
         cached = {key[0] for key in self._cache}
-        self.starts.append((cached, self.cache_info()["factor_entries"]))
-        return super().run(points, extract=extract, bench_name=bench_name)
+        start = self.cache_info()["factor_entries"]
+        result = super().run(points, extract=extract, bench_name=bench_name)
+        read = {point.spec for point in points}
+        self.runs.append((cached, start, read, self.cache_info()["factor_entries"]))
+        return result
+
+
+def _assert_same_report(report, expected):
+    for field in dataclasses.fields(report):
+        assert getattr(report, field.name) == getattr(expected, field.name), field.name
 
 
 class TestDemandDrivenHeadline:
@@ -112,27 +121,66 @@ class TestDemandDrivenHeadline:
             assert getattr(report, field.name) == getattr(full, field.name), field.name
 
     def test_frees_each_topology_after_its_last_reader(self):
-        """Each engine run starts holding only the factors a later run
-        reads; Fig. 5a's 32-pad V-S stacks are gone before Fig. 5b."""
+        """Topology-major: each run starts holding no other topology's
+        factor, so the peak is the largest single topology's, and the
+        engine ends empty."""
         engine = _RecordingEngine()
         run_headline(grid_nodes=GRID, engine=engine)
 
-        fig6_regular = {
-            PDNSpec.regular(8, topology=topology, grid_nodes=GRID)
-            for topology in ("Dense", "Sparse", "Few")
-        }
-        # 25% power C4 and 8 converters per core: read by Figs. 5b and 6.
-        vs_8 = PDNSpec.stacked(8, grid_nodes=GRID)
-        expected = [
-            set(),  # Fig. 5a
-            fig6_regular | {PDNSpec.regular(2, grid_nodes=GRID)},  # Fig. 5b
-            fig6_regular | {vs_8},  # Fig. 6, V-S series
-            fig6_regular | {vs_8},  # Fig. 6, regular lines
-        ]
-        assert [cached for cached, _ in engine.starts] == expected
-        assert [entries for _, entries in engine.starts] == [
-            sum(factor_entries(spec) for spec in specs) for specs in expected
-        ]
+        assert len(engine.runs) == 16
+        for cached, start, read, _ in engine.runs:
+            assert len(read) == 1
+            assert cached <= read
+            assert start == sum(factor_entries(spec) for spec in cached)
+        topologies = set().union(*(read for _, _, read, _ in engine.runs))
+        assert len(topologies) == 10
+        assert max(end for *_, end in engine.runs) == max(
+            factor_entries(spec) for spec in topologies
+        )
         info = engine.cache_info()
-        assert info["entries"] == 4
+        assert (info["entries"], info["factor_entries"]) == (0, 0)
         assert (info["misses"], info["hits"]) == (10, 6)
+
+    def test_frees_topologies_cached_before_the_call(self):
+        engine = SweepEngine(workers=1)
+        vs_8 = PDNSpec.stacked(8, grid_nodes=GRID)
+        engine.run([SweepPoint(spec=vs_8)], extract=_max_ir_drop)
+        run_headline(grid_nodes=GRID, engine=engine)
+        info = engine.cache_info()
+        assert (info["entries"], info["misses"], info["hits"]) == (0, 10, 7)
+
+
+def _max_ir_drop(outcome):
+    return outcome.unwrap().max_ir_drop_fraction()
+
+
+class TestHeadlineEngines:
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return run_headline(grid_nodes=GRID, engine=SweepEngine(workers=1))
+
+    def test_process_engine_matches_serial(self, serial):
+        """One schedule for every engine: each run holds one topology, so
+        a ``workers=2`` engine keeps it in-process and cached."""
+        engine = _RecordingEngine(workers=2)
+        _assert_same_report(run_headline(grid_nodes=GRID, engine=engine), serial)
+        info = engine.cache_info()
+        assert (info["entries"], info["misses"], info["hits"]) == (0, 10, 6)
+        assert all(cached <= read for cached, _, read, _ in engine.runs)
+
+    def test_supervised_run_resumes_without_executing(self, serial, tmp_path):
+        run_dir = tmp_path / "run"
+        first = RunSupervisor(config=SupervisorConfig(run_dir=str(run_dir)))
+        _assert_same_report(run_headline(grid_nodes=GRID, engine=first), serial)
+        # One journal per run: no two runs share a fingerprint.
+        assert len({r.run_fingerprint for r in first.reports}) == 16
+        assert len(list(run_dir.glob("journal-*.jsonl"))) == 16
+
+        resumed = RunSupervisor(
+            config=SupervisorConfig(run_dir=str(run_dir), resume=True)
+        )
+        _assert_same_report(run_headline(grid_nodes=GRID, engine=resumed), serial)
+        tasks = [task for r in resumed.reports for task in r.tasks]
+        assert len(tasks) == 16
+        assert all(task.status == "resumed" for task in tasks)
+        assert resumed.cache_info()["misses"] == 0
