@@ -7,10 +7,14 @@ the lognormal CDF with median from Black's equation and shared shape
     P(t) = 1 - prod_i (1 - F_i(t)),
 
 and the paper's metric is the ``t`` with ``P(t) = 0.5``, solved here by
-Brent's method in log-time (``P`` is monotonic).  Arrays repeat the same
-median many times (every conductor of a bundle carries the same
-current), so the product runs over the distinct medians ``t50_k`` with
-their multiplicities ``m_k`` and is evaluated as
+Brent's method in log-time (``P`` is monotonic).  The root finder is a
+private port of scipy's C ``brentq``: the same float operations, so the
+same iterates and the same lifetimes bit for bit, without loading
+``scipy.optimize`` (146 modules) into every solving process.
+
+Arrays repeat the same median many times (every conductor of a bundle
+carries the same current), so the product runs over the distinct
+medians ``t50_k`` with their multiplicities ``m_k`` and is evaluated as
 ``exp(sum_k m_k log1p(-F_k))``: arrays of 10^5 conductors with tiny
 individual failure probabilities stay numerically exact, and each root
 iteration evaluates the normal CDF once per distinct median (at most
@@ -18,6 +22,8 @@ one per bundle) instead of once per conductor.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import ndtr
@@ -65,46 +71,123 @@ def array_failure_cdf(t: float, medians: np.ndarray, sigma: float) -> float:
     return _array_failure_cdf(t, np.log(distinct), counts, sigma)
 
 
+#: scipy's ``brentq`` defaults: relative tolerance and iteration budget.
+_BRENTQ_RTOL = 4 * np.finfo(float).eps
+_BRENTQ_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of ``f`` in ``[xa, xb]``: a line-for-line port of scipy's C
+    ``brentq`` (``rtol = 4 eps``, 100 iterations), with its wrapper's
+    errors: ``ValueError`` when ``f(xa)`` and ``f(xb)`` share a sign or
+    ``f`` returns NaN, ``RuntimeError`` when the budget runs out.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    rtol = _BRENTQ_RTOL
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            limit = abs(spre)
+            if 3 * abs(sbis) - delta < limit:
+                limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < limit:
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")
+
+
 def expected_em_lifetime(
     medians: np.ndarray, em: EMParameters = None
 ) -> float:
     """The paper's expected EM-damage-free lifetime: ``P(t) = 0.5``.
 
     ``medians`` are per-conductor median lifetimes (same units as the
-    returned value).
+    returned value).  An infinite median is an immortal conductor and
+    is allowed, as long as some conductor can fail.
     """
-    # Imported here so importing the package does not load scipy.optimize.
-    from scipy.optimize import brentq
-
     em = em or default_em()
     distinct, counts = _distinct_medians(medians)
     if distinct[0] <= 0:
         raise ValueError("median lifetimes must be positive")
+    # np.unique sorts NaN last and +inf just before it.
+    if np.isnan(distinct[-1]):
+        raise ValueError("median lifetimes must be finite or +inf, got NaN")
+    if np.isinf(distinct[0]):
+        raise ValueError(
+            "median lifetimes must be finite for at least one conductor, "
+            "got only +inf"
+        )
     log_medians = np.log(distinct)
     sigma = em.sigma
 
     def objective(log_t: float) -> float:
         return _array_failure_cdf(np.exp(log_t), log_medians, counts, sigma) - 0.5
 
-    # Bracket: below every median scaled far down, above the smallest
-    # median (an array is never longer-lived than its weakest member's
-    # median).
+    # Bracket around the weakest median t_min in log-time.  With N
+    # conductors, P(t_min e^(-20 sigma)) <= N ndtr(-20) ~ N 3e-89 and
+    # P(t_min e^(5 sigma)) >= ndtr(5) ~ 1 - 3e-7, so the root P = 0.5
+    # is always inside: no expansion is ever needed.
     lo = float(log_medians[0] - 20.0 * sigma)
     hi = float(log_medians[0] + 5.0 * sigma)
-    f_lo = objective(lo)
-    f_hi = objective(hi)
-    # Expand defensively (tiny arrays can push the median above the
-    # weakest conductor's median only in pathological sigma settings).
-    expansions = 0
-    while f_lo > 0 and expansions < 60:
-        lo -= 5.0 * sigma
-        f_lo = objective(lo)
-        expansions += 1
-    while f_hi < 0 and expansions < 120:
-        hi += 5.0 * sigma
-        f_hi = objective(hi)
-        expansions += 1
-    if f_lo > 0 or f_hi < 0:
-        raise RuntimeError("failed to bracket the array-lifetime root")
-    log_t = brentq(objective, lo, hi, xtol=1e-10)
-    return float(np.exp(log_t))
+    return float(np.exp(_brentq(objective, lo, hi, xtol=1e-10)))

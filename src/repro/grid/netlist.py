@@ -21,7 +21,7 @@ lifetime analysis consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -158,10 +158,24 @@ class _Columnar:
         return seen
 
 
+def _block_coordinate(value, size: int) -> Optional[int]:
+    """``value`` as an index below ``size`` if it equals one, else None.
+
+    Equality, not type, decides, as for dict keys: ``2``, ``2.0`` and
+    ``np.int64(2)`` all name the same node.
+    """
+    try:
+        index = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return index if index == value and 0 <= index < size else None
+
+
 class Circuit:
     """A mutable resistive netlist.
 
-    Nodes are created lazily from hashable keys via :meth:`node`.  One key
+    Nodes are created lazily from hashable keys via :meth:`node`, or a
+    whole mesh at once via :meth:`node_block`.  One key
     must be designated the ground reference with :meth:`set_ground` before
     assembly.  After construction, call :meth:`assemble` to obtain an
     :class:`repro.grid.solver.AssembledCircuit` whose LU factorisation can
@@ -169,7 +183,11 @@ class Circuit:
     """
 
     def __init__(self) -> None:
+        #: Named nodes only; block nodes live in ``_blocks``.
         self._node_index: Dict[NodeKey, int] = {}
+        #: Key prefix -> (first id, rows, cols) of each :meth:`node_block`.
+        self._blocks: Dict[tuple, Tuple[int, int, int]] = {}
+        self._n_nodes = 0
         self._ground: Optional[int] = None
         self._revision = 0
         self._store: Dict[str, _Columnar] = {
@@ -186,24 +204,71 @@ class Circuit:
         """Return the integer id for ``key``, creating the node if new."""
         index = self._node_index.get(key)
         if index is None:
-            index = len(self._node_index)
-            self._node_index[key] = index
+            index = self._block_id(key)
+            if index is None:
+                index = self._n_nodes
+                self._node_index[key] = index
+                self._n_nodes += 1
         return index
 
     def nodes(self, keys: Iterable[NodeKey]) -> np.ndarray:
         """Vectorised :meth:`node` over an iterable of keys."""
         return np.fromiter((self.node(k) for k in keys), dtype=int)
 
+    def node_block(self, prefix: tuple, rows: int, cols: int) -> np.ndarray:
+        """Create the nodes ``prefix + (j, i)`` for ``j < rows, i < cols``.
+
+        Returns their ``(rows, cols)`` id array.  The ids are one
+        contiguous row-major block, exactly what :meth:`nodes` would
+        allocate for those keys in that order, but no key is stored:
+        :meth:`node` resolves them by arithmetic.
+        """
+        if not isinstance(prefix, tuple):
+            raise TypeError(f"prefix must be a tuple, got {type(prefix).__name__}")
+        if rows < 1 or cols < 1:
+            raise ValueError(f"block shape must be positive, got ({rows}, {cols})")
+        if prefix in self._blocks:
+            raise ValueError(f"node block {prefix!r} already exists")
+        base = self._n_nodes
+        self._blocks[prefix] = (base, rows, cols)
+        if any(self._block_id(key) is not None for key in self._node_index):
+            del self._blocks[prefix]
+            raise ValueError(f"node block {prefix!r} overlaps existing nodes")
+        self._n_nodes += rows * cols
+        return np.arange(base, self._n_nodes).reshape(rows, cols)
+
+    def _block_id(self, key: NodeKey) -> Optional[int]:
+        """Id of ``key`` if it falls inside a node block, else None."""
+        if not self._blocks or not isinstance(key, tuple) or len(key) < 3:
+            return None
+        block = self._blocks.get(key[:-2])
+        if block is None:
+            return None
+        base, rows, cols = block
+        j = _block_coordinate(key[-2], rows)
+        i = _block_coordinate(key[-1], cols)
+        if j is None or i is None:
+            return None
+        return base + j * cols + i
+
     def has_node(self, key: NodeKey) -> bool:
-        return key in self._node_index
+        return key in self._node_index or self._block_id(key) is not None
 
     @property
     def node_count(self) -> int:
-        return len(self._node_index)
+        return self._n_nodes
 
     @property
     def node_keys(self) -> List[NodeKey]:
-        return list(self._node_index.keys())
+        """Every node key, in id order."""
+        keys: List[NodeKey] = [None] * self._n_nodes
+        for key, index in self._node_index.items():
+            keys[index] = key
+        for prefix, (base, rows, cols) in self._blocks.items():
+            keys[base : base + rows * cols] = [
+                prefix + (j, i) for j in range(rows) for i in range(cols)
+            ]
+        return keys
 
     def set_ground(self, key: NodeKey) -> int:
         """Designate ``key`` as the 0-V reference node."""

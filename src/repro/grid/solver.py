@@ -305,11 +305,12 @@ class AssembledCircuit:
         self._nv = circuit.count(VSOURCE)
         self._nc = circuit.count(CONVERTER)
         self.dimension = (self._n_nodes - 1) + self._nv + self._nc
+        # Only the CSC matrix is kept: the COO stamps are recomputed by
+        # the pruning rung, the one other reader.
         with get_tracer().span("assemble") as span:
-            self._stamps = self._collect_stamps()
+            rows, cols, vals = self._collect_stamps()
             self._matrix = coo_matrix(
-                (self._stamps[2], (self._stamps[0], self._stamps[1])),
-                shape=(self.dimension, self.dimension),
+                (vals, (rows, cols)), shape=(self.dimension, self.dimension)
             ).tocsc()
             span.set(dimension=self.dimension, nnz=int(self._matrix.nnz))
         #: Factorisation cache: (backend name, "full"|"pruned") ->
@@ -512,7 +513,12 @@ class AssembledCircuit:
         return len(island_labels), island_mask
 
     def _build_pruned_system(self) -> SolveDiagnostics:
-        """Ground floating islands and pin empty rows; cache the result."""
+        """Ground floating islands and pin empty rows; cache the result.
+
+        The stamps are recomputed from the netlist, which the revision
+        check guarantees is the one this system was assembled from.
+        """
+        self._check_revision()
         diag = SolveDiagnostics()
         n_islands, island_mask = self.find_islands()
         diag.n_islands = n_islands
@@ -530,7 +536,7 @@ class AssembledCircuit:
             self._shed_isource_mask = act & (src_in | dst_in)
             diag.shed_loads = int(np.sum(self._shed_isource_mask))
 
-        rows, cols, vals = self._stamps
+        rows, cols, vals = self._collect_stamps()
         pruned_row_ids = self._row_of(np.flatnonzero(island_mask))
         pruned_row_ids = pruned_row_ids[pruned_row_ids >= 0]
         pruned_set = np.zeros(self.dimension, dtype=bool)

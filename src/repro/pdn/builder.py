@@ -51,12 +51,13 @@ def add_net_grid(
 ) -> np.ndarray:
     """Create one layer's power-net mesh; returns a (g, g) node-id array.
 
-    The mesh has one node per cell and one square of sheet resistance per
+    Node ``(net, layer, j, i)`` sits at cell ``(j, i)``; the mesh's ids
+    are one contiguous block (:meth:`Circuit.node_block`).  The mesh has
+    one node per cell and one square of sheet resistance per
     horizontal/vertical edge.
     """
     g = geometry.grid_nodes
-    ids = circuit.nodes(((net, layer, j, i) for j in range(g) for i in range(g)))
-    ids = ids.reshape(g, g)
+    ids = circuit.node_block((net, layer), g, g)
     tag = f"grid.{net}.l{layer}"
     # Horizontal edges.
     n1 = ids[:, :-1].ravel()

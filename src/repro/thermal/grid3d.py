@@ -105,9 +105,7 @@ class HotSpotLite:
         # Lateral silicon conduction: R per square = 1 / (k * t).
         r_lateral = 1.0 / (cfg.silicon_conductivity * cfg.silicon_thickness)
         for layer in range(stack.n_layers):
-            ids = circuit.nodes(
-                (("T", layer, j, i) for j in range(g) for i in range(g))
-            ).reshape(g, g)
+            ids = circuit.node_block(("T", layer), g, g)
             self._node_ids.append(ids)
             n1 = ids[:, :-1].ravel()
             n2 = ids[:, 1:].ravel()

@@ -1,5 +1,8 @@
 """Array (weakest-element) lifetime statistics."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,8 @@ from scipy.stats import norm
 from repro.config.technology import EMParameters, default_em
 from repro.em.black import TSV_CROSS_SECTION, median_lifetimes_from_currents
 from repro.em.array_mttf import (
+    _array_failure_cdf,
+    _brentq,
     array_failure_cdf,
     expected_em_lifetime,
     lognormal_failure_cdf,
@@ -75,6 +80,25 @@ class TestExpectedLifetime:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             expected_em_lifetime(np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "medians",
+        [[1.0, np.nan], [np.nan], [np.nan, np.inf], [np.inf], [np.inf, np.inf]],
+    )
+    def test_rejects_nonfinite_in_one_line(self, medians):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="median lifetimes must be finite") as info:
+                expected_em_lifetime(np.array(medians))
+        assert "\n" not in str(info.value)
+
+    def test_immortal_conductor_is_allowed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expected_em_lifetime(np.array([1.0, np.inf])) == 1.0
+            assert expected_em_lifetime(np.array([5.0, np.inf, 9.0])) == (
+                expected_em_lifetime(np.array([5.0, 9.0]))
+            )
 
     @given(
         st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=50),
@@ -185,3 +209,89 @@ class TestGroupedLifetime:
             median_lifetimes_from_currents(currents * factors, TSV_CROSS_SECTION)
         )
         assert stressed <= base * (1 + 1e-9)
+
+
+def _scipy_lifetime(medians, sigma):
+    """The grouped objective on the same bracket, solved by scipy."""
+    distinct, counts = np.unique(medians, return_counts=True)
+    log_medians = np.log(distinct)
+
+    def objective(log_t):
+        return _array_failure_cdf(np.exp(log_t), log_medians, counts, sigma) - 0.5
+
+    lo = float(log_medians[0] - 20.0 * sigma)
+    hi = float(log_medians[0] + 5.0 * sigma)
+    return float(np.exp(brentq(objective, lo, hi, xtol=1e-10)))
+
+
+class TestBrentPort:
+    """The private ``brentq`` port takes scipy's iterates bit for bit."""
+
+    @given(bundles, st.floats(min_value=0.05, max_value=2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_lifetime_equals_scipy_brentq(self, bundle_list, sigma):
+        medians = _expand(bundle_list)
+        em = EMParameters(sigma=sigma)
+        assert expected_em_lifetime(medians, em) == _scipy_lifetime(medians, sigma)
+
+    @given(
+        st.floats(min_value=-50.0, max_value=50.0),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.sampled_from([1, 3, 5]),
+        st.floats(min_value=1e-14, max_value=1e-2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_root_equals_scipy_brentq(self, root, below, above, power, xtol):
+        """Odd powers (flat at the root) and asymmetric brackets make
+        the port take every branch: interpolation, extrapolation and
+        bisection, from either end."""
+
+        def f(x):
+            return (x - root) ** power
+
+        def outcome(solve, *args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except RuntimeError as exc:  # both give up on the same case
+                return type(exc)
+
+        for a, b in ((root - below, root + above), (root + above, root - below)):
+            assert outcome(_brentq, f, a, b, xtol) == outcome(brentq, f, a, b, xtol=xtol)
+
+    def test_bracket_always_holds(self):
+        """No bracket expansion is needed: the fixed bracket straddles
+        the root for arrays far beyond any real conductor count."""
+        for sigma in (0.05, 0.3, 2.0):
+            for count in (1, 10**9):
+                log_medians = np.array([0.0, 3.0])
+                counts = np.array([count, count])
+                lo, hi = -20.0 * sigma, 5.0 * sigma
+                assert _array_failure_cdf(np.exp(lo), log_medians, counts, sigma) < 0.5
+                assert _array_failure_cdf(np.exp(hi), log_medians, counts, sigma) > 0.5
+
+    def test_endpoint_root_is_returned(self):
+        assert _brentq(lambda x: x - 2.0, 2.0, 5.0, 1e-10) == 2.0
+        assert _brentq(lambda x: x - 5.0, 2.0, 5.0, 1e-10) == 5.0
+
+    def test_equal_signs_raise_value_error(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-10)
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
+
+    def test_non_convergence_raises_runtime_error(self):
+        """A step function over a 1e300-wide bracket needs ~1000
+        bisections, past the 100-iteration budget."""
+
+        def step(x):
+            return math.copysign(1.0, x - 0.3)
+
+        with pytest.raises(RuntimeError, match="Failed to converge"):
+            brentq(step, -1e300, 1e300, xtol=1e-10)
+        with pytest.raises(RuntimeError, match="Failed to converge after 100"):
+            _brentq(step, -1e300, 1e300, 1e-10)
+
+    def test_nan_objective_raises_instead_of_looping(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-10)

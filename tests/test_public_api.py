@@ -39,25 +39,48 @@ class TestPublicSurface:
 
 
 class TestLazyImports:
-    """Client and service entry points must not pay for scipy.stats or
-    scipy.optimize; only an EM lifetime solve loads scipy.optimize."""
+    """No process loads scipy.stats or scipy.optimize: not the entry
+    points, and not the solving paths either (the EM lifetime root is a
+    private Brent port, the normal CDF is ``scipy.special.ndtr``)."""
 
     HEAVY = ("scipy.stats", "scipy.optimize")
 
-    @pytest.mark.parametrize("module", ["repro.cli", "repro.service"])
-    def test_entry_point_skips_heavy_scipy(self, module):
+    def _heavy_after(self, code: str, tmp: Path = None) -> str:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        code = (
-            f"import sys, {module}\n"
+        code += (
+            "\nimport sys\n"
             f"print(sorted(m for m in {self.HEAVY!r} if m in sys.modules))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, check=True,
+            cwd=tmp, timeout=300,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("module", ["repro.cli", "repro.service"])
+    def test_entry_point_skips_heavy_scipy(self, module):
+        assert self._heavy_after(f"import {module}") == "[]"
+
+    def test_solving_skips_heavy_scipy(self, tmp_path):
+        code = (
+            "from repro.em.array_mttf import expected_em_lifetime\n"
+            "from repro.core.experiments.headline import run_headline\n"
+            "from repro.runtime.spec import PDNSpec\n"
+            "from repro.service.client import ServiceClient\n"
+            "from repro.service.server import ServiceConfig, serve_in_background\n"
+            "assert expected_em_lifetime([1.0, 2.0]) > 0\n"
+            "run_headline(grid_nodes=6)\n"
+            "handle = serve_in_background(config=ServiceConfig(\n"
+            "    bind='127.0.0.1:0', cache_dir='svc-cache', bench_name=None))\n"
+            "with ServiceClient(handle.address) as client:\n"
+            "    answer = client.query(PDNSpec.stacked(2, grid_nodes=6))\n"
+            "handle.stop(drain=False)\n"
+            "assert answer['status'] == 'ok', answer\n"
+        )
+        assert self._heavy_after(code, tmp_path) == "[]"
 
 
 class TestQuickstartFlow:
