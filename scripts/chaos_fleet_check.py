@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Deterministic chaos proof for the distributed sweep fleet.
+"""Deterministic chaos proof for the fleet's lease core, from both owners.
 
-Runs the same grid-10 sweep three ways and demands bit-identical values
-(relative difference <= 1e-12) throughout:
+Legs 1-3 run the same grid-10 sweep three ways and demand bit-identical
+values (relative difference <= 1e-12) throughout:
 
 1. **Serial baseline** — one supervised in-process run.
 2. **Fleet under chaos** — a coordinator (``--fleet``) plus four worker
@@ -17,8 +17,16 @@ Runs the same grid-10 sweep three ways and demands bit-identical values
    salvage must truncate to the intact prefix, restore it bit-for-bit
    and re-run only the rest.
 
+Leg 4 drives the same lease core through its other owner:
+
+4. **Service fleet under SIGKILL** — a ``ServiceFleet`` (the coordinator
+   behind ``repro serve --fleet``) with two ``repro worker`` processes,
+   one under a ``kill_on_task`` plan that SIGKILLs it before it reports
+   its first lease.  Every query must equal a direct engine run
+   exactly, with >= 1 worker death and no failed query.
+
 Every fault position derives from one fixed seed, so failures replay
-exactly.  Exit status 0 = all three proofs hold.
+exactly.  Exit status 0 = all four proofs hold.
 
 Usage::
 
@@ -177,6 +185,17 @@ def _wait_for_fleet_file(run_dir: pathlib.Path, timeout_s: float = 30.0) -> str:
     raise RuntimeError(f"no fleet.json appeared in {run_dir}")
 
 
+def _spawn_repro_worker(address, worker_id, chaos_plan) -> subprocess.Popen:
+    """A stock ``repro worker`` process (the service leg's extractor is
+    importable by module path, so no script-local code is needed)."""
+    argv = [sys.executable, "-m", "repro", "worker", address,
+            "--worker-id", worker_id, "--patience", "10"]
+    env = _child_env()
+    if chaos_plan is not None:
+        env["REPRO_CHAOS"] = chaos_plan.to_env()
+    return subprocess.Popen(argv, env=env)
+
+
 def _load_values(run_dir: pathlib.Path) -> dict:
     return json.loads((run_dir / "values.json").read_text())
 
@@ -306,7 +325,109 @@ def orchestrate(work_dir: pathlib.Path, seed: int) -> int:
         print(f"FAIL: salvaged values differ beyond {TOLERANCE}")
         return 1
 
+    if service_leg() != 0:
+        return 1
     print("PASS: fleet survives chaos with bit-identical results")
+    return 0
+
+
+def service_leg() -> int:
+    """Leg 4: a ServiceFleet loses a worker to SIGKILL mid-lease."""
+    import threading
+
+    from repro.runtime import PDNSpec, SweepEngine, SweepPoint
+    from repro.runtime.chaos import ChaosPlan
+    from repro.runtime.fleet import ServiceFleet
+    from repro.service.server import extract_summary
+
+    print("== 4. service fleet under SIGKILL ==", flush=True)
+    specs = [
+        PDNSpec.regular(n_layers, grid_nodes=GRID_NODES)
+        for n_layers in range(2, 2 + N_GROUPS // 2)
+    ] + [
+        PDNSpec.stacked(n_layers, converters_per_core=4,
+                        grid_nodes=GRID_NODES)
+        for n_layers in range(2, 2 + N_GROUPS // 2)
+    ]
+    fleet = ServiceFleet(
+        "127.0.0.1:0", extract=extract_summary,
+        lease_timeout_s=LEASE_TIMEOUT_S, wait_s=60.0,
+    )
+    address = fleet.start()
+    answers = [None] * len(specs)
+    errors = []
+
+    def query(index):
+        try:
+            answers[index] = fleet.solve(specs[index], timeout_s=300.0)
+        except Exception as exc:  # reported below, never swallowed
+            errors.append(f"{type(exc).__name__}: {exc}")
+
+    # The doomed worker attaches first, so it is certain to lease (and
+    # die holding) one of the queries before its sibling starts.
+    doomed = _spawn_repro_worker(
+        address, "svc-doomed", ChaosPlan(kill_on_task=0)
+    )
+    healthy = None
+    try:
+        deadline = time.monotonic() + 60.0
+        while fleet.workers_connected() == 0:
+            if time.monotonic() > deadline or doomed.poll() is not None:
+                print("FAIL: the doomed worker never attached")
+                return 1
+            time.sleep(0.05)
+        threads = [
+            threading.Thread(target=query, args=(i,), daemon=True)
+            for i in range(len(specs))
+        ]
+        for thread in threads:
+            thread.start()
+        healthy = _spawn_repro_worker(address, "svc-healthy", None)
+        for thread in threads:
+            thread.join(timeout=600.0)
+        counters = fleet.counters()
+    finally:
+        fleet.close()
+        for worker in (doomed, healthy):
+            if worker is None:
+                continue
+            try:
+                worker.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                worker.kill()
+    print(
+        f"service fleet: {counters['tasks_done']} task(s) done, "
+        f"{counters['worker_deaths']} worker death(s), "
+        f"{counters['task_failures']} failed task(s), doomed worker "
+        f"exit {doomed.returncode}, healthy worker exit "
+        f"{healthy.returncode}",
+        flush=True,
+    )
+    if errors:
+        print(f"FAIL: {len(errors)} query(ies) failed: {errors[0]}")
+        return 1
+    if counters["worker_deaths"] < 1:
+        print("FAIL: expected >= 1 service worker death")
+        return 1
+    if doomed.returncode != -9:
+        print("FAIL: the doomed worker was not SIGKILLed")
+        return 1
+    if healthy.returncode != 0:
+        print("FAIL: the healthy worker did not exit cleanly on close")
+        return 1
+    engine = SweepEngine()
+    mismatched = [
+        spec for spec, answer in zip(specs, answers)
+        if answer != engine.run(
+            [SweepPoint(spec=spec)], extract=extract_summary
+        ).values[0]
+    ]
+    if mismatched:
+        print(f"FAIL: {len(mismatched)} fleet answer(s) differ from a "
+              "direct engine run")
+        return 1
+    print(f"all {len(specs)} service answers equal direct engine runs",
+          flush=True)
     return 0
 
 

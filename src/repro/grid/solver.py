@@ -9,12 +9,9 @@ right-hand side, parameter sweeps over load currents — the inner loop
 of every experiment in the paper — reuse the factorisation and cost
 only a triangular solve.
 
-The canonical entry point is ``solve(request)`` with a
+The one entry point is ``solve(request)`` with a
 :class:`SolveRequest` (one operating point or a batch) carrying typed
-:class:`SolveOptions` (resilient, refine, backend override).  The
-pre-registry keyword forms ``solve(isource_current=...)`` and
-``solve_batch(...)`` still work but are deprecated: each warns once per
-process through the structured logger.
+:class:`SolveOptions` (resilient, refine, backend override).
 
 Fault-injected netlists (see :mod:`repro.faults`) can leave the system
 singular: an opened TSV tier floats a whole layer, a dead converter bank
@@ -128,24 +125,6 @@ class SolveRequest:
     @property
     def batched(self) -> bool:
         return self.isource_currents is not None
-
-
-#: Deprecated entry points that already warned this process.
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_deprecated(entry: str) -> None:
-    """One structured-log deprecation warning per entry point per process."""
-    if entry in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(entry)
-    from repro.obs.logs import get_logger
-
-    get_logger(__name__).warning(
-        f"{entry} is deprecated; pass a SolveRequest to "
-        "AssembledCircuit.solve() instead",
-        extra={"deprecated": entry},
-    )
 
 
 @dataclass
@@ -759,16 +738,11 @@ class AssembledCircuit:
         return x, self._relative_residual(matrix, x, z)
 
     def solve(
-        self,
-        request: Optional[SolveRequest] = None,
-        *,
-        isource_current: Optional[np.ndarray] = None,
-        vsource_voltage: Optional[np.ndarray] = None,
-        resilient: Optional[bool] = None,
+        self, request: Optional[SolveRequest] = None
     ) -> Union[Solution, List[Solution]]:
         """Solve one operating point or a batch of them.
 
-        The canonical form takes a :class:`SolveRequest`::
+        Takes a :class:`SolveRequest`::
 
             assembled.solve(SolveRequest(
                 isource_current=currents,
@@ -776,21 +750,18 @@ class AssembledCircuit:
             ))
 
         and returns one :class:`~repro.grid.solution.Solution` (or a
-        list of them for a batched request, in input order).  With
+        list of them for a batched request, in input order); ``solve()``
+        with no request solves the stored operating point.  With
         ``SolveOptions(resilient=True)`` a singular or near-singular
         system is not fatal: floating subnetworks are pruned (grounded,
         their loads shed) and the escalation ladder is climbed before
         raising; the returned Solution then carries a
         :class:`SolveDiagnostics` describing every measure taken.
 
-        The keyword form ``solve(isource_current=..., vsource_voltage=
-        ..., resilient=...)`` is **deprecated** (it warns once per
-        process via the structured logger) and delegates here; calling
-        ``solve()`` with no arguments solves the stored operating point
-        and is not deprecated.
-
         Raises
         ------
+        TypeError
+            ``request`` is not a :class:`SolveRequest`.
         repro.errors.SingularCircuitError
             The system has no unique solution (and, in resilient mode,
             pruning did not make it solvable).
@@ -799,56 +770,13 @@ class AssembledCircuit:
         repro.errors.FaultInjectionError
             The circuit was mutated after assembly.
         """
-        legacy = (
-            isource_current is not None
-            or vsource_voltage is not None
-            or resilient is not None
-        )
-        if request is not None and not isinstance(request, SolveRequest):
-            # Positional legacy form: solve(current_array).
-            isource_current, request, legacy = request, None, True
-        if legacy:
-            if request is not None:
-                raise ValueError(
-                    "pass either a SolveRequest or the legacy keyword "
-                    "arguments, not both"
-                )
-            _warn_deprecated("AssembledCircuit.solve(isource_current=...)")
-            request = SolveRequest(
-                isource_current=isource_current,
-                vsource_voltage=vsource_voltage,
-                options=SolveOptions(resilient=bool(resilient)),
+        if request is None:
+            request = SolveRequest()
+        elif not isinstance(request, SolveRequest):
+            raise TypeError(
+                "AssembledCircuit.solve() takes a SolveRequest, got "
+                f"{type(request).__name__}"
             )
-        return self._solve_request(request if request is not None else SolveRequest())
-
-    def solve_batch(
-        self,
-        isource_currents: Optional[Sequence[Optional[np.ndarray]]] = None,
-        vsource_voltage: Optional[np.ndarray] = None,
-        resilient: bool = False,
-    ) -> List[Solution]:
-        """Deprecated wrapper: batched solve against one factorisation.
-
-        Use ``solve(SolveRequest(isource_currents=...))`` instead; this
-        form warns once per process via the structured logger and then
-        behaves identically (all points share the system matrix, so the
-        right-hand sides are stacked into one dense matrix and solved
-        in a single multi-RHS triangular solve).
-        """
-        _warn_deprecated("AssembledCircuit.solve_batch(...)")
-        self._check_revision()
-        if isource_currents is None:
-            raise ValueError("solve_batch needs a sequence of operating points")
-        return self._solve_request(
-            SolveRequest(
-                isource_currents=isource_currents,
-                vsource_voltage=vsource_voltage,
-                options=SolveOptions(resilient=resilient),
-            )
-        )
-
-    def _solve_request(self, request: SolveRequest):
-        """Canonical solve: every public entry point lands here."""
         self._check_revision()
         options = request.options
         backend = (

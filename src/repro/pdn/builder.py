@@ -308,7 +308,7 @@ class BasePDN3D:
         (``None`` entries mean all layers fully active, as in
         :meth:`solve`).  The PDN is assembled and factorised once; all
         load vectors are stacked into a dense RHS matrix and solved by a
-        single :meth:`repro.grid.solver.AssembledCircuit.solve_batch`
+        single batched :meth:`repro.grid.solver.AssembledCircuit.solve`
         call.  Results match point-by-point :meth:`solve` calls exactly
         and are returned in input order.
         """

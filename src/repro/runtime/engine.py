@@ -13,7 +13,7 @@ for, at sweep scope:
    ``run()`` calls (and invalidates itself on netlist revision bumps);
 2. all of a topology's load vectors are stacked into one dense RHS
    matrix and solved in a single batched
-   :meth:`repro.grid.solver.AssembledCircuit.solve_batch` call;
+   :meth:`repro.grid.solver.AssembledCircuit.solve` call;
 3. independent topologies fan out across a
    :class:`concurrent.futures.ProcessPoolExecutor` with deterministic
    result ordering and a serial fallback when the pool is unavailable

@@ -1,16 +1,14 @@
-"""Distributed sweep fleet: a socket coordinator and its workers.
+"""Distributed fleet: one lease coordinator, two task sources, workers.
 
-The fleet shards the *same* content-fingerprinted topology tasks the
-:class:`repro.runtime.supervisor.RunSupervisor` journals across worker
-processes — on this host or any other — over a deliberately small
-newline-delimited-JSON TCP protocol:
+Work is farmed out to worker processes — on this host or any other —
+over a deliberately small newline-delimited-JSON TCP protocol:
 
 ==============  =====================================================
 worker sends    coordinator replies
 ==============  =====================================================
 ``hello``       ``welcome`` (run fingerprint, heartbeat period)
 ``request``     ``lease`` (a task), ``idle`` (retry later), or
-                ``done`` (run over / worker quarantined — exit)
+                ``done`` (no more work / worker quarantined — exit)
 ``result``      *nothing* (fire-and-forget)
 ``failure``     *nothing*
 ``heartbeat``   *nothing*
@@ -20,34 +18,43 @@ worker sends    coordinator replies
 Only ``hello`` and ``request`` have replies; everything else is
 fire-and-forget.  That asymmetry is what makes the fleet *at-least-once*
 by construction: a dropped ``result`` simply lets the lease expire and
-the task is re-leased, a duplicated (or late, post-expiry) ``result`` is
-swallowed by the supervisor's fingerprint-keyed idempotent commit, and
-the write-ahead journal records each task exactly once.  Delivery
+the task is re-leased, and a duplicated (or late, post-expiry)
+``result`` is dropped by its owner's idempotence guard.  Delivery
 faults therefore cost wall time, never correctness — the chaos harness
 (:mod:`repro.runtime.chaos`, ``scripts/chaos_fleet_check.py``) asserts
-results stay bit-identical to a serial run under SIGKILL, freezes and
+results stay bit-identical to a direct run under SIGKILL, freezes and
 message loss.
 
-The coordinator embeds in the supervisor's run (``--fleet HOST:PORT``):
-:func:`execute_fleet` leases tasks while workers are attached and
-returns whatever it could not finish, so the supervisor's in-process
-paths (and thus every CLI subcommand) degrade transparently when no
-worker ever connects, every worker dies, or the transport cannot even
-bind.  Failure accounting flows into the *same* retry/backoff/
-quarantine core as local execution — a worker death or an expired lease
-charges the task one attempt, exactly like a crashed pool worker.
+The coordinator side is written once, in ``_LeaseCore``: transport,
+worker registry, lease table, lease expiry, heartbeat scan, worker
+death and quarantine.  Two owners plug a task source into it:
+
+- :class:`FleetCoordinator` leases one supervised run's tasks
+  (``--fleet HOST:PORT``).  :func:`execute_fleet` returns whatever it
+  could not finish, so the supervisor's in-process paths (and thus
+  every CLI subcommand) degrade transparently when no worker ever
+  connects, every worker dies, or the transport cannot even bind.
+  Failures flow into the supervisor's retry/backoff/quarantine core —
+  a worker death or an expired lease charges the task one attempt,
+  exactly like a crashed pool worker — and results land through its
+  fingerprint-keyed journal commit.  Workers are told ``done`` when
+  the run ends.
+- :class:`ServiceFleet` leases ``repro serve --fleet`` cache misses
+  from an open-ended queue, with its own ``max_attempts`` per query,
+  and tells workers ``done`` only at :meth:`ServiceFleet.close`.
 
 See docs/DISTRIBUTED.md for the lease lifecycle and failure matrix.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -126,17 +133,13 @@ def _send(
     if copies <= 0:
         return
     data = (json.dumps(message, sort_keys=True) + "\n").encode("utf-8")
-    if lock is None:
-        for _ in range(copies):
-            sock.sendall(data)
-        return
-    with lock:
+    with lock or contextlib.nullcontext():
         for _ in range(copies):
             sock.sendall(data)
 
 
 # ----------------------------------------------------------------------
-# Coordinator
+# Lease core (shared by the run coordinator and the service fleet)
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -173,38 +176,69 @@ class _WorkerInfo:
 class _Lease:
     """One task currently out on a worker, with its reassignment deadline."""
 
-    task: "_Task"
+    task: Any
     worker_id: str
     deadline: float
 
 
-class FleetCoordinator:
-    """Leases a supervised run's tasks to ``repro worker`` processes.
+class _LeaseCore:
+    """The coordinator side of the worker protocol, written once.
 
-    All protocol handling runs in per-connection threads; every piece of
-    shared state (lease table, worker registry, the supervisor's run
-    state and journal) is mutated under one re-entrant lock.  Exceptions
-    escaping the commit/retry core in a handler thread — ``fail_fast``
-    aborts, journal I/O errors — are stashed and re-raised from
-    :meth:`poll` on the supervisor's own thread.
+    Owns the transport (an accept loop and one handler thread per
+    connection), the worker registry, the lease table, lease expiry,
+    the heartbeat scan, worker death and worker quarantine.  An owner
+    subclass supplies only what differs between a supervised run and
+    the service:
+
+    - ``_next_task()``: the next ``(task_id, task)`` to lease, or an
+      ``idle``/``done`` reply when there is none;
+    - ``_payload(task)``: the lease's 8-tuple payload;
+    - ``_unleased_task(task_id)``: the task a ``result``/``failure``
+      names when its sender holds no lease on it (None drops the reply);
+    - ``_is_open(task)``: False once the task has landed or been given
+      up, so duplicates and late replies drop;
+    - ``_settle(task, values, group_metrics)``: land a result (True when
+      it landed, False for a duplicate);
+    - ``_fail(task, error)``: route one charged failure;
+    - ``_requeue(task)``: take a task back without a charge;
+    - ``_shutdown()``: what :meth:`close` does with unfinished work.
+
+    Tasks carry ``label``, ``attempts`` and ``wall_s``.  Every piece of
+    shared state is mutated under one re-entrant lock, and one reaper
+    thread drives lease expiry and the heartbeat scan.  An exception
+    escaping an owner hook on any core thread (``fail_fast`` aborts,
+    journal I/O errors) is stashed in ``_error`` and stops the core;
+    :meth:`FleetCoordinator.poll` re-raises it on the supervisor's
+    thread.
     """
+
+    #: Names the owner in log lines and errors.
+    _name = "fleet"
 
     def __init__(
         self,
-        supervisor: "RunSupervisor",
-        tasks: List["_Task"],
-        state: "_RunState",
+        bind: str,
+        *,
+        lease_timeout_s: float,
+        heartbeat_s: float,
+        heartbeat_grace: float,
+        worker_max_failures: int,
+        run_fp: str,
+        reap_s: float,
+        linger_s: float,
     ):
-        self.supervisor = supervisor
-        self.state = state
-        self.config = supervisor.config
-        self._tasks: Dict[str, "_Task"] = {t.fingerprint: t for t in tasks}
-        self._order = [t.fingerprint for t in tasks]
-        self._queue: List["_Task"] = list(tasks)
+        self.bind_address = bind
+        self.lease_timeout_s = lease_timeout_s
+        self.heartbeat_s = heartbeat_s
+        self.heartbeat_grace = heartbeat_grace
+        self.worker_max_failures = worker_max_failures
+        self._run_fp = run_fp
+        self._reap_s = reap_s
+        self._linger_s = linger_s
         self._leases: Dict[str, _Lease] = {}
         self._workers: Dict[str, _WorkerInfo] = {}
-        #: Fingerprints whose previous lease expired or whose holder
-        #: died; their next grant counts as a reassignment.
+        #: Task ids whose previous lease expired or whose holder died or
+        #: left; their next grant counts as a reassignment.
         self._lost: set = set()
         self._lock = threading.RLock()
         self._stop = threading.Event()
@@ -214,14 +248,19 @@ class FleetCoordinator:
         self._ever_connected = False
         self._last_activity = time.monotonic()
         self._trace_ctx = get_tracer().worker_context()
-        self._run_fp = state.metrics.run_fingerprint
+        self.address: Optional[str] = None
+        # Counters (the run report and the service metrics read them).
+        self.tasks_done = 0
+        self.leases_expired = 0
+        self.worker_deaths = 0
+        self.reassignments = 0
 
     # ------------------------------------------------------------------
     # Transport lifecycle
     # ------------------------------------------------------------------
     def start(self) -> str:
-        """Bind, listen and start accepting; returns ``host:port`` bound."""
-        host, port = parse_address(self.config.fleet or "")
+        """Bind, listen, start accept + reaper threads; returns address."""
+        host, port = parse_address(self.bind_address)
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -230,23 +269,451 @@ class FleetCoordinator:
         except OSError as exc:
             server.close()
             raise FleetTransportError(
-                f"cannot bind fleet coordinator on {host}:{port}: {exc}",
+                f"cannot bind {self._name} on {host}:{port}: {exc}",
                 address=f"{host}:{port}",
             ) from None
         server.settimeout(0.25)
         self._server = server
-        bound = f"{server.getsockname()[0]}:{server.getsockname()[1]}"
+        self.address = f"{server.getsockname()[0]}:{server.getsockname()[1]}"
         self._last_activity = time.monotonic()
-        accept = threading.Thread(
-            target=self._accept_loop, name="fleet-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
+        for name, target in (
+            ("fleet-accept", self._accept_loop),
+            ("fleet-reaper", self._reaper_loop),
+        ):
+            thread = threading.Thread(target=target, name=name, daemon=True)
+            thread.start()
+            self._threads.append(thread)
         _log.info(
-            "fleet coordinator listening",
-            extra={"address": bound, "run_fingerprint": self._run_fp},
+            f"{self._name} listening",
+            extra={"address": self.address, "run_fingerprint": self._run_fp},
         )
-        return bound
+        return self.address
+
+    def close(self) -> None:
+        """Stop leasing, release attached workers, close every socket."""
+        self._stop.set()
+        with self._lock:
+            self._shutdown()
+        # Every request is now answered ``done``: give attached workers
+        # a beat to pick it up, so they exit through the clean-shutdown
+        # handshake instead of observing a dropped connection.
+        deadline = time.monotonic() + self._linger_s
+        while time.monotonic() < deadline:
+            if self.workers_connected() == 0:
+                break
+            time.sleep(0.05)
+        with self._lock:
+            sockets = [self._server] + [w.conn for w in self._workers.values()]
+        for sock in sockets:
+            try:
+                if sock is not None:
+                    sock.close()
+            except OSError:
+                pass
+        for thread in list(self._threads):
+            thread.join(timeout=2.0)
+
+    def _shutdown(self) -> None:
+        """Hook: settle unfinished work at :meth:`close` (lock held)."""
+
+    def _abort(self, exc: BaseException) -> None:
+        """Stash a core-thread exception for the owner and stop leasing."""
+        with self._lock:
+            if self._error is None:
+                self._error = exc
+            self._stop.set()
+
+    def workers_connected(self) -> int:
+        with self._lock:
+            return sum(1 for w in self._workers.values() if w.leasable())
+
+    def accounting(self) -> List[Dict[str, Any]]:
+        with self._lock:
+            return [w.accounting() for w in self._workers.values()]
+
+    # ------------------------------------------------------------------
+    def _accept_loop(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, peer = self._server.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            handler = threading.Thread(
+                target=self._serve_connection,
+                args=(conn, f"{peer[0]}:{peer[1]}"),
+                name=f"fleet-conn-{peer[1]}",
+                daemon=True,
+            )
+            handler.start()
+            # A long-lived owner sees one handler per worker
+            # (re)connection: keep only the live ones.
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(handler)
+
+    def _reaper_loop(self) -> None:
+        while not self._stop.wait(self._reap_s):
+            with self._lock:
+                now = time.monotonic()
+                try:
+                    self._expire_leases(now)
+                    self._scan_heartbeats(now)
+                except Exception as exc:
+                    self._abort(exc)
+                    return
+
+    def _serve_connection(self, conn: socket.socket, peer: str) -> None:
+        worker: Optional[_WorkerInfo] = None
+        reader = conn.makefile("r", encoding="utf-8")
+        try:
+            for line in reader:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    message = json.loads(line)
+                except json.JSONDecodeError:
+                    message = None
+                if not isinstance(message, dict):
+                    _log.warning(
+                        f"{self._name}: unparsable message, closing connection",
+                        extra={"peer": peer},
+                    )
+                    break
+                try:
+                    worker, reply, keep = self._dispatch(
+                        conn, peer, worker, message
+                    )
+                except Exception as exc:
+                    # fail-fast aborts and commit-core errors, journal
+                    # I/O included: the owner re-raises them.
+                    self._abort(exc)
+                    break
+                try:
+                    if reply is not None:
+                        _send(conn, reply)
+                except OSError:
+                    # Reply could not be sent: the worker is dying, not
+                    # the core.  Drop the connection; the finally-block
+                    # death handling requeues any leases it held.
+                    break
+                if not keep:
+                    break
+        finally:
+            try:
+                reader.close()
+                conn.close()
+            except OSError:
+                pass
+            if worker is not None:
+                with self._lock:
+                    if worker.status == "active" and not self._stop.is_set():
+                        try:
+                            self._declare_dead(worker, "connection lost")
+                        except Exception as exc:
+                            self._abort(exc)
+
+    def _dispatch(
+        self,
+        conn: socket.socket,
+        peer: str,
+        worker: Optional[_WorkerInfo],
+        message: Dict[str, Any],
+    ) -> Tuple[Optional[_WorkerInfo], Optional[Dict[str, Any]], bool]:
+        """Handle one message; returns (worker, reply, keep_connection)."""
+        kind = message.get("kind")
+        with self._lock:
+            if kind == "hello":
+                if message.get("protocol") != PROTOCOL_VERSION:
+                    return None, {
+                        "kind": "refused",
+                        "reason": (
+                            f"protocol {message.get('protocol')!r} != "
+                            f"{PROTOCOL_VERSION}"
+                        ),
+                    }, False
+                worker_id = str(message.get("worker") or peer)
+                worker = self._workers.get(worker_id)
+                if worker is None:
+                    worker = _WorkerInfo(worker_id, peer, conn, 0.0)
+                    self._workers[worker_id] = worker
+                # A reconnecting worker keeps its accounting (and a
+                # quarantined one stays quarantined).
+                worker.conn = conn
+                worker.address = peer
+                worker.last_seen = self._last_activity = time.monotonic()
+                if worker.status in ("dead", "gone"):
+                    worker.status = "active"
+                self._ever_connected = True
+                _log.info(
+                    f"{self._name}: worker joined",
+                    extra={"worker": worker_id, "peer": peer},
+                )
+                return worker, {
+                    "kind": "welcome",
+                    "protocol": PROTOCOL_VERSION,
+                    "run_fingerprint": self._run_fp,
+                    "heartbeat_s": self.heartbeat_s,
+                }, True
+            if worker is None:
+                # Anything before hello is a protocol violation.
+                return None, None, False
+            worker.last_seen = self._last_activity = time.monotonic()
+            if kind == "request":
+                reply = self._grant(worker)
+                if reply.get("kind") == "done" and worker.status == "active":
+                    # The closing handshake is ours, not a death: mark
+                    # the worker released before the connection drops.
+                    worker.status = "gone"
+                return worker, reply, reply.get("kind") != "done"
+            if kind in ("result", "failure"):
+                self._on_reply(worker, message)
+            elif kind == "goodbye":
+                worker.status = "gone"
+                self._release_worker_leases(worker, "worker shut down")
+                _log.info(
+                    f"{self._name}: worker left cleanly",
+                    extra={"worker": worker.id},
+                )
+                return worker, None, False
+        return worker, None, True
+
+    # ------------------------------------------------------------------
+    # Lease management (all callers hold the lock)
+    # ------------------------------------------------------------------
+    def _grant(self, worker: _WorkerInfo) -> Dict[str, Any]:
+        if self._stop.is_set() or not worker.leasable():
+            return {"kind": "done"}
+        picked = self._next_task()
+        if isinstance(picked, dict):
+            return picked  # an idle or done reply
+        task_id, task = picked
+        if task_id in self._lost:
+            self._lost.discard(task_id)
+            self.reassignments += 1
+        task.attempts += 1
+        self._leases[task_id] = _Lease(
+            task=task,
+            worker_id=worker.id,
+            deadline=time.monotonic() + self.lease_timeout_s,
+        )
+        _log.info(
+            f"{self._name}: leased task",
+            extra={
+                "task": task_id,
+                "key": task.label,
+                "worker": worker.id,
+                "attempt": task.attempts,
+            },
+        )
+        return {
+            "kind": "lease",
+            "task": task_id,
+            "label": task.label,
+            "attempt": task.attempts,
+            "lease_timeout_s": self.lease_timeout_s,
+            "payload": self._payload(task),
+        }
+
+    def _unleased_task(self, task_id: str) -> Any:
+        """Hook: the task a reply names without a lease (None: drop)."""
+        return None
+
+    def _on_reply(self, worker: _WorkerInfo, message: Dict[str, Any]) -> None:
+        """Route one ``result`` or ``failure`` message to its task."""
+        if self._stop.is_set():
+            return  # a stopped core lands nothing
+        task_id = str(message.get("task"))
+        lease = self._leases.get(task_id)
+        if lease is not None and lease.worker_id == worker.id:
+            del self._leases[task_id]
+            task = lease.task
+        else:
+            task = self._unleased_task(task_id)
+        if task is None:
+            return
+        if not self._is_open(task):
+            # Duplicate delivery (chaos dup, or a thawed worker racing
+            # its replacement): the first landing won, drop this one.
+            _log.info(
+                f"{self._name}: dropped duplicate {message.get('kind')}",
+                extra={"task": task_id, "worker": worker.id},
+            )
+            return
+        wall_s = message.get("wall_s")
+        if isinstance(wall_s, (int, float)):
+            task.wall_s += wall_s
+        if message.get("kind") == "failure":
+            error: BaseException = ReproError(
+                f"{message.get('error_type', 'Error')}: "
+                f"{message.get('error', 'worker-side failure')}"
+            )
+        else:
+            try:
+                values, group_metrics, spans = decode_payload(
+                    message.get("payload") or ""
+                )
+            except Exception as exc:
+                error = WorkerLostError(
+                    f"worker {worker.id} returned an unreadable payload for "
+                    f"task {task.label}: {exc}",
+                    worker=worker.id,
+                    task=task_id,
+                )
+            else:
+                get_tracer().adopt(spans)
+                if self._settle(task, values, group_metrics):
+                    worker.tasks_done += 1
+                    self.tasks_done += 1
+                return
+        self._charge(task, worker, error)
+
+    def _charge(
+        self,
+        task: Any,
+        worker: Optional[_WorkerInfo],
+        error: BaseException,
+    ) -> None:
+        """One failed attempt: count it against the worker, then route it."""
+        if worker is not None:
+            worker.failures += 1
+            if (
+                worker.status == "active"
+                and worker.failures >= self.worker_max_failures
+            ):
+                worker.status = "quarantined"
+                _log.warning(
+                    f"{self._name}: worker quarantined",
+                    extra={"worker": worker.id, "failures": worker.failures},
+                )
+        self._fail(task, error)
+
+    def _release_worker_leases(
+        self, worker: _WorkerInfo, reason: str, charge: bool = False
+    ) -> None:
+        """Requeue every lease the worker holds (optionally as failures)."""
+        held = [
+            (task_id, lease) for task_id, lease in self._leases.items()
+            if lease.worker_id == worker.id
+        ]
+        for task_id, lease in held:
+            self._reclaim(task_id, worker, WorkerLostError(
+                f"worker {worker.id} lost while running task "
+                f"{lease.task.label}: {reason}",
+                worker=worker.id,
+                task=task_id,
+            ) if charge else None)
+
+    def _reclaim(
+        self,
+        task_id: str,
+        holder: Optional[_WorkerInfo],
+        error: Optional[BaseException],
+    ) -> None:
+        """Take a lease back; charge ``error`` to it (None: no charge)."""
+        task = self._leases.pop(task_id).task
+        if not self._is_open(task):
+            return
+        self._lost.add(task_id)
+        if error is not None:
+            self._charge(task, holder, error)
+            return
+        # Clean shutdown mid-lease: requeue without an attempt charge,
+        # mirroring innocent pool-sibling requeues.
+        task.attempts -= 1
+        self._requeue(task)
+
+    def _declare_dead(self, worker: _WorkerInfo, reason: str) -> None:
+        worker.status = "dead"
+        self.worker_deaths += 1
+        _log.warning(
+            f"{self._name}: worker died",
+            extra={"worker": worker.id, "reason": reason},
+        )
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        self._release_worker_leases(worker, reason, charge=True)
+
+    def _expire_leases(self, now: float) -> None:
+        expired = [
+            (task_id, lease) for task_id, lease in self._leases.items()
+            if now > lease.deadline
+        ]
+        for task_id, lease in expired:
+            self.leases_expired += 1
+            _log.warning(
+                f"{self._name}: lease expired",
+                extra={
+                    "task": task_id,
+                    "key": lease.task.label,
+                    "worker": lease.worker_id,
+                },
+            )
+            self._reclaim(
+                task_id,
+                self._workers.get(lease.worker_id),
+                TaskTimeoutError(
+                    f"lease on task {lease.task.label} ({task_id}) held by "
+                    f"worker {lease.worker_id} exceeded its "
+                    f"{self.lease_timeout_s:g}s deadline",
+                    task=task_id,
+                    timeout_s=self.lease_timeout_s,
+                ),
+            )
+
+    def _scan_heartbeats(self, now: float) -> None:
+        grace = self.heartbeat_s * self.heartbeat_grace
+        for worker in list(self._workers.values()):
+            if worker.status != "active":
+                continue
+            if now - worker.last_seen > grace:
+                self._declare_dead(
+                    worker,
+                    f"no heartbeat for {now - worker.last_seen:.1f}s",
+                )
+
+
+# ----------------------------------------------------------------------
+# Run coordinator (one supervised run's tasks)
+# ----------------------------------------------------------------------
+
+class FleetCoordinator(_LeaseCore):
+    """Leases a supervised run's tasks to ``repro worker`` processes.
+
+    Its task source is the supervisor's run queue: retries come back
+    through the shared retry core with their backoff ``ready_at``
+    stamped, and a result lands through the supervisor's idempotent,
+    fingerprint-keyed commit (so a late result from an expired lease
+    still counts if it arrives first).  Workers are told ``done`` once
+    every task has landed or been quarantined.
+    """
+
+    def __init__(
+        self,
+        supervisor: "RunSupervisor",
+        tasks: List["_Task"],
+        state: "_RunState",
+    ):
+        config = supervisor.config
+        super().__init__(
+            config.fleet or "",
+            lease_timeout_s=config.lease_timeout_s,
+            heartbeat_s=config.heartbeat_s,
+            heartbeat_grace=config.heartbeat_grace,
+            worker_max_failures=config.worker_max_failures,
+            run_fp=state.metrics.run_fingerprint,
+            reap_s=config.poll_interval_s,
+            linger_s=3.0,
+        )
+        self.supervisor = supervisor
+        self.state = state
+        self.config = config
+        self._tasks: Dict[str, "_Task"] = {t.fingerprint: t for t in tasks}
+        self._order = [t.fingerprint for t in tasks]
+        self._queue: List["_Task"] = list(tasks)
 
     def write_discovery(self, bound: str) -> None:
         """Drop ``fleet.json`` into the run dir so workers find the port."""
@@ -267,168 +734,8 @@ class FleetCoordinator:
             durable=False,
         )
 
-    def close(self) -> None:
-        self._stop.set()
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
-        with self._lock:
-            workers = list(self._workers.values())
-        for worker in workers:
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, peer = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            handler = threading.Thread(
-                target=self._serve_connection,
-                args=(conn, f"{peer[0]}:{peer[1]}"),
-                name=f"fleet-conn-{peer[1]}",
-                daemon=True,
-            )
-            handler.start()
-            self._threads.append(handler)
-
-    def _serve_connection(self, conn: socket.socket, peer: str) -> None:
-        worker: Optional[_WorkerInfo] = None
-        reader = conn.makefile("r", encoding="utf-8")
-        try:
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    message = json.loads(line)
-                except json.JSONDecodeError:
-                    _log.warning(
-                        "fleet: unparsable message, closing connection",
-                        extra={"peer": peer},
-                    )
-                    break
-                try:
-                    worker, keep = self._dispatch(conn, peer, worker, message)
-                except OSError:
-                    # Reply could not be sent: the worker is dying, not
-                    # the run.  Drop the connection; the finally-block
-                    # death handling requeues any leases it held.
-                    break
-                except Exception as exc:
-                    # fail-fast aborts and commit-core errors land here;
-                    # surface them on the supervisor's thread via poll().
-                    with self._lock:
-                        if self._error is None:
-                            self._error = exc
-                    self._stop.set()
-                    break
-                if not keep:
-                    break
-        finally:
-            try:
-                reader.close()
-                conn.close()
-            except OSError:
-                pass
-            if worker is not None:
-                with self._lock:
-                    if worker.status == "active" and not self._stop.is_set():
-                        self._declare_dead(worker, "connection lost")
-
-    def _dispatch(
-        self,
-        conn: socket.socket,
-        peer: str,
-        worker: Optional[_WorkerInfo],
-        message: Dict[str, Any],
-    ) -> Tuple[Optional[_WorkerInfo], bool]:
-        """Handle one message; returns (worker, keep_connection)."""
-        kind = message.get("kind")
-        with self._lock:
-            self._last_activity = time.monotonic()
-            if kind == "hello":
-                if message.get("protocol") != PROTOCOL_VERSION:
-                    _send(conn, {
-                        "kind": "refused",
-                        "reason": (
-                            f"protocol {message.get('protocol')!r} != "
-                            f"{PROTOCOL_VERSION}"
-                        ),
-                    })
-                    return None, False
-                worker_id = str(message.get("worker") or peer)
-                existing = self._workers.get(worker_id)
-                if existing is not None:
-                    # A reconnecting worker keeps its accounting (and a
-                    # quarantined one stays quarantined).
-                    existing.conn = conn
-                    existing.address = peer
-                    existing.last_seen = time.monotonic()
-                    if existing.status in ("dead", "gone"):
-                        existing.status = "active"
-                    worker = existing
-                else:
-                    worker = _WorkerInfo(
-                        id=worker_id,
-                        address=peer,
-                        conn=conn,
-                        last_seen=time.monotonic(),
-                    )
-                    self._workers[worker_id] = worker
-                self._ever_connected = True
-                _send(conn, {
-                    "kind": "welcome",
-                    "protocol": PROTOCOL_VERSION,
-                    "run_fingerprint": self._run_fp,
-                    "heartbeat_s": self.config.heartbeat_s,
-                })
-                _log.info(
-                    "fleet: worker joined",
-                    extra={"worker": worker_id, "peer": peer},
-                )
-                return worker, True
-            if worker is None:
-                # Anything before hello is a protocol violation.
-                return None, False
-            worker.last_seen = time.monotonic()
-            if kind == "heartbeat":
-                return worker, True
-            if kind == "request":
-                reply = self._grant(worker)
-                if reply.get("kind") == "done" and worker.status == "active":
-                    # The closing handshake is ours, not a death: mark
-                    # the worker released before the connection drops.
-                    worker.status = "gone"
-                _send(conn, reply)
-                return worker, reply.get("kind") != "done"
-            if kind == "result":
-                self._on_result(worker, message)
-                return worker, True
-            if kind == "failure":
-                self._on_failure(worker, message)
-                return worker, True
-            if kind == "goodbye":
-                worker.status = "gone"
-                self._release_worker_leases(worker, "worker shut down")
-                _log.info(
-                    "fleet: worker left cleanly", extra={"worker": worker.id}
-                )
-                return worker, False
-        return worker, True
-
-    # ------------------------------------------------------------------
-    # Lease management (all callers hold the lock)
+    # Task source (all callers hold the lock)
     # ------------------------------------------------------------------
     def _drain_retries(self) -> None:
         """Pull backoff-stamped retries the shared core queued for us."""
@@ -437,11 +744,7 @@ class FleetCoordinator:
             if task.fingerprint in self._tasks:
                 self._queue.append(task)
 
-    def _grant(self, worker: _WorkerInfo) -> Dict[str, Any]:
-        if self._stop.is_set() or self._error is not None:
-            return {"kind": "done"}
-        if not worker.leasable():
-            return {"kind": "done"}
+    def _next_task(self) -> Any:
         self._drain_retries()
         now = time.monotonic()
         self._queue = [
@@ -449,7 +752,7 @@ class FleetCoordinator:
         ]
         ready = [t for t in self._queue if t.ready_at <= now]
         if not ready:
-            if not self._queue and not self._leases and self._complete():
+            if not self._queue and not self._leases and not self._unlanded():
                 return {"kind": "done"}
             wait = 0.25
             if self._queue:
@@ -459,21 +762,14 @@ class FleetCoordinator:
             return {"kind": "idle", "wait_s": round(min(wait, 1.0), 3)}
         task = ready[0]
         self._queue.remove(task)
-        if task.fingerprint in self._lost:
-            self._lost.discard(task.fingerprint)
-            self.state.metrics.reassignments += 1
-        task.attempts += 1
         task.started_at = now
         self.state.record(task).status = "running"
-        self._leases[task.fingerprint] = _Lease(
-            task=task,
-            worker_id=worker.id,
-            deadline=now + self.config.lease_timeout_s,
-        )
-        plan = task.members[0][1].fault_plan
-        payload = encode_payload((
+        return task.fingerprint, task
+
+    def _payload(self, task: "_Task") -> str:
+        return encode_payload((
             task.key[0],
-            plan,
+            task.members[0][1].fault_plan,
             tuple(point for _, point in task.members),
             task.key[2],
             self.state.extract,
@@ -481,189 +777,37 @@ class FleetCoordinator:
             self._trace_ctx,
             task.key[3] if len(task.key) > 3 else None,
         ))
-        _log.info(
-            "fleet: leased task",
-            extra={
-                "task": task.fingerprint,
-                "key": task.label,
-                "worker": worker.id,
-                "attempt": task.attempts,
-            },
-        )
-        return {
-            "kind": "lease",
-            "task": task.fingerprint,
-            "label": task.label,
-            "attempt": task.attempts,
-            "lease_timeout_s": self.config.lease_timeout_s,
-            "payload": payload,
-        }
 
-    def _on_result(self, worker: _WorkerInfo, message: Dict[str, Any]) -> None:
-        fingerprint = str(message.get("task"))
-        task = self._tasks.get(fingerprint)
-        if task is None:
-            return
-        lease = self._leases.get(fingerprint)
-        if lease is not None and lease.worker_id == worker.id:
-            del self._leases[fingerprint]
-        if self.state.committed(task):
-            # Duplicate delivery (chaos dup, or a thawed worker racing
-            # its replacement): the first commit won, drop this one.
-            _log.info(
-                "fleet: dropped duplicate result",
-                extra={"task": fingerprint, "worker": worker.id},
-            )
-            return
-        task.wall_s += float(message.get("wall_s", 0.0) or 0.0)
-        try:
-            values, group_metrics, spans = decode_payload(
-                message.get("payload") or ""
-            )
-        except Exception as exc:
-            task.last_error = WorkerLostError(
-                f"worker {worker.id} returned an unreadable payload for "
-                f"task {task.label}: {exc}",
-                worker=worker.id,
-                task=fingerprint,
-            )
-            worker.failures += 1
-            self._maybe_quarantine_worker(worker)
-            self.supervisor._handle_failure(task, self.state)
-            return
+    def _unleased_task(self, task_id: str) -> Optional["_Task"]:
+        # A late result from an expired lease may still land first; the
+        # idempotent commit drops whichever copy comes second.
+        return self._tasks.get(task_id)
+
+    def _is_open(self, task: "_Task") -> bool:
+        return not self.state.committed(task)
+
+    def _settle(self, task: "_Task", values: Any, group_metrics: Any) -> bool:
         group_metrics.executed = "fleet"
-        get_tracer().adopt(spans)
-        if self.supervisor._commit(task, values, group_metrics, self.state):
-            worker.tasks_done += 1
-            if self.state.metrics.mode == "serial":
-                self.state.metrics.mode = "fleet"
+        if not self.supervisor._commit(task, values, group_metrics, self.state):
+            return False
+        if self.state.metrics.mode == "serial":
+            self.state.metrics.mode = "fleet"
+        return True
 
-    def _on_failure(self, worker: _WorkerInfo, message: Dict[str, Any]) -> None:
-        fingerprint = str(message.get("task"))
-        task = self._tasks.get(fingerprint)
-        if task is None:
-            return
-        lease = self._leases.get(fingerprint)
-        if lease is not None and lease.worker_id == worker.id:
-            del self._leases[fingerprint]
-        if self.state.committed(task):
-            return
-        task.wall_s += float(message.get("wall_s", 0.0) or 0.0)
-        task.last_error = ReproError(
-            f"{message.get('error_type', 'Error')}: "
-            f"{message.get('error', 'worker-side failure')}"
-        )
-        worker.failures += 1
-        self._maybe_quarantine_worker(worker)
+    def _fail(self, task: "_Task", error: BaseException) -> None:
+        task.last_error = error
         self.supervisor._handle_failure(task, self.state)
 
-    def _maybe_quarantine_worker(self, worker: _WorkerInfo) -> None:
-        if (
-            worker.status == "active"
-            and worker.failures >= self.config.worker_max_failures
-        ):
-            worker.status = "quarantined"
-            _log.warning(
-                "fleet: worker quarantined",
-                extra={"worker": worker.id, "failures": worker.failures},
-            )
+    def _requeue(self, task: "_Task") -> None:
+        self.state.record(task).status = "pending"
+        self._queue.append(task)
 
-    def _release_worker_leases(
-        self, worker: _WorkerInfo, reason: str, charge: bool = False
-    ) -> None:
-        """Requeue every lease the worker holds (optionally as failures)."""
-        held = [
-            lease for lease in self._leases.values()
-            if lease.worker_id == worker.id
+    def _unlanded(self) -> List["_Task"]:
+        return [
+            self._tasks[fp] for fp in self._order
+            if self.state.records[fp].status
+            not in ("done", "resumed", "quarantined")
         ]
-        for lease in held:
-            task = lease.task
-            del self._leases[task.fingerprint]
-            if self.state.committed(task):
-                continue
-            self._lost.add(task.fingerprint)
-            if charge:
-                task.last_error = WorkerLostError(
-                    f"worker {worker.id} lost while running task "
-                    f"{task.label}: {reason}",
-                    worker=worker.id,
-                    task=task.fingerprint,
-                )
-                worker.failures += 1
-                self._maybe_quarantine_worker(worker)
-                self.supervisor._handle_failure(task, self.state)
-            else:
-                # Clean shutdown mid-lease: requeue without an attempt
-                # charge, mirroring innocent pool-sibling requeues.
-                task.attempts -= 1
-                task.ready_at = 0.0
-                self.state.record(task).status = "pending"
-                self._queue.append(task)
-
-    def _declare_dead(self, worker: _WorkerInfo, reason: str) -> None:
-        worker.status = "dead"
-        self.state.metrics.worker_deaths += 1
-        _log.warning(
-            "fleet: worker died",
-            extra={"worker": worker.id, "reason": reason},
-        )
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        self._release_worker_leases(worker, reason, charge=True)
-
-    def _expire_leases(self, now: float) -> None:
-        expired = [
-            lease for lease in self._leases.values() if now > lease.deadline
-        ]
-        for lease in expired:
-            task = lease.task
-            del self._leases[task.fingerprint]
-            self.state.metrics.leases_expired += 1
-            holder = self._workers.get(lease.worker_id)
-            _log.warning(
-                "fleet: lease expired",
-                extra={
-                    "task": task.fingerprint,
-                    "key": task.label,
-                    "worker": lease.worker_id,
-                },
-            )
-            if self.state.committed(task):
-                continue
-            self._lost.add(task.fingerprint)
-            task.last_error = TaskTimeoutError(
-                f"lease on task {task.label} ({task.fingerprint}) held by "
-                f"worker {lease.worker_id} exceeded its "
-                f"{self.config.lease_timeout_s:g}s deadline",
-                task=task.fingerprint,
-                timeout_s=self.config.lease_timeout_s,
-            )
-            if holder is not None:
-                holder.failures += 1
-                self._maybe_quarantine_worker(holder)
-            self.supervisor._handle_failure(task, self.state)
-
-    def _scan_heartbeats(self, now: float) -> None:
-        grace = self.config.heartbeat_s * self.config.heartbeat_grace
-        for worker in list(self._workers.values()):
-            if worker.status != "active":
-                continue
-            if now - worker.last_seen > grace:
-                self._declare_dead(
-                    worker,
-                    f"no heartbeat for {now - worker.last_seen:.1f}s",
-                )
-
-    def _complete(self) -> bool:
-        return all(
-            self.state.records[fp].status in ("done", "resumed", "quarantined")
-            for fp in self._order
-        )
-
-    def _leasable_workers(self) -> int:
-        return sum(1 for w in self._workers.values() if w.leasable())
 
     # ------------------------------------------------------------------
     def poll(self) -> List["_Task"]:
@@ -675,62 +819,32 @@ class FleetCoordinator:
         while True:
             with self._lock:
                 if self._error is not None:
-                    error = self._error
-                    raise error
-                now = time.monotonic()
-                self._expire_leases(now)
-                self._scan_heartbeats(now)
+                    raise self._error
                 self._drain_retries()
-                if self._complete():
+                leftovers = self._unlanded()
+                if not leftovers:
                     return []
-                if not self._leases and self._leasable_workers() == 0:
-                    # Nobody to lease to and nothing in flight: give the
-                    # fleet a grace window (first worker still starting,
-                    # or a reconnect after a death), then degrade to the
-                    # in-process paths with whatever is left.
-                    if now - self._last_activity > self.config.fleet_wait_s:
-                        return self._leftovers()
-            time.sleep(self.config.poll_interval_s)
-
-    def _leftovers(self) -> List["_Task"]:
-        leftovers: List["_Task"] = []
-        for fingerprint in self._order:
-            record = self.state.records[fingerprint]
-            if record.status in ("done", "resumed", "quarantined"):
-                continue
-            record.status = "pending"
-            leftovers.append(self._tasks[fingerprint])
-        if leftovers:
-            _log.warning(
-                "fleet: degrading to in-process execution",
-                extra={
-                    "leftover_tasks": len(leftovers),
-                    "ever_connected": self._ever_connected,
-                },
-            )
-        return leftovers
-
-    def linger(self, timeout_s: float = 3.0) -> None:
-        """Give attached workers a beat to pick up their ``done`` reply.
-
-        Without this, closing right after the last commit races the
-        workers' request loops: they would observe a dropped connection
-        (and exit through their reconnect/patience path) instead of the
-        clean shutdown handshake.  Costs nothing when no worker is
-        attached.
-        """
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not any(
-                    w.status == "active" for w in self._workers.values()
+                if (
+                    not self._leases
+                    and self.workers_connected() == 0
+                    and time.monotonic() - self._last_activity
+                    > self.config.fleet_wait_s
                 ):
-                    return
+                    # Nobody to lease to and nothing in flight for a
+                    # whole grace window (first worker still starting,
+                    # or a reconnect after a death): degrade to the
+                    # in-process paths with whatever is left.
+                    for task in leftovers:
+                        self.state.record(task).status = "pending"
+                    _log.warning(
+                        "fleet: degrading to in-process execution",
+                        extra={
+                            "leftover_tasks": len(leftovers),
+                            "ever_connected": self._ever_connected,
+                        },
+                    )
+                    return leftovers
             time.sleep(self.config.poll_interval_s)
-
-    def accounting(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [w.accounting() for w in self._workers.values()]
 
 
 def execute_fleet(
@@ -775,10 +889,12 @@ def execute_fleet(
     try:
         coordinator.write_discovery(bound)
         leftovers = coordinator.poll()
-        coordinator.linger()
     finally:
         coordinator.close()
         state.fleet_workers.extend(coordinator.accounting())
+        state.metrics.leases_expired += coordinator.leases_expired
+        state.metrics.worker_deaths += coordinator.worker_deaths
+        state.metrics.reassignments += coordinator.reassignments
     if not coordinator._ever_connected:
         # Pay the grace wait once per supervisor, not once per run of a
         # multi-run experiment.
@@ -791,36 +907,29 @@ def execute_fleet(
 
 
 # ----------------------------------------------------------------------
-# Service fleet (persistent coordinator for the exploration service)
+# Service fleet (open-ended queue for the exploration service)
 # ----------------------------------------------------------------------
 
+@dataclass(eq=False)
 class _ServiceTask:
     """One service cache-miss waiting on (or out to) a fleet worker."""
 
-    def __init__(
-        self,
-        task_id: str,
-        spec: Any,
-        activities: Optional[Tuple[float, ...]],
-        solver: Optional[str],
-        label: str,
-        trace_ctx: Optional[Dict[str, Any]] = None,
-    ):
-        self.id = task_id
-        self.spec = spec
-        self.activities = activities
-        self.solver = solver
-        self.label = label
-        #: Per-query trace context (the replica's in-request span chain);
-        #: forwarded to whichever worker leases this task so its spans
-        #: attach under the query's span tree, not the fleet's startup.
-        self.trace_ctx = trace_ctx
-        self.attempts = 0
-        self.enqueued_at = time.monotonic()
-        self.done = threading.Event()
-        self.value: Any = None
-        self.error: Optional[BaseException] = None
-        self.cancelled = False
+    id: str
+    spec: Any
+    activities: Optional[Tuple[float, ...]]
+    solver: Optional[str]
+    label: str
+    #: Per-query trace context (the replica's in-request span chain);
+    #: forwarded to whichever worker leases this task so its spans
+    #: attach under the query's span tree, not the fleet's startup.
+    trace_ctx: Optional[Dict[str, Any]] = None
+    attempts: int = 0
+    wall_s: float = 0.0
+    enqueued_at: float = field(default_factory=time.monotonic)
+    done: threading.Event = field(default_factory=threading.Event)
+    value: Any = None
+    error: Optional[BaseException] = None
+    cancelled: bool = False
 
     def complete(self, value: Any) -> None:
         if not self.done.is_set():
@@ -833,29 +942,26 @@ class _ServiceTask:
             self.done.set()
 
 
-class ServiceFleet:
+class ServiceFleet(_LeaseCore):
     """A long-lived lease coordinator for ``repro serve --fleet``.
 
-    :class:`FleetCoordinator` is bound to one supervised *run*: it leases
-    a fixed task list, then tells every worker ``done``.  A service has
-    no such end — queries arrive forever — so this variant keeps the
-    exact worker-facing wire protocol (``hello``/``request``/``result``/
-    ``failure``/``heartbeat``/``goodbye``, protocol v2; a stock
-    ``repro worker`` attaches to either without knowing which) but runs
-    an open-ended queue: :meth:`solve` blocks one server thread until a
-    worker returns the answer, a lease expires too many times, or the
-    query's deadline passes.  ``done`` is sent only at :meth:`close`,
-    so attached workers exit through their clean-shutdown path.
+    Its task source is an open-ended queue of cache misses: queries
+    arrive forever, so :meth:`solve` blocks one server thread until a
+    worker returns the answer, the task has failed ``max_attempts``
+    times, or the query's deadline passes, and workers are told
+    ``done`` only at :meth:`close`.  A stock ``repro worker`` attaches
+    to either owner without knowing which.
 
-    At-least-once semantics carry over: an expired lease or a dead
-    worker charges the task one attempt and requeues it; the *caller*
-    (the service's solver worker) owns idempotency, which it gets for
-    free from the fingerprint-keyed cache write.  When no worker is
+    A reply from a worker that no longer holds the lease is dropped; the
+    *caller* (the service's solver worker) owns idempotency, which it
+    gets free from the fingerprint-keyed cache write.  When no worker is
     attached for longer than ``wait_s``, queued solves fail with
-    :class:`~repro.errors.FleetTransportError` — the server catches
-    that and falls back to its local executor, so a fleet-less
-    ``--fleet`` server degrades to a plain one instead of hanging.
+    :class:`~repro.errors.FleetTransportError`; the server catches that
+    and solves locally, so a fleet-less ``--fleet`` server degrades to
+    a plain one instead of hanging.
     """
+
+    _name = "service fleet"
 
     def __init__(
         self,
@@ -868,110 +974,28 @@ class ServiceFleet:
         wait_s: float = 10.0,
         worker_max_failures: int = 3,
     ):
-        self.bind_address = bind
+        super().__init__(
+            bind,
+            lease_timeout_s=lease_timeout_s,
+            heartbeat_s=heartbeat_s,
+            heartbeat_grace=heartbeat_grace,
+            worker_max_failures=worker_max_failures,
+            run_fp=f"service-{os.getpid()}",
+            reap_s=0.25,
+            linger_s=1.0,
+        )
         self._extract = extract
-        self.lease_timeout_s = lease_timeout_s
-        self.heartbeat_s = heartbeat_s
-        self.heartbeat_grace = heartbeat_grace
         self.max_attempts = max(1, int(max_attempts))
         self.wait_s = wait_s
-        self.worker_max_failures = worker_max_failures
-        self._lock = threading.RLock()
-        self._stop = threading.Event()
         self._queue: List[_ServiceTask] = []
-        self._leases: Dict[str, _Lease] = {}
-        self._workers: Dict[str, _WorkerInfo] = {}
-        self._threads: List[threading.Thread] = []
-        self._server: Optional[socket.socket] = None
         self._seq = 0
-        self._trace_ctx = get_tracer().worker_context()
-        self._run_fp = f"service-{os.getpid()}"
-        self._last_worker_seen = time.monotonic()
-        self.address: Optional[str] = None
-        # Counters (read by the server's metrics endpoint).
-        self.tasks_done = 0
         self.task_failures = 0
-        self.leases_expired = 0
-        self.worker_deaths = 0
-
-    # ------------------------------------------------------------------
-    def start(self) -> str:
-        """Bind, listen, start accept + reaper threads; returns address."""
-        host, port = parse_address(self.bind_address)
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            server.bind((host, port))
-            server.listen(16)
-        except OSError as exc:
-            server.close()
-            raise FleetTransportError(
-                f"cannot bind service fleet on {host}:{port}: {exc}",
-                address=f"{host}:{port}",
-            ) from None
-        server.settimeout(0.25)
-        self._server = server
-        self.address = f"{server.getsockname()[0]}:{server.getsockname()[1]}"
-        self._last_worker_seen = time.monotonic()
-        for name, target in (
-            ("service-fleet-accept", self._accept_loop),
-            ("service-fleet-reaper", self._reaper_loop),
-        ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        _log.info(
-            "service fleet listening",
-            extra={"address": self.address, "run_fingerprint": self._run_fp},
-        )
-        return self.address
-
-    def close(self) -> None:
-        """Stop leasing: fail queued work, release workers, close sockets."""
-        self._stop.set()
-        with self._lock:
-            pending = list(self._queue) + [l.task for l in self._leases.values()]
-            self._queue.clear()
-            self._leases.clear()
-            workers = list(self._workers.values())
-        for task in pending:
-            task.fail(
-                FleetTransportError(
-                    "service fleet is shutting down", address=self.address
-                )
-            )
-        # Let attached workers pick up their "done" reply before the
-        # sockets drop (mirrors FleetCoordinator.linger, shortened).
-        deadline = time.monotonic() + 1.0
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not any(w.status == "active" for w in workers):
-                    break
-            time.sleep(0.05)
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
-        for worker in workers:
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-
-    def workers_connected(self) -> int:
-        with self._lock:
-            return sum(1 for w in self._workers.values() if w.leasable())
 
     def counters(self) -> Dict[str, Any]:
         with self._lock:
             return {
                 "address": self.address,
-                "workers": sum(
-                    1 for w in self._workers.values() if w.leasable()
-                ),
+                "workers": self.workers_connected(),
                 "workers_ever": len(self._workers),
                 "queue_depth": len(self._queue),
                 "leased": len(self._leases),
@@ -998,9 +1022,10 @@ class ServiceFleet:
         distributed trace rather than the fleet-construction context.
 
         Raises :class:`FleetTransportError` when no worker is attached
-        within ``wait_s`` (the server's cue to solve locally instead)
-        and :class:`~repro.errors.DeadlineExceededError` when
-        ``timeout_s`` runs out first.
+        within ``wait_s`` (the server's cue to solve locally instead),
+        :class:`~repro.errors.DeadlineExceededError` when ``timeout_s``
+        runs out first, and the task's last typed error once it has
+        failed ``max_attempts`` times.
         """
         if self._stop.is_set():
             raise FleetTransportError(
@@ -1009,7 +1034,7 @@ class ServiceFleet:
         with self._lock:
             self._seq += 1
             task = _ServiceTask(
-                task_id=f"svc-{os.getpid()}-{self._seq}",
+                id=f"svc-{os.getpid()}-{self._seq}",
                 spec=spec,
                 activities=activities,
                 solver=solver,
@@ -1024,7 +1049,6 @@ class ServiceFleet:
             while not task.done.wait(0.05):
                 now = time.monotonic()
                 if deadline is not None and now >= deadline:
-                    self._abandon(task)
                     raise DeadlineExceededError(
                         f"fleet solve of {task.label} exceeded its "
                         f"{timeout_s:g}s budget",
@@ -1032,18 +1056,14 @@ class ServiceFleet:
                         timeout_s=timeout_s,
                     )
                 with self._lock:
-                    leased = task.id in self._leases
                     starved = (
-                        not leased
-                        and not any(
-                            w.leasable() for w in self._workers.values()
-                        )
+                        task.id not in self._leases
+                        and self.workers_connected() == 0
                         and now - max(
-                            task.enqueued_at, self._last_worker_seen
+                            task.enqueued_at, self._last_activity
                         ) > self.wait_s
                     )
                 if starved:
-                    self._abandon(task)
                     raise FleetTransportError(
                         f"no fleet worker attached within "
                         f"{self.wait_s:g}s; falling back",
@@ -1068,316 +1088,57 @@ class ServiceFleet:
             if task in self._queue:
                 self._queue.remove(task)
             self._leases.pop(task.id, None)
+            self._lost.discard(task.id)
 
     # ------------------------------------------------------------------
-    # Transport (mirrors FleetCoordinator's loops on simpler state)
+    # Task source (all callers hold the lock)
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, peer = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            handler = threading.Thread(
-                target=self._serve_connection,
-                args=(conn, f"{peer[0]}:{peer[1]}"),
-                name=f"service-fleet-conn-{peer[1]}",
-                daemon=True,
-            )
-            handler.start()
-            self._threads.append(handler)
-
-    def _reaper_loop(self) -> None:
-        while not self._stop.wait(0.25):
-            with self._lock:
-                now = time.monotonic()
-                self._expire_leases(now)
-                self._scan_heartbeats(now)
-
-    def _serve_connection(self, conn: socket.socket, peer: str) -> None:
-        worker: Optional[_WorkerInfo] = None
-        reader = conn.makefile("r", encoding="utf-8")
-        try:
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    message = json.loads(line)
-                except json.JSONDecodeError:
-                    break
-                try:
-                    worker, keep = self._dispatch(conn, peer, worker, message)
-                except OSError:
-                    break
-                if not keep:
-                    break
-        finally:
-            try:
-                reader.close()
-                conn.close()
-            except OSError:
-                pass
-            if worker is not None:
-                with self._lock:
-                    if worker.status == "active" and not self._stop.is_set():
-                        self._declare_dead(worker, "connection lost")
-
-    def _dispatch(
-        self,
-        conn: socket.socket,
-        peer: str,
-        worker: Optional[_WorkerInfo],
-        message: Dict[str, Any],
-    ) -> Tuple[Optional[_WorkerInfo], bool]:
-        kind = message.get("kind")
-        with self._lock:
-            if kind == "hello":
-                if message.get("protocol") != PROTOCOL_VERSION:
-                    _send(conn, {
-                        "kind": "refused",
-                        "reason": (
-                            f"protocol {message.get('protocol')!r} != "
-                            f"{PROTOCOL_VERSION}"
-                        ),
-                    })
-                    return None, False
-                worker_id = str(message.get("worker") or peer)
-                existing = self._workers.get(worker_id)
-                if existing is not None:
-                    existing.conn = conn
-                    existing.address = peer
-                    existing.last_seen = time.monotonic()
-                    if existing.status in ("dead", "gone"):
-                        existing.status = "active"
-                    worker = existing
-                else:
-                    worker = _WorkerInfo(
-                        id=worker_id,
-                        address=peer,
-                        conn=conn,
-                        last_seen=time.monotonic(),
-                    )
-                    self._workers[worker_id] = worker
-                self._last_worker_seen = time.monotonic()
-                _send(conn, {
-                    "kind": "welcome",
-                    "protocol": PROTOCOL_VERSION,
-                    "run_fingerprint": self._run_fp,
-                    "heartbeat_s": self.heartbeat_s,
-                })
-                _log.info(
-                    "service fleet: worker joined",
-                    extra={"worker": worker_id, "peer": peer},
-                )
-                return worker, True
-            if worker is None:
-                return None, False
-            worker.last_seen = time.monotonic()
-            self._last_worker_seen = worker.last_seen
-            if kind == "heartbeat":
-                return worker, True
-            if kind == "request":
-                reply = self._grant(worker)
-                if reply.get("kind") == "done" and worker.status == "active":
-                    worker.status = "gone"
-                _send(conn, reply)
-                return worker, reply.get("kind") != "done"
-            if kind == "result":
-                self._on_result(worker, message)
-                return worker, True
-            if kind == "failure":
-                self._on_failure(worker, message)
-                return worker, True
-            if kind == "goodbye":
-                worker.status = "gone"
-                self._release_worker_leases(worker, "worker shut down")
-                return worker, False
-        return worker, True
-
-    # ------------------------------------------------------------------
-    # Lease management (callers hold the lock)
-    # ------------------------------------------------------------------
-    def _grant(self, worker: _WorkerInfo) -> Dict[str, Any]:
-        if self._stop.is_set() or not worker.leasable():
-            return {"kind": "done"}
+    def _next_task(self) -> Any:
         if not self._queue:
             return {"kind": "idle", "wait_s": 0.25}
         task = self._queue.pop(0)
-        task.attempts += 1
-        now = time.monotonic()
-        self._leases[task.id] = _Lease(
-            task=task,  # type: ignore[arg-type]
-            worker_id=worker.id,
-            deadline=now + self.lease_timeout_s,
-        )
-        points = (
-            SweepPoint(spec=task.spec, layer_activities=task.activities),
-        )
-        payload = encode_payload((
+        return task.id, task
+
+    def _payload(self, task: _ServiceTask) -> str:
+        return encode_payload((
             task.spec,
             None,
-            points,
+            (SweepPoint(spec=task.spec, layer_activities=task.activities),),
             False,
             self._extract,
             task.label,
             task.trace_ctx if task.trace_ctx is not None else self._trace_ctx,
             task.solver,
         ))
-        return {
-            "kind": "lease",
-            "task": task.id,
-            "label": task.label,
-            "attempt": task.attempts,
-            "lease_timeout_s": self.lease_timeout_s,
-            "payload": payload,
-        }
 
-    def _take_lease(
-        self, worker: _WorkerInfo, message: Dict[str, Any]
-    ) -> Optional[_ServiceTask]:
-        lease = self._leases.get(str(message.get("task")))
-        if lease is None or lease.worker_id != worker.id:
-            return None  # late reply after expiry/abandon: drop it
-        del self._leases[lease.task.id]  # type: ignore[union-attr]
-        return lease.task  # type: ignore[return-value]
+    def _is_open(self, task: _ServiceTask) -> bool:
+        return not (task.cancelled or task.done.is_set())
 
-    def _on_result(self, worker: _WorkerInfo, message: Dict[str, Any]) -> None:
-        task = self._take_lease(worker, message)
-        if task is None or task.cancelled:
-            return
-        try:
-            values, _group_metrics, spans = decode_payload(
-                message.get("payload") or ""
-            )
-        except Exception as exc:
-            self._charge(
-                task,
-                worker,
-                WorkerLostError(
-                    f"worker {worker.id} returned an unreadable payload "
-                    f"for {task.label}: {exc}",
-                    worker=worker.id,
-                    task=task.id,
-                ),
-            )
-            return
-        get_tracer().adopt(spans)
-        worker.tasks_done += 1
-        self.tasks_done += 1
+    def _settle(self, task: _ServiceTask, values: Any, group_metrics: Any) -> bool:
         task.complete(values[0])
+        return True
 
-    def _on_failure(self, worker: _WorkerInfo, message: Dict[str, Any]) -> None:
-        task = self._take_lease(worker, message)
-        if task is None or task.cancelled:
-            return
-        self._charge(
-            task,
-            worker,
-            ReproError(
-                f"{message.get('error_type', 'Error')}: "
-                f"{message.get('error', 'worker-side failure')}"
-            ),
-        )
-
-    def _charge(
-        self,
-        task: _ServiceTask,
-        worker: Optional[_WorkerInfo],
-        error: BaseException,
-    ) -> None:
-        """One failed attempt: requeue, or fail out at max_attempts."""
-        if worker is not None:
-            worker.failures += 1
-            if (
-                worker.status == "active"
-                and worker.failures >= self.worker_max_failures
-            ):
-                worker.status = "quarantined"
-                _log.warning(
-                    "service fleet: worker quarantined",
-                    extra={"worker": worker.id, "failures": worker.failures},
-                )
-        if task.cancelled:
-            return
+    def _fail(self, task: _ServiceTask, error: BaseException) -> None:
         if task.attempts >= self.max_attempts:
             self.task_failures += 1
+            self._lost.discard(task.id)
             task.fail(error)
             return
         self._queue.append(task)
 
-    def _release_worker_leases(
-        self, worker: _WorkerInfo, reason: str, charge: bool = False
-    ) -> None:
-        held = [
-            lease for lease in self._leases.values()
-            if lease.worker_id == worker.id
-        ]
-        for lease in held:
-            task: _ServiceTask = lease.task  # type: ignore[assignment]
-            del self._leases[task.id]
-            if charge:
-                self._charge(
-                    task,
-                    worker,
-                    WorkerLostError(
-                        f"worker {worker.id} lost while solving "
-                        f"{task.label}: {reason}",
-                        worker=worker.id,
-                        task=task.id,
-                    ),
+    def _requeue(self, task: _ServiceTask) -> None:
+        self._queue.append(task)
+
+    def _shutdown(self) -> None:
+        pending = list(self._queue) + [l.task for l in self._leases.values()]
+        self._queue.clear()
+        self._leases.clear()
+        for task in pending:
+            task.fail(
+                FleetTransportError(
+                    "service fleet is shutting down", address=self.address
                 )
-            elif not task.cancelled:
-                # Clean goodbye mid-lease: requeue without a charge.
-                task.attempts -= 1
-                self._queue.append(task)
-
-    def _declare_dead(self, worker: _WorkerInfo, reason: str) -> None:
-        worker.status = "dead"
-        self.worker_deaths += 1
-        _log.warning(
-            "service fleet: worker died",
-            extra={"worker": worker.id, "reason": reason},
-        )
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        self._release_worker_leases(worker, reason, charge=True)
-
-    def _expire_leases(self, now: float) -> None:
-        expired = [
-            lease for lease in self._leases.values() if now > lease.deadline
-        ]
-        for lease in expired:
-            task: _ServiceTask = lease.task  # type: ignore[assignment]
-            del self._leases[task.id]
-            self.leases_expired += 1
-            holder = self._workers.get(lease.worker_id)
-            self._charge(
-                task,
-                holder,
-                TaskTimeoutError(
-                    f"fleet lease on {task.label} held by worker "
-                    f"{lease.worker_id} exceeded its "
-                    f"{self.lease_timeout_s:g}s deadline",
-                    task=task.id,
-                    timeout_s=self.lease_timeout_s,
-                ),
             )
-
-    def _scan_heartbeats(self, now: float) -> None:
-        grace = self.heartbeat_s * self.heartbeat_grace
-        for worker in list(self._workers.values()):
-            if worker.status != "active":
-                continue
-            if now - worker.last_seen > grace:
-                self._declare_dead(
-                    worker,
-                    f"no heartbeat for {now - worker.last_seen:.1f}s",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -1395,6 +1156,9 @@ class _WorkerSession:
         self.sock = sock
         self.reader = sock.makefile("r", encoding="utf-8")
         self.send_lock = threading.Lock()
+
+    def send(self, message: Dict[str, Any], copies: int = 1) -> None:
+        _send(self.sock, message, self.send_lock, copies)
 
     def close(self) -> None:
         try:
@@ -1446,10 +1210,8 @@ def _heartbeat_loop(
 ) -> None:
     while not stop.wait(period_s):
         try:
-            _send(
-                session.sock,
+            session.send(
                 {"kind": "heartbeat", "worker": worker_id},
-                lock=session.send_lock,
                 copies=chaos.copies("heartbeat"),
             )
         except OSError:
@@ -1487,8 +1249,7 @@ def run_worker(
         stop_heartbeat = threading.Event()
         heartbeat: Optional[threading.Thread] = None
         try:
-            _send(
-                session.sock,
+            session.send(
                 {
                     "kind": "hello",
                     "worker": worker_id,
@@ -1496,7 +1257,6 @@ def run_worker(
                     "pid": os.getpid(),
                     "host": socket.gethostname(),
                 },
-                lock=session.send_lock,
             )
             welcome = _read_reply(session)
             if welcome.get("kind") != "welcome":
@@ -1529,18 +1289,12 @@ def run_worker(
             )
 
             while True:
-                _send(
-                    session.sock,
-                    {"kind": "request", "worker": worker_id},
-                    lock=session.send_lock,
-                )
+                session.send({"kind": "request", "worker": worker_id})
                 reply = _read_reply(session)
                 kind = reply.get("kind")
                 if kind == "done":
-                    _send(
-                        session.sock,
+                    session.send(
                         {"kind": "goodbye", "worker": worker_id},
-                        lock=session.send_lock,
                         copies=chaos.copies("goodbye"),
                     )
                     return {
@@ -1595,8 +1349,7 @@ def run_worker(
                             "error": f"{type(exc).__name__}: {exc}",
                         },
                     )
-                    _send(
-                        session.sock,
+                    session.send(
                         {
                             "kind": "failure",
                             "worker": worker_id,
@@ -1605,7 +1358,6 @@ def run_worker(
                             "error_type": type(exc).__name__,
                             "wall_s": round(time.perf_counter() - t0, 6),
                         },
-                        lock=session.send_lock,
                         copies=chaos.copies("failure"),
                     )
                     continue
@@ -1614,8 +1366,7 @@ def run_worker(
                 # mid-task death or an expiring lease.
                 chaos.on_task_executed()
                 tasks_done += 1
-                _send(
-                    session.sock,
+                session.send(
                     {
                         "kind": "result",
                         "worker": worker_id,
@@ -1625,7 +1376,6 @@ def run_worker(
                         ),
                         "wall_s": round(time.perf_counter() - t0, 6),
                     },
-                    lock=session.send_lock,
                     copies=chaos.copies("result"),
                 )
         except FleetTransportError:

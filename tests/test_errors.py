@@ -13,6 +13,7 @@ from repro.errors import (
     TaskTimeoutError,
 )
 from repro.grid.netlist import RESISTOR, Circuit
+from repro.grid.solver import SolveRequest
 
 
 class TestHierarchy:
@@ -87,7 +88,7 @@ class TestInputValidation:
         c.add_resistor("a", "gnd", 2.0)
         asm = c.assemble()
         with pytest.raises(ValueError, match=r"isource_current\[0\]"):
-            asm.solve(isource_current=np.array([np.nan]))
+            asm.solve(SolveRequest(isource_current=np.array([np.nan])))
 
     def test_stale_assembly_raises_fault_injection_error(self):
         c = Circuit()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.grid.netlist import Circuit
-from repro.grid.solver import SingularCircuitError
+from repro.grid.solver import SingularCircuitError, SolveRequest
 
 
 def divider(r1=1.0, r2=1.0, v=1.0):
@@ -139,18 +139,18 @@ class TestOverridesAndReuse:
         c.add_resistor("a", "gnd", 2.0)
         asm = c.assemble()
         assert asm.solve().voltage("a") == pytest.approx(2.0)
-        assert asm.solve(isource_current=np.array([2.0])).voltage("a") == pytest.approx(4.0)
+        assert asm.solve(SolveRequest(isource_current=np.array([2.0]))).voltage("a") == pytest.approx(4.0)
 
     def test_vsource_override(self):
         c = divider()
         asm = c.assemble()
-        assert asm.solve(vsource_voltage=np.array([4.0])).voltage("mid") == pytest.approx(2.0)
+        assert asm.solve(SolveRequest(vsource_voltage=np.array([4.0]))).voltage("mid") == pytest.approx(2.0)
 
     def test_override_wrong_length_rejected(self):
         c = divider()
         asm = c.assemble()
         with pytest.raises(ValueError, match="length"):
-            asm.solve(vsource_voltage=np.array([1.0, 2.0]))
+            asm.solve(SolveRequest(vsource_voltage=np.array([1.0, 2.0])))
 
     def test_factorisation_reused(self):
         c = divider()

@@ -19,7 +19,7 @@ from repro.config.stackups import ProcessorSpec, StackConfig
 from repro.errors import FaultInjectionError
 from repro.faults import severed_layer_plan
 from repro.grid.netlist import RESISTOR
-from repro.grid.solver import AssembledCircuit
+from repro.grid.solver import AssembledCircuit, SolveOptions, SolveRequest
 from repro.pdn.regular3d import RegularPDN3D
 from repro.pdn.regular_sc3d import RegularSCPDN3D
 from repro.pdn.stacked3d import StackedPDN3D
@@ -156,7 +156,7 @@ class TestRecomputedStampsOracle:
             kill = mesh[np.random.default_rng(seed).random(mesh.size) < damage]
             c.open_elements(RESISTOR, kill)
             assembled = c.assemble()
-            return assembled.solve(resilient=True), assembled
+            return assembled.solve(SolveRequest(options=SolveOptions(resilient=True))), assembled
 
         new, new_assembled = damaged_solve()
         with pytest.MonkeyPatch.context() as mp:
@@ -180,7 +180,7 @@ class TestRecomputedStampsOracle:
                 lambda self: calls.append(1) or collect(self),
             )
             with pytest.raises(FaultInjectionError, match="modified after assembly"):
-                assembled.solve(resilient=True)
+                assembled.solve(SolveRequest(options=SolveOptions(resilient=True)))
             with pytest.raises(FaultInjectionError, match="modified after assembly"):
                 assembled._build_pruned_system()
         assert calls == []

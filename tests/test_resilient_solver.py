@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 from repro.errors import ReproError, SingularCircuitError
 from repro.faults import severed_layer_plan
 from repro.grid.netlist import RESISTOR, Circuit
+from repro.grid.solver import SolveOptions, SolveRequest
 from repro.pdn.regular3d import RegularPDN3D
 from repro.pdn.stacked3d import StackedPDN3D
 
 from tests.conftest import TEST_GRID
+
+RESILIENT = SolveRequest(options=SolveOptions(resilient=True))
 
 
 def grid_circuit(n: int, load: float = 0.1) -> Circuit:
@@ -57,7 +60,7 @@ class TestRandomizedDamage:
         if kill.size:
             c.open_elements(RESISTOR, kill)
         try:
-            sol = c.assemble().solve(resilient=True)
+            sol = c.assemble().solve(RESILIENT)
         except ReproError:
             return  # typed failure is an acceptable outcome
         assert np.isfinite(sol.node_voltage).all()
@@ -87,7 +90,7 @@ class TestRandomizedDamage:
              for a, b in zip(n1, n2)]
         ]
         c.open_elements(RESISTOR, crossing)
-        sol = c.assemble().solve(resilient=True)
+        sol = c.assemble().solve(RESILIENT)
         assert sol.diagnostics.n_islands == 1
         # Dead half (rows 2..3) grounded to exactly 0.
         for j in (2, 3):
@@ -138,7 +141,7 @@ class TestStrictVsResilient:
         store = c.store(RESISTOR)
         mesh = store.tag_indices("mesh")
         c.open_elements(RESISTOR, mesh)
-        sol = c.assemble().solve(resilient=True)
+        sol = c.assemble().solve(RESILIENT)
         diag = sol.diagnostics
         assert diag.n_islands >= 1
         assert diag.n_dropped_nodes == 8  # all but the fed corner
@@ -148,7 +151,7 @@ class TestStrictVsResilient:
 
     def test_clean_circuit_resilient_matches_strict(self):
         strict = grid_circuit(4).solve()
-        resilient = grid_circuit(4).assemble().solve(resilient=True)
+        resilient = grid_circuit(4).assemble().solve(RESILIENT)
         assert resilient.diagnostics.n_islands == 0
         assert not resilient.diagnostics.degraded
         np.testing.assert_allclose(

@@ -5,6 +5,7 @@ import pytest
 from repro.core.scenarios import build_pdn, build_regular_pdn, build_stacked_pdn
 from repro.faults import FaultPlan, severed_layer_plan
 from repro.grid.backends import set_default_backend
+from repro.grid.solver import SolveRequest
 from repro.runtime import PDNSpec, SweepEngine, SweepPoint
 from repro.workload.imbalance import interleaved_layer_activities
 
@@ -363,4 +364,4 @@ class TestSolverBatchAPI:
         assembled = pdn.circuit.assemble()
         severed_layer_plan(pdn).apply(pdn)
         with pytest.raises(FaultInjectionError, match="modified after assembly"):
-            assembled.solve_batch(isource_currents=[None])
+            assembled.solve(SolveRequest(isource_currents=[None]))

@@ -1,10 +1,10 @@
-"""Solver-backend registry: equivalence, capability flags, deprecations.
+"""Solver-backend registry: equivalence, capability flags, solve entry.
 
 Covers the backend redesign's acceptance criteria: every registered
 backend agrees with ``lu`` on seeded random PDNs to <= 1e-9 relative
 difference, ``spd_only`` backends raise a typed error on non-SPD
 systems, unknown ``--solver`` values are a one-line ReproError (API and
-CLI), the deprecated solve entry points warn exactly once, the
+CLI), ``AssembledCircuit.solve`` takes only a ``SolveRequest``, the
 condition estimate is computed once per factorisation, and the engine's
 structure cache keys on the backend.  ``lu``'s ordering choice is
 pinned too: symmetric-indefinite regular PDNs take SuperLU symmetric
@@ -418,67 +418,41 @@ class TestConditionEstimateCache:
 
 
 # ----------------------------------------------------------------------
-# deprecated entry points
+# deprecated entry points (removed: solve takes a SolveRequest only)
 # ----------------------------------------------------------------------
 class TestDeprecatedEntryPoints:
-    def test_legacy_kwargs_warn_exactly_once(self, log_capture):
-        from repro.grid import solver as solver_mod
-
-        solver_mod._DEPRECATION_WARNED.clear()
-        pdn = build_stacked_pdn(
-            n_layers=2, converters_per_core=4, grid_nodes=TEST_GRID
-        )
-        asm = pdn.assembled()
-        currents = np.array(asm.circuit.store("isource").column("current"))
-        asm.solve(isource_current=currents)
-        asm.solve(isource_current=currents)  # second call: no new warning
-        lines = [
-            json.loads(line)
-            for line in log_capture.getvalue().splitlines()
-            if "deprecated" in line
-        ]
-        assert len(lines) == 1
-        assert "SolveRequest" in lines[0]["msg"]
-
-    def test_solve_batch_warns_once_and_still_works(self, log_capture):
-        from repro.grid import solver as solver_mod
-
-        solver_mod._DEPRECATION_WARNED.clear()
-        pdn = build_stacked_pdn(
-            n_layers=2, converters_per_core=4, grid_nodes=TEST_GRID
-        )
-        asm = pdn.assembled()
-        solutions = asm.solve_batch(isource_currents=[None, None])
-        assert len(solutions) == 2
-        asm.solve_batch(isource_currents=[None])
-        lines = [
-            line for line in log_capture.getvalue().splitlines()
-            if "deprecated" in line
-        ]
-        assert len(lines) == 1
-
     def test_bare_request_solve_does_not_warn(self, log_capture):
-        from repro.grid import solver as solver_mod
-
-        solver_mod._DEPRECATION_WARNED.clear()
         pdn = build_stacked_pdn(
             n_layers=2, converters_per_core=4, grid_nodes=TEST_GRID
         )
         pdn.assembled().solve(SolveRequest())
         assert "deprecated" not in log_capture.getvalue()
 
+    def test_non_request_argument_is_a_one_line_type_error(self):
+        pdn = build_stacked_pdn(
+            n_layers=2, converters_per_core=4, grid_nodes=TEST_GRID
+        )
+        asm = pdn.assembled()
+        currents = np.array(asm.circuit.store("isource").column("current"))
+        with pytest.raises(TypeError, match="SolveRequest") as info:
+            asm.solve(currents)
+        assert "\n" not in str(info.value)
+        with pytest.raises(TypeError):
+            asm.solve(isource_current=currents)
+        assert not hasattr(asm, "solve_batch")
+
     def test_no_deprecated_callers_left_in_src(self):
-        """No code under src/ may use the legacy solve entry points."""
+        """No code under src/ may use the removed solve entry points."""
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         offenders = []
         for path in sorted(src.rglob("*.py")):
             text = path.read_text()
-            if path.name == "solver.py":
-                continue  # defines the wrappers
-            if re.search(r"\.solve\(\s*isource_current\s*=", text):
+            if re.search(r"\.solve\(\s*(isource_current|vsource_voltage)\s*=", text):
                 offenders.append(f"{path.name}: legacy solve kwargs")
             if re.search(r"assembled(\(\))?\.solve_batch\(", text):
                 offenders.append(f"{path.name}: AssembledCircuit.solve_batch")
+            if re.search(r"_warn_deprecated|_DEPRECATION_WARNED", text):
+                offenders.append(f"{path.name}: deprecation shim")
             if re.search(r"\brun_fig\d", text):
                 offenders.append(f"{path.name}: run_fig shim reference")
         assert offenders == []
