@@ -106,6 +106,41 @@ def notice_once(key: str, message: str, **extra) -> None:
 
 
 # ----------------------------------------------------------------------
+# allocator policy
+# ----------------------------------------------------------------------
+#: glibc's ``mallopt`` parameter number for the mmap threshold.
+_M_MMAP_THRESHOLD = -3
+#: Requests at least this large get their own mmap.  glibc otherwise
+#: raises the threshold (up to 32 MiB) each time a mapped chunk is
+#: freed; SuperLU then grows its factor buffers (malloc, copy, free) in
+#: the brk heap, where the freed copies stay as holes nothing reuses.
+MMAP_THRESHOLD_BYTES = 1 << 20
+_mmap_threshold_pinned = False
+
+
+def _mallopt():
+    """The C library's ``mallopt``, or None where it has none."""
+    try:
+        import ctypes
+
+        return ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError, TypeError):
+        return None
+
+
+def _pin_mmap_threshold() -> None:
+    """Fix the mmap threshold at :data:`MMAP_THRESHOLD_BYTES`, once per
+    process (forked children inherit it); a no-op without ``mallopt``."""
+    global _mmap_threshold_pinned
+    if _mmap_threshold_pinned:
+        return
+    _mmap_threshold_pinned = True
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+
+
+# ----------------------------------------------------------------------
 # SPD screen
 # ----------------------------------------------------------------------
 def spd_screen(matrix) -> Optional[str]:
@@ -501,7 +536,12 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def get_backend(name: str) -> SolverBackend:
-    """Look up a backend by name; unknown names get a one-line typed error."""
+    """Look up a backend by name; unknown names get a one-line typed error.
+
+    Every factorisation gets its backend here or from
+    :func:`resolve_backend`, so both pin the allocator policy first.
+    """
+    _pin_mmap_threshold()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -541,6 +581,7 @@ def resolve_backend(
     choice: Union[None, str, SolverBackend] = None
 ) -> SolverBackend:
     """Turn a name / backend object / None (= default) into a backend."""
+    _pin_mmap_threshold()
     if isinstance(choice, SolverBackend):
         return choice
     if choice is None:

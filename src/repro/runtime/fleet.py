@@ -123,6 +123,15 @@ def parse_address(address: str) -> Tuple[str, int]:
     return host, port
 
 
+def _shut(sock: Optional[socket.socket], how: int) -> None:
+    """Best-effort ``shutdown``: the peer may already be gone."""
+    try:
+        if sock is not None:
+            sock.shutdown(how)
+    except OSError:
+        pass
+
+
 def _send(
     sock: socket.socket,
     message: Dict[str, Any],
@@ -245,6 +254,8 @@ class _LeaseCore:
         self._error: Optional[BaseException] = None
         self._server: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
+        #: Open worker connections, one per live handler thread.
+        self._conns: set = set()
         self._ever_connected = False
         self._last_activity = time.monotonic()
         self._trace_ctx = get_tracer().worker_context()
@@ -296,22 +307,29 @@ class _LeaseCore:
             self._shutdown()
         # Every request is now answered ``done``: give attached workers
         # a beat to pick it up, so they exit through the clean-shutdown
-        # handshake instead of observing a dropped connection.
-        deadline = time.monotonic() + self._linger_s
+        # handshake instead of observing a dropped connection.  An
+        # aborted core lands nothing more, so it does not wait.
+        linger_s = 0.0 if self._error is not None else self._linger_s
+        deadline = time.monotonic() + linger_s
         while time.monotonic() < deadline:
             if self.workers_connected() == 0:
                 break
             time.sleep(0.05)
+        # ``close()`` alone wakes neither the accept loop nor a handler
+        # blocked reading a silent worker.  Shutting the read side wakes
+        # a handler and leaves it the write side to release its worker.
         with self._lock:
-            sockets = [self._server] + [w.conn for w in self._workers.values()]
-        for sock in sockets:
-            try:
-                if sock is not None:
-                    sock.close()
-            except OSError:
-                pass
+            conns = list(self._conns)
+        _shut(self._server, socket.SHUT_RDWR)
+        for conn in conns:
+            _shut(conn, socket.SHUT_RD)
         for thread in list(self._threads):
             thread.join(timeout=2.0)
+        for sock in [self._server] + conns:
+            _shut(sock, socket.SHUT_RDWR)
+            if sock is not None:
+                with contextlib.suppress(OSError):
+                    sock.close()
 
     def _shutdown(self) -> None:
         """Hook: settle unfinished work at :meth:`close` (lock held)."""
@@ -340,6 +358,11 @@ class _LeaseCore:
                 continue
             except OSError:
                 return
+            with self._lock:
+                if self._stop.is_set():
+                    conn.close()
+                    return
+                self._conns.add(conn)
             handler = threading.Thread(
                 target=self._serve_connection,
                 args=(conn, f"{peer[0]}:{peer[1]}"),
@@ -401,18 +424,28 @@ class _LeaseCore:
                 if not keep:
                     break
         finally:
+            release = False
+            with self._lock:
+                self._conns.discard(conn)
+                if worker is not None and worker.status == "active":
+                    if self._stop.is_set():
+                        # A stopped core mourns nobody: it releases the
+                        # worker, which reads ``done`` on its next ask.
+                        worker.status = "gone"
+                        release = True
+                    else:
+                        try:
+                            self._declare_dead(worker, "connection lost")
+                        except Exception as exc:
+                            self._abort(exc)
+            if release:
+                with contextlib.suppress(OSError):
+                    _send(conn, {"kind": "done"})
             try:
                 reader.close()
                 conn.close()
             except OSError:
                 pass
-            if worker is not None:
-                with self._lock:
-                    if worker.status == "active" and not self._stop.is_set():
-                        try:
-                            self._declare_dead(worker, "connection lost")
-                        except Exception as exc:
-                            self._abort(exc)
 
     def _dispatch(
         self,
@@ -1293,10 +1326,13 @@ def run_worker(
                 reply = _read_reply(session)
                 kind = reply.get("kind")
                 if kind == "done":
-                    session.send(
-                        {"kind": "goodbye", "worker": worker_id},
-                        copies=chaos.copies("goodbye"),
-                    )
+                    # ``done`` releases the worker; a coordinator that
+                    # has already hung up cannot read the goodbye.
+                    with contextlib.suppress(OSError):
+                        session.send(
+                            {"kind": "goodbye", "worker": worker_id},
+                            copies=chaos.copies("goodbye"),
+                        )
                     return {
                         "worker": worker_id,
                         "address": address,

@@ -536,6 +536,8 @@ class ExplorationService:
             await asyncio.sleep(0)
         for worker in self._workers:
             worker.cancel()
+        await asyncio.gather(*self._workers, return_exceptions=True)
+        self._workers.clear()
         # Close idle connections so their handlers see EOF and exit
         # before the loop tears down (no orphaned readline tasks).
         for writer in list(self._connections):
@@ -545,6 +547,7 @@ class ExplorationService:
                 pass
         if self._server is not None:
             await self._server.wait_closed()
+        self._server = None
         if self.fleet is not None:
             await asyncio.to_thread(self.fleet.close)
         try:

@@ -52,6 +52,10 @@ def _spec(n_layers: int = 2) -> PDNSpec:
     return PDNSpec.regular(n_layers, grid_nodes=TEST_GRID)
 
 
+#: Wall-time bound on a run whose core aborts (a 0.5 s lease included).
+ABORT_BOUND_S = 2.0
+
+
 def _wait_until(predicate, timeout_s: float = 10.0) -> None:
     deadline = time.monotonic() + timeout_s
     while not predicate():
@@ -464,7 +468,10 @@ class TestServiceLeaseFailures:
 class TestRunCoreErrors:
     def test_fail_fast_abort_on_the_reaper_reraises_from_poll(self, tmp_path):
         """A lease expiry under fail_fast raises on the reaper thread; the
-        supervisor's own thread must still see it."""
+        supervisor's own thread must still see it, promptly: an aborted
+        core neither lingers for its frozen worker nor waits on the
+        handler blocked reading it."""
+        started = time.monotonic()
         config = SupervisorConfig(
             run_dir=str(tmp_path),
             fleet="127.0.0.1:0",
@@ -498,12 +505,15 @@ class TestRunCoreErrors:
         assert not runner.is_alive()
         assert len(raised) == 1
         assert isinstance(raised[0], TaskTimeoutError)
+        assert time.monotonic() - started <= ABORT_BOUND_S
 
     def test_journal_error_in_a_fleet_commit_reraises_from_run(
         self, tmp_path, monkeypatch
     ):
         """An OSError from the commit core on a handler thread is the
-        run's error, not a dropped worker connection."""
+        run's error, not a dropped worker connection; the handler
+        releases its worker instead of leaving it leasable."""
+        started = time.monotonic()
         supervisor = RunSupervisor(config=SupervisorConfig(
             run_dir=str(tmp_path), fleet="127.0.0.1:0", fleet_wait_s=30.0
         ))
@@ -526,10 +536,14 @@ class TestRunCoreErrors:
         _wait_until(fleet_file.exists)
         address = json.loads(fleet_file.read_text())["address"]
 
+        released = []
+
         def work():
-            # The aborted coordinator vanishes; the worker gives up.
+            # The aborted coordinator releases the worker with ``done``.
             with contextlib.suppress(FleetTransportError):
-                run_worker(address, worker_id="w", patience_s=1.0)
+                released.append(
+                    run_worker(address, worker_id="w", patience_s=1.0)
+                )
 
         worker = threading.Thread(target=work, daemon=True)
         worker.start()
@@ -537,3 +551,5 @@ class TestRunCoreErrors:
         worker.join(timeout=10.0)
         assert not runner.is_alive()
         assert len(raised) == 1 and raised[0].errno == 28
+        assert time.monotonic() - started <= ABORT_BOUND_S
+        assert [r["reconnects"] for r in released] == [0]

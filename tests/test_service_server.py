@@ -9,8 +9,10 @@ test, which runs the real engine.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -422,3 +424,29 @@ class TestProtocol:
                 rejected = client.query(_spec(3))
         assert rejected["status"] == "unavailable"
         assert rejected["code"] == 503
+
+
+class TestStopReleasesTheReplica:
+    def test_stopped_replica_frees_its_factorisations_without_gc(self, tmp_path):
+        """After ``stop()`` the service and its engine's factorisations die
+        by reference counting: no reference cycle keeps them for a full
+        collection (a V-S factorisation is tens of MB at real grids)."""
+        gc.collect()
+        gc.disable()
+        try:
+            handle = serve_in_background(config=_config(tmp_path))
+            spec = PDNSpec.stacked(2, converters_per_core=2, grid_nodes=TEST_GRID)
+            with ServiceClient(handle.address) as client:
+                assert client.query(spec)["status"] == "ok"
+            service = weakref.ref(handle.service)
+            (entry,) = handle.service._executor.engine._cache.values()
+            factorization = weakref.ref(entry.pdn.assembled().factorization)
+            del entry
+            assert factorization() is not None
+            handle.stop()
+            assert not handle.thread.is_alive()
+            del handle
+            assert service() is None
+            assert factorization() is None
+        finally:
+            gc.enable()
