@@ -22,7 +22,6 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.config.stackups import ProcessorSpec, TSV_TOPOLOGIES
 from repro.config.technology import EMParameters, default_em, default_tsv
-from repro.core.scenarios import build_regular_pdn, build_stacked_pdn
 from repro.em import (
     C4_CROSS_SECTION,
     TSV_CROSS_SECTION,
@@ -250,62 +249,6 @@ class DesignSpaceExplorer:
         self.em = em or default_em()
         self.capacitor_technology = capacitor_technology
         self.engine = engine or SweepEngine(workers=workers)
-
-    # ------------------------------------------------------------------
-    def _array_lifetimes(self, result) -> Tuple[float, float]:
-        return _array_lifetimes(result, self.em)
-
-    def _area_overhead(self, topology: str, converters: int) -> float:
-        return _area_overhead(topology, converters, self.capacitor_technology)
-
-    def evaluate_regular(self, topology: str, pad_fraction: float) -> DesignPoint:
-        pdn = build_regular_pdn(
-            self.n_layers,
-            topology=topology,
-            power_pad_fraction=pad_fraction,
-            grid_nodes=self.grid_nodes,
-        )
-        result = pdn.solve()  # regular worst case: all layers active
-        c4_life, tsv_life = self._array_lifetimes(result)
-        return DesignPoint(
-            arrangement="regular",
-            tsv_topology=topology,
-            converters_per_core=0,
-            power_pad_fraction=pad_fraction,
-            ir_drop=result.max_ir_drop_fraction(),
-            efficiency=result.efficiency(),
-            c4_lifetime=c4_life,
-            tsv_lifetime=tsv_life,
-            area_overhead=self._area_overhead(topology, 0),
-            degraded=bool(getattr(result, "degraded", False)),
-        )
-
-    def evaluate_stacked(
-        self, topology: str, pad_fraction: float, converters: int
-    ) -> DesignPoint:
-        pdn = build_stacked_pdn(
-            self.n_layers,
-            converters_per_core=converters,
-            topology=topology,
-            power_pad_fraction=pad_fraction,
-            grid_nodes=self.grid_nodes,
-        )
-        activities = interleaved_layer_activities(self.n_layers, self.imbalance)
-        result = pdn.solve(layer_activities=activities)
-        feasible = result.converters_within_rating()
-        c4_life, tsv_life = self._array_lifetimes(result)
-        return DesignPoint(
-            arrangement="voltage-stacked",
-            tsv_topology=topology,
-            converters_per_core=converters,
-            power_pad_fraction=pad_fraction,
-            ir_drop=result.max_ir_drop_fraction() if feasible else None,
-            efficiency=result.efficiency() if feasible else None,
-            c4_lifetime=c4_life,
-            tsv_lifetime=tsv_life,
-            area_overhead=self._area_overhead(topology, converters),
-            degraded=bool(getattr(result, "degraded", False)),
-        )
 
     def explore(
         self,

@@ -249,7 +249,11 @@ class Factorization(ABC):
                 matvec=self.solve,
                 rmatvec=self.solve_transpose,
             )
-            return float(onenormest(self.matrix) * onenormest(inverse))
+            # ||A||_1 exactly from column sums; ||A^-1||_1 by a
+            # single-column estimate, whose start vector is fixed (wider
+            # estimates draw extra columns from numpy's global RNG).
+            norm = float(abs(self.matrix).sum(axis=0).max())
+            return norm * float(onenormest(inverse, t=1))
         except Exception:  # estimation is best-effort only
             return None
 

@@ -11,7 +11,7 @@ only a triangular solve.
 
 The one entry point is ``solve(request)`` with a
 :class:`SolveRequest` (one operating point or a batch) carrying typed
-:class:`SolveOptions` (resilient, refine, backend override).
+:class:`SolveOptions` (resilient, backend override).
 
 Fault-injected netlists (see :mod:`repro.faults`) can leave the system
 singular: an opened TSV tier floats a whole layer, a dead converter bank
@@ -24,14 +24,15 @@ to die on such inputs.  Before declaring defeat it
    records what was dropped in a :class:`SolveDiagnostics`;
 2. pins any remaining structurally-empty MNA rows with identity
    stamps (dead source/converter branches);
-3. climbs a solver **escalation ladder** on each (full or pruned)
-   system: the selected backend's direct solve (a non-``lu`` backend
-   that cannot factorise falls back to ``lu`` as its own rung, with a
-   one-line structured-log notice), then iterative refinement against
-   the existing factorisation (gated on the cached 1-norm condition
-   estimate), then a Jacobi-preconditioned LGMRES iteration, and
-   finally a dense least-squares solve for small systems.  Every rung
-   climbed is recorded in :attr:`SolveDiagnostics.escalations`.
+3. climbs a solver **escalation ladder**: on the full, then the pruned
+   system, the selected backend's direct solve (one that cannot
+   factorise falls back to ``lu`` as its own rung, with a one-line
+   structured-log notice), then ``lu`` unless already tried, each
+   followed by iterative refinement (gated on ``supports_refine`` and
+   the cached 1-norm condition estimate); then a Jacobi-preconditioned
+   LGMRES iteration, and finally a dense least-squares solve for small
+   systems.  Every rung climbed is recorded in
+   :attr:`SolveDiagnostics.escalations`.
 
 Only when the whole ladder fails does it raise — always a typed
 :class:`repro.errors.ReproError` subclass carrying the diagnostics,
@@ -83,9 +84,6 @@ class SolveOptions:
     ``resilient``
         Climb the escalation ladder instead of failing fast on a
         singular or ill-conditioned system.
-    ``refine``
-        Allow the iterative-refinement rungs (meaningless for backends
-        whose factorisations set ``supports_refine = False``).
     ``backend``
         Per-request override of the assembly's solver backend, by
         registry name (see :mod:`repro.grid.backends`).  ``None`` uses
@@ -93,7 +91,6 @@ class SolveOptions:
     """
 
     resilient: bool = False
-    refine: bool = True
     backend: Optional[str] = None
 
 
@@ -148,12 +145,12 @@ class SolveDiagnostics:
     #: not), "refined" (iterative refinement), "iterative" (the
     #: Jacobi-LGMRES fallback) or "lstsq" (dense least squares).
     fallback: str = "none"
-    #: Escalation-ladder rungs visited, in order.  The first rung is the
-    #: selected backend's direct solve (named after the backend, so
-    #: plain "lu" by default); a non-``lu`` backend that cannot
-    #: factorise inserts an in-rung "lu" fallback; then "refine",
-    #: "pruned-<backend>", "lgmres", "lstsq".  A clean default solve is
-    #: just ["lu"].
+    #: Escalation-ladder rungs visited, in order: the selected backend's
+    #: direct solve (named after it, so "lu" by default), then "lu" (in
+    #: rung when the backend cannot factorise, explicit when it fails
+    #: later), "refine" after any direct rung, the same on the pruned
+    #: system ("pruned-<backend>", "pruned-lu"), "lgmres", "lstsq".  A
+    #: clean default solve is just ["lu"].
     escalations: List[str] = field(default_factory=list)
     #: Wall time spent on each rung, parallel to ``escalations``, so
     #: ladder cost is attributable per rung (batched clean columns get
@@ -637,67 +634,87 @@ class AssembledCircuit:
         scale = max(1.0, float(np.linalg.norm(z)))
         return residual / scale
 
-    def _direct_attempt(
+    def _direct_rung(
         self,
-        backend: SolverBackend,
+        fact: Optional[Factorization],
+        matrix,
         z: np.ndarray,
-        pruned: bool = False,
-        timer: Optional[_RungTimer] = None,
-    ):
-        """One direct ladder rung: backend solve (with in-rung lu fallback).
+        diag: SolveDiagnostics,
+        timer: _RungTimer,
+    ) -> Optional[np.ndarray]:
+        """Solve with ``fact``, then refine while it helps.
 
-        Returns ``(x, relative_residual, factorisation, rung_name)`` or
-        None when no direct factorisation produced a finite answer.
-        The rung name records which factorisation actually answered
-        (e.g. ``"pruned-lu"`` after an in-rung fallback), so the ladder
-        can tell whether an explicit lu rung would be redundant.
+        Refinement (``x += fact.solve(z - A x)``, at most
+        ``MAX_REFINEMENT_PASSES``) runs only when ``fact.supports_refine``
+        and the condition estimate leaves digits to win back.  Returns
+        the accepted answer, recorded in ``diag``, or None.
         """
-        matrix = self._pruned_matrix if pruned else self._matrix
-        fact, rung = self._fallback_factorization(backend, pruned, timer)
         if fact is None:
             return None
         try:
-            x = fact.solve_batch(z) if z.ndim == 2 else fact.solve(z)
+            x = fact.solve(z)
         except (RuntimeError, ValueError):
             return None
         if not np.all(np.isfinite(x)):
             return None
-        return x, self._relative_residual(matrix, x, z), fact, rung
-
-    def _refine_attempt(self, matrix, fact: Factorization, x, z):
-        """Iterative refinement against an existing factorisation.
-
-        Classical residual correction: ``x += fact.solve(z - A x)``
-        until the relative residual meets the tolerance or the pass
-        budget is spent.  Returns ``(x, relative_residual)`` of the
-        best iterate.
-        """
+        tol = self.RESIDUAL_TOLERANCE
         rel = self._relative_residual(matrix, x, z)
-        for _ in range(self.MAX_REFINEMENT_PASSES):
-            if rel <= self.RESIDUAL_TOLERANCE:
-                break
-            dx = fact.solve(z - matrix @ x)
-            if not np.all(np.isfinite(dx)):
-                break
-            refined = x + dx
-            refined_rel = self._relative_residual(matrix, refined, z)
-            if refined_rel >= rel:  # refinement stalled or diverged
-                break
-            x, rel = refined, refined_rel
-        return x, rel
+        cond = diag.condition_estimate = fact.condition_estimate()
+        if rel > tol:
+            if not fact.supports_refine or (
+                cond is not None and cond >= self.REFINE_CONDITION_LIMIT
+            ):
+                return None
+            timer.start("refine")
+            for _ in range(self.MAX_REFINEMENT_PASSES):
+                dx = fact.solve(z - matrix @ x)
+                if not np.all(np.isfinite(dx)):
+                    break
+                refined = x + dx
+                refined_rel = self._relative_residual(matrix, refined, z)
+                if refined_rel >= rel:  # stalled or diverged
+                    break
+                x, rel = refined, refined_rel
+                if rel <= tol:
+                    break
+            if rel > tol:
+                return None
+            diag.fallback = "refined"
+        diag.residual = rel
+        return x
 
-    def _should_refine(self, condition_estimate: Optional[float]) -> bool:
-        """Refinement rung gate: conditioning must leave digits to win back."""
-        return (
-            condition_estimate is None
-            or condition_estimate < self.REFINE_CONDITION_LIMIT
-        )
+    def _direct_rungs(
+        self,
+        backend: SolverBackend,
+        z: np.ndarray,
+        diag: SolveDiagnostics,
+        timer: _RungTimer,
+        pruned: bool,
+    ) -> Optional[np.ndarray]:
+        """The direct rungs on the full or the pruned system.
 
-    def _lstsq_attempt(self, matrix, z):
+        The backend's rung (already started on ``timer``; a backend
+        that cannot factorise falls back to ``lu`` in-rung), then an
+        explicit ``lu`` rung unless ``lu`` was already tried on this
+        system: a backend that fails at solve time or misses the
+        tolerance is never worse than ``lu`` under resilience.  Each
+        rung is a :meth:`_direct_rung`.
+        """
+        matrix = self._pruned_matrix if pruned else self._matrix
+        lu_rung = "pruned-lu" if pruned else "lu"
+        fact, rung = self._fallback_factorization(backend, pruned, timer)
+        x = self._direct_rung(fact, matrix, z, diag, timer)
+        if x is None and rung != lu_rung:
+            timer.start(lu_rung)
+            fact = self._factorization(get_backend("lu"), pruned)
+            x = self._direct_rung(fact, matrix, z, diag, timer)
+        return x
+
+    def _lstsq_attempt(self, matrix, z, diag: SolveDiagnostics):
         """Dense least-squares last resort for small systems.
 
-        Returns ``(x, relative_residual)`` or None when the system is
-        too large to densify or lstsq itself failed.
+        Returns the answer when it meets the tolerance (recorded in
+        ``diag``), else None; systems too large to densify are skipped.
         """
         if self.dimension > self.LSTSQ_MAX_DIMENSION:
             return None
@@ -707,10 +724,19 @@ class AssembledCircuit:
             return None
         if not np.all(np.isfinite(x)):
             return None
-        return x, self._relative_residual(matrix, x, z)
+        rel = self._relative_residual(matrix, x, z)
+        if rel > self.RESIDUAL_TOLERANCE:
+            return None
+        diag.residual = rel
+        diag.fallback = "lstsq"
+        return x
 
     def _iterative_attempt(self, matrix, z, diag: SolveDiagnostics):
-        """Jacobi-preconditioned LGMRES fallback for near-singular systems."""
+        """Jacobi-preconditioned LGMRES fallback for near-singular systems.
+
+        Returns the answer when LGMRES converged, with its residual in
+        ``diag`` (which may still miss the tolerance), else None.
+        """
         diagonal = matrix.diagonal()
         inv_diag = np.where(np.abs(diagonal) > 1e-300, 1.0 / diagonal, 1.0)
         preconditioner = LinearOperator(
@@ -735,7 +761,8 @@ class AssembledCircuit:
         diag.iterations = iterations
         if info != 0 or not np.all(np.isfinite(x)):
             return None
-        return x, self._relative_residual(matrix, x, z)
+        diag.residual = self._relative_residual(matrix, x, z)
+        return x
 
     def solve(
         self, request: Optional[SolveRequest] = None
@@ -792,7 +819,7 @@ class AssembledCircuit:
             if not resolved:
                 return []
             if options.resilient:
-                return self._solve_resilient_batch(resolved, backend, options)
+                return self._solve_resilient_batch(resolved, backend)
             z = np.column_stack([self._rhs(c, v) for c, v in resolved])
             x = self._solve_strict(z, backend)
             return [
@@ -808,9 +835,7 @@ class AssembledCircuit:
             request.isource_current, request.vsource_voltage
         )
         if options.resilient:
-            x, diag, current = self._solve_resilient(
-                current, voltage, backend, options
-            )
+            x, diag, current = self._solve_resilient(current, voltage, backend)
         else:
             x = self._solve_strict(self._rhs(current, voltage), backend)
             diag = None
@@ -845,7 +870,7 @@ class AssembledCircuit:
         return residual / scale
 
     def _solve_resilient_batch(
-        self, resolved, backend: SolverBackend, options: SolveOptions
+        self, resolved, backend: SolverBackend
     ) -> List[Solution]:
         """Batched mirror of :meth:`_solve_resilient`.
 
@@ -856,68 +881,69 @@ class AssembledCircuit:
         lstsq — exactly as :meth:`solve` would, so results match the
         point-by-point path bit for bit.
         """
-        k = len(resolved)
         z = np.column_stack([self._rhs(c, v) for c, v in resolved])
-        solutions: List[Optional[Solution]] = [None] * k
-        pending = list(range(k))
 
-        # 1. Plain direct multi-RHS solve on the full system.
+        # 1. Plain direct multi-RHS solve on the full system.  Clean
+        # columns report the per-point ladder: a backend that refused
+        # the matrix is a rung of its own before the lu that answered.
         fact, rung = self._fallback_factorization(backend)
+        refused = [backend.name] if rung != backend.name else []
+        x, clean = None, set()
         if fact is not None:
             t0 = time.perf_counter()
             try:
                 x = fact.solve_batch(z)
             except (RuntimeError, ValueError):
-                x = None
+                pass
             if x is not None:
                 finite = np.all(np.isfinite(x), axis=0)
                 rel = self._batch_residuals(self._matrix, x, z)
                 batch_elapsed = time.perf_counter() - t0
-                clean = [
+                clean = {
                     i
-                    for i in pending
+                    for i in range(len(resolved))
                     if finite[i] and rel[i] <= self.RESIDUAL_TOLERANCE
-                ]
+                }
                 # Clean columns share the batch's direct-solve wall
                 # equally; exact per-column cost of one multi-RHS
                 # triangular solve is not separable, and the shares sum
-                # to the measured total.
+                # to the measured total.  A refused rung costs nothing
+                # here: its failure was cached when it was factorised.
                 lu_share = batch_elapsed / len(clean) if clean else 0.0
-                for i in clean:
-                    diag = SolveDiagnostics(
-                        residual=float(rel[i]),
-                        escalations=[rung],
-                        escalation_times_s=[lu_share],
-                        backend=backend.name,
-                    )
-                    diag.condition_estimate = fact.condition_estimate()
-                    solutions[i] = Solution(
-                        assembled=self,
-                        x=x[:, i],
-                        isource_current=resolved[i][0],
-                        vsource_voltage=resolved[i][1],
-                        diagnostics=diag,
-                    )
-                    pending.remove(i)
                 if clean:
-                    get_tracer().record(
+                    tracer = get_tracer()
+                    for name in refused:
+                        tracer.record("rung", 0.0, rung=name, count=len(clean))
+                    tracer.record(
                         "rung", batch_elapsed, rung=rung, count=len(clean)
                     )
 
-        # 2. Failing columns climb the per-point escalation ladder
-        # (sharing this assembly's cached pruned system and
-        # factorisations).
-        for i in pending:
-            current, voltage = resolved[i]
-            x_i, diag, effective = self._solve_resilient(
-                current, voltage, backend, options
-            )
-            solutions[i] = Solution(
-                assembled=self,
-                x=x_i,
-                isource_current=effective,
-                vsource_voltage=voltage,
-                diagnostics=diag,
+        # 2. Clean columns keep the batched answer; failing ones climb
+        # the per-point escalation ladder (sharing this assembly's
+        # cached pruned system and factorisations).
+        solutions = []
+        for i, (current, voltage) in enumerate(resolved):
+            if i in clean:
+                x_i, effective = x[:, i], current
+                diag = SolveDiagnostics(
+                    residual=float(rel[i]),
+                    escalations=refused + [rung],
+                    escalation_times_s=[0.0] * len(refused) + [lu_share],
+                    backend=backend.name,
+                    condition_estimate=fact.condition_estimate(),
+                )
+            else:
+                x_i, diag, effective = self._solve_resilient(
+                    current, voltage, backend
+                )
+            solutions.append(
+                Solution(
+                    assembled=self,
+                    x=x_i,
+                    isource_current=effective,
+                    vsource_voltage=voltage,
+                    diagnostics=diag,
+                )
             )
         return solutions
 
@@ -964,8 +990,7 @@ class AssembledCircuit:
         self,
         current: np.ndarray,
         voltage: np.ndarray,
-        backend: Optional[SolverBackend] = None,
-        options: Optional[SolveOptions] = None,
+        backend: SolverBackend,
     ):
         """Climb the escalation ladder until a solve meets tolerance.
 
@@ -975,12 +1000,10 @@ class AssembledCircuit:
         diagnostics carried by a raised error), and emits one "rung"
         trace span per ladder rung climbed.
         """
-        backend = self.backend if backend is None else backend
-        options = SolveOptions(resilient=True) if options is None else options
         timer = _RungTimer()
         try:
             x, diag, effective = self._solve_resilient_impl(
-                current, voltage, timer, backend, options
+                current, voltage, timer, backend
             )
         except (ConvergenceError, SingularCircuitError) as exc:
             timer.finish(getattr(exc, "diagnostics", None))
@@ -994,24 +1017,13 @@ class AssembledCircuit:
         voltage: np.ndarray,
         timer: _RungTimer,
         backend: SolverBackend,
-        options: SolveOptions,
     ):
         """The ladder itself (see :meth:`_solve_resilient`).
 
-        Backend direct solve (with in-rung lu fallback) -> iterative
-        refinement -> plain lu (non-default backends whose own solve
-        failed or missed tolerance) -> island pruning (direct +
-        refinement, with the same lu escalation) -> Jacobi-LGMRES ->
-        dense lstsq.  Refinement rungs are gated on the factorisation's
-        cached 1-norm condition estimate: a numerically singular system
-        has no digits left for refinement to win back, so the ladder
-        skips straight to pruning.  The explicit lu rungs guarantee a
-        non-default backend is never *worse* than lu under resilience:
-        a solve-time failure (e.g. LGMRES stalling on a large
-        saddle-point system) escalates to the direct factorisation
-        before any structural surgery; they are skipped when the rung
-        above already answered from lu's factorisation (in-rung
-        factorize-time fallback).
+        The direct rungs on the full system (:meth:`_direct_rungs`),
+        then island pruning and the same direct rungs on the pruned
+        system, then Jacobi-LGMRES, then dense lstsq, then a typed
+        raise.
 
         Returns ``(x, diagnostics, effective_isource_current)`` — the
         current vector has shed loads zeroed so downstream power
@@ -1019,70 +1031,12 @@ class AssembledCircuit:
         """
         timer.start(backend.name)
         z = self._rhs(current, voltage)
-        ladder = timer.names
-        # 1. Plain direct solve on the full system.
-        attempt = self._direct_attempt(backend, z, pruned=False, timer=timer)
-        if attempt is not None:
-            x, rel, fact, _ = attempt
-            if rel <= self.RESIDUAL_TOLERANCE:
-                diag = SolveDiagnostics(
-                    residual=rel, escalations=ladder, backend=backend.name
-                )
-                diag.condition_estimate = fact.condition_estimate()
-                return x, diag, current
-            # 2. Iterative refinement against the existing factorisation.
-            cond = fact.condition_estimate()
-            if (
-                options.refine
-                and fact.supports_refine
-                and self._should_refine(cond)
-            ):
-                timer.start("refine")
-                x, rel = self._refine_attempt(self._matrix, fact, x, z)
-                if rel <= self.RESIDUAL_TOLERANCE:
-                    diag = SolveDiagnostics(
-                        residual=rel,
-                        fallback="refined",
-                        escalations=ladder,
-                        backend=backend.name,
-                    )
-                    diag.condition_estimate = cond
-                    return x, diag, current
+        diag = SolveDiagnostics(escalations=timer.names, backend=backend.name)
+        x = self._direct_rungs(backend, z, diag, timer, pruned=False)
+        if x is not None:
+            return x, diag, current
 
-        # 2b. A non-default backend that failed at *solve* time (its
-        # factorize-time failures already degraded to lu in-rung above)
-        # escalates to the plain lu factorisation of the same full
-        # system before any structural surgery.
-        if backend.name != "lu" and (attempt is None or attempt[3] != "lu"):
-            timer.start("lu")
-            attempt = self._direct_attempt(get_backend("lu"), z, pruned=False)
-            if attempt is not None:
-                x, rel, fact, _ = attempt
-                if rel <= self.RESIDUAL_TOLERANCE:
-                    diag = SolveDiagnostics(
-                        residual=rel, escalations=ladder, backend=backend.name
-                    )
-                    diag.condition_estimate = fact.condition_estimate()
-                    return x, diag, current
-                cond = fact.condition_estimate()
-                if (
-                    options.refine
-                    and fact.supports_refine
-                    and self._should_refine(cond)
-                ):
-                    timer.start("refine")
-                    x, rel = self._refine_attempt(self._matrix, fact, x, z)
-                    if rel <= self.RESIDUAL_TOLERANCE:
-                        diag = SolveDiagnostics(
-                            residual=rel,
-                            fallback="refined",
-                            escalations=ladder,
-                            backend=backend.name,
-                        )
-                        diag.condition_estimate = cond
-                        return x, diag, current
-
-        # 3. Ground floating islands, shed their loads, retry direct.
+        # Ground floating islands, shed their loads, retry direct.
         timer.start(f"pruned-{backend.name}")
         if self._pruned_matrix is None:
             self._diagnostics_template = self._build_pruned_system()
@@ -1092,87 +1046,29 @@ class AssembledCircuit:
             dropped_nodes=list(base.dropped_nodes),
             shed_loads=base.shed_loads,
             stabilized_rows=base.stabilized_rows,
-            escalations=ladder,
+            escalations=timer.names,
             backend=backend.name,
         )
         if len(current) and self._shed_isource_mask is not None:
             current = np.where(self._shed_isource_mask, 0.0, current)
-        z_pruned = self._rhs(current, voltage)
-        z_pruned[self._forced_zero_rows] = 0.0
-        attempt = self._direct_attempt(backend, z_pruned, pruned=True, timer=timer)
-        if attempt is not None:
-            x, rel, fact, _ = attempt
-            if rel <= self.RESIDUAL_TOLERANCE:
-                diag.residual = rel
-                diag.condition_estimate = fact.condition_estimate()
-                return x, diag, current
-            # 4. Refinement on the pruned system, same conditioning gate.
-            cond = fact.condition_estimate()
-            diag.condition_estimate = cond
-            if (
-                options.refine
-                and fact.supports_refine
-                and self._should_refine(cond)
-            ):
-                timer.start("refine")
-                x, rel = self._refine_attempt(
-                    self._pruned_matrix, fact, x, z_pruned
-                )
-                if rel <= self.RESIDUAL_TOLERANCE:
-                    diag.residual = rel
-                    diag.fallback = "refined"
-                    return x, diag, current
+        z = self._rhs(current, voltage)
+        z[self._forced_zero_rows] = 0.0
+        x = self._direct_rungs(backend, z, diag, timer, pruned=True)
+        if x is not None:
+            return x, diag, current
 
-        # 4b. Same lu escalation on the pruned system (see 2b).
-        if backend.name != "lu" and (
-            attempt is None or attempt[3] != "pruned-lu"
-        ):
-            timer.start("pruned-lu")
-            attempt = self._direct_attempt(
-                get_backend("lu"), z_pruned, pruned=True
-            )
-            if attempt is not None:
-                x, rel, fact, _ = attempt
-                if rel <= self.RESIDUAL_TOLERANCE:
-                    diag.residual = rel
-                    diag.condition_estimate = fact.condition_estimate()
-                    return x, diag, current
-                cond = fact.condition_estimate()
-                diag.condition_estimate = cond
-                if (
-                    options.refine
-                    and fact.supports_refine
-                    and self._should_refine(cond)
-                ):
-                    timer.start("refine")
-                    x, rel = self._refine_attempt(
-                        self._pruned_matrix, fact, x, z_pruned
-                    )
-                    if rel <= self.RESIDUAL_TOLERANCE:
-                        diag.residual = rel
-                        diag.fallback = "refined"
-                        return x, diag, current
-
-        # 5. Jacobi-preconditioned LGMRES on the pruned system.
+        # Jacobi-preconditioned LGMRES on the pruned system.
         timer.start("lgmres")
-        iterative_rel = None
-        attempt = self._iterative_attempt(self._pruned_matrix, z_pruned, diag)
-        if attempt is not None:
-            x, rel = attempt
-            diag.residual = rel
-            if rel <= self.RESIDUAL_TOLERANCE:
-                return x, diag, current
-            iterative_rel = rel
+        x = self._iterative_attempt(self._pruned_matrix, z, diag)
+        if x is not None and diag.residual <= self.RESIDUAL_TOLERANCE:
+            return x, diag, current
+        iterative_rel = diag.residual if x is not None else None
 
-        # 6. Dense least squares, the ladder's last rung.
+        # Dense least squares, the ladder's last rung.
         timer.start("lstsq")
-        attempt = self._lstsq_attempt(self._pruned_matrix, z_pruned)
-        if attempt is not None:
-            x, rel = attempt
-            if rel <= self.RESIDUAL_TOLERANCE:
-                diag.residual = rel
-                diag.fallback = "lstsq"
-                return x, diag, current
+        x = self._lstsq_attempt(self._pruned_matrix, z, diag)
+        if x is not None:
+            return x, diag, current
 
         if iterative_rel is not None:
             raise ConvergenceError(

@@ -14,40 +14,23 @@ import json
 import os
 import pathlib
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
-from repro.obs.metrics import MetricsRegistry
-
-#: Schema version of the emitted JSON; bump on layout changes.
-#: v2 added the robustness counters (retries, quarantined,
-#: pool_rebuilds, escalation histogram) and per-group executed/escalations.
-#: v3 added the physics-contract histogram ("contracts": per-run check
-#: status counts + degraded-point count) and per-group contract timing
-#: ("contracts_s"), so contract-checking overhead is tracked in BENCH.
-#: v4 added "run_fingerprint" (joins BENCH files with report-<fp>.json /
-#: journal-<fp>.jsonl / trace-<fp>.jsonl from the same run) and made the
-#: aggregate fields views over a typed repro.obs.metrics registry.
-#: v5 added the distributed-fleet counters to "totals" (leases_expired,
-#: worker_deaths, reassignments) and the "fleet" run mode — additive,
-#: so v4 readers keep working.
-#: v6 added the solver-backend fields: run-level "solver" (the registry
-#: name the sweep ran under) and per-group "backend" — additive, so v5
-#: readers keep working.
-#: v7 added the exploration-service counter block: ``BENCH_service*.json``
-#: files written by :mod:`repro.service` share this schema number and
-#: carry a "service" section (cache hit/miss/evict, shed, coalesced,
-#: solve and breaker-transition counters plus the breaker state).
-#: Sweep-level BENCH files are unchanged — additive, v6 readers keep
-#: working.
-#: v8 extended the "service" section with typed-telemetry views:
-#: "latency" (per-query histogram count/sum, outcome breakdown and
-#: p50/p95/p99 bucket estimates) and "slo" (latency objective, ok vs
-#: breached counts, error-budget burn fraction) — additive, v7 readers
-#: keep working.
+#: Schema version of the emitted JSON; bump on layout changes (the
+#: layout is described in docs/RUNTIME.md, "Stage metrics and BENCH JSON").
 BENCH_SCHEMA = 8
 
 #: Environment variable naming a directory to auto-write BENCH files to.
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
+
+
+def _sum_counts(tallies: Iterable[Dict[str, int]]) -> Dict[str, int]:
+    """Key-wise sum of count dicts, keys in order of first appearance."""
+    out: Dict[str, int] = {}
+    for tally in tallies:
+        for key, count in tally.items():
+            out[key] = out.get(key, 0) + count
+    return out
 
 
 @dataclass
@@ -87,10 +70,6 @@ class GroupMetrics:
     contracts: Dict[str, int] = field(default_factory=dict)
     #: Wall time spent evaluating contracts over the group's points (s).
     contracts_s: float = 0.0
-
-    @property
-    def total_s(self) -> float:
-        return self.build_s + self.factorize_s + self.solve_s + self.post_s
 
     def count_escalation(self, rung: str, n: int = 1) -> None:
         self.escalations[rung] = self.escalations.get(rung, 0) + n
@@ -145,79 +124,25 @@ class SweepMetrics:
     def n_solve_calls(self) -> int:
         return sum(g.n_solve_calls for g in self.groups)
 
-    def registry(self) -> MetricsRegistry:
-        """The run's tallies as a typed :class:`MetricsRegistry`.
-
-        This is the authoritative store since BENCH schema v4: the
-        legacy aggregate accessors below (``stage_totals`` /
-        ``escalation_histogram`` / ``contract_histogram`` /
-        ``contracts_s``) are views computed from it, and its Prometheus
-        rendering is what ``metrics-<fp>.prom`` snapshots export.
-        """
-        registry = MetricsRegistry()
-        stage = registry.histogram(
-            "stage", "wall time per sweep stage, per topology group"
-        )
-        escalations = registry.counter(
-            "escalations_total", "solver escalation-ladder rung executions"
-        )
-        contracts = registry.counter(
-            "contract_status_total", "physics-contract check statuses"
-        )
-        contract_time = registry.histogram(
-            "contracts", "wall time spent evaluating physics contracts"
-        )
-        points = registry.counter("points_total", "sweep points evaluated")
-        solve_calls = registry.counter(
-            "solve_calls_total", "linear-system solve calls issued"
-        )
-        for group in self.groups:
-            stage.observe(group.build_s, stage="build", group=group.key)
-            stage.observe(group.factorize_s, stage="factorize", group=group.key)
-            stage.observe(group.solve_s, stage="solve", group=group.key)
-            stage.observe(group.post_s, stage="post", group=group.key)
-            contract_time.observe(group.contracts_s, group=group.key)
-            points.inc(group.n_points, group=group.key)
-            solve_calls.inc(group.n_solve_calls, group=group.key)
-            for rung, count in group.escalations.items():
-                escalations.inc(count, rung=rung, group=group.key)
-            for status, count in group.contracts.items():
-                contracts.inc(count, status=status, group=group.key)
-        gauge = registry.gauge("run", "run-level counters")
-        gauge.set(self.wall_s, field="wall_s")
-        gauge.set(self.workers, field="workers")
-        for name in ("cache_hits", "cache_misses", "cache_rebuilds",
-                     "retries", "quarantined", "pool_rebuilds",
-                     "timeouts", "resumed", "leases_expired",
-                     "worker_deaths", "reassignments"):
-            gauge.set(getattr(self, name), field=name)
-        return registry
-
     def stage_totals(self) -> Dict[str, float]:
-        sums = self.registry().get("stage").sum_by_label("stage")
-        return {
-            "build_s": sums.get("build", 0.0),
-            "factorize_s": sums.get("factorize", 0.0),
-            "solve_s": sums.get("solve", 0.0),
-            "post_s": sums.get("post", 0.0),
-        }
+        totals = dict.fromkeys(("build_s", "factorize_s", "solve_s", "post_s"), 0.0)
+        for group in self.groups:
+            for stage in totals:
+                totals[stage] += getattr(group, stage)
+        return totals
 
     def escalation_histogram(self) -> Dict[str, int]:
         """Solver escalation-ladder rung counts over the whole run."""
-        by_rung = self.registry().get("escalations_total").by_label("rung")
-        return {rung: int(count) for rung, count in by_rung.items()}
+        return _sum_counts(group.escalations for group in self.groups)
 
     def contract_histogram(self) -> Dict[str, int]:
         """Physics-contract status counts over the whole run."""
-        by_status = self.registry().get("contract_status_total").by_label(
-            "status"
-        )
-        return {status: int(count) for status, count in by_status.items()}
+        return _sum_counts(group.contracts for group in self.groups)
 
     @property
     def contracts_s(self) -> float:
         """Total wall time spent on contract checks (s)."""
-        return self.registry().get("contracts").total_sum()
+        return sum(group.contracts_s for group in self.groups)
 
     # ------------------------------------------------------------------
     def to_json(self) -> Dict:

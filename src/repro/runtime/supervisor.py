@@ -867,19 +867,10 @@ class RunSupervisor:
                 self._handle_failure(task, state)
                 continue
             task.wall_s += time.perf_counter() - t0
+            # _run_group_local already wrote the values; _commit rewrites
+            # the same objects and does the bookkeeping.
             group_values = [state.values[index] for index, _ in task.members]
-            # _run_group_local already wrote the values; record the
-            # commit bookkeeping (it cannot be a duplicate here).
-            record = state.record(task)
-            record.status = "done"
-            record.attempts = task.attempts
-            record.timeouts = task.timeouts
-            record.wall_s = task.wall_s
-            state.metrics.groups.append(group_metrics)
-            self._record_task_span(task, "done")
-            self._journal_task(
-                state.journal, task, record, group_metrics, group_values
-            )
+            self._commit(task, group_values, group_metrics, state)
 
     # ------------------------------------------------------------------
     # Process execution (crash + deadline monitoring)

@@ -775,7 +775,7 @@ class ExplorationService:
         return registry
 
     def bench_payload(self) -> Dict[str, Any]:
-        """The BENCH schema-v8 counter block (see runtime.metrics)."""
+        """The BENCH schema-v8 counter block (layout in docs/RUNTIME.md)."""
         return {
             "schema": BENCH_SCHEMA,
             "service": self.counters(),
