@@ -59,9 +59,8 @@ class ExperimentConfig:
     grid_nodes: int = 20
     n_layers: int = 8
     seed: Optional[int] = None
-    #: Process fan-out width for engine-backed experiments (None =
-    #: the REPRO_SWEEP_WORKERS environment default).
-    workers: Optional[int] = None
+    #: Process fan-out (``--workers``) is a supervision setting: it
+    #: lives in ``options["supervision"]``, a ``SupervisorConfig``.
     options: Dict[str, Any] = field(default_factory=dict)
 
     def option(self, name: str, default: Any = None) -> Any:
@@ -295,7 +294,8 @@ def add_supervision_arguments(parser) -> None:
     group.add_argument(
         "--workers", type=typed_int("--workers", minimum=1), default=None,
         metavar="N",
-        help="process fan-out width (default: REPRO_SWEEP_WORKERS or 1)",
+        help="spread each run's topologies over N supervised worker "
+        "processes (default 1; a one-topology run stays in-process)",
     )
     group.add_argument(
         "--fleet", type=str, default=None, metavar="HOST:PORT",
@@ -391,12 +391,14 @@ def supervision_from_args(args) -> Optional[Any]:
     fleet = getattr(args, "fleet", None)
     lease_timeout = getattr(args, "lease_timeout", None)
     fleet_wait = getattr(args, "fleet_wait", None)
+    workers = getattr(args, "workers", None)
     if (
         run_dir is None
         and max_retries is None
         and task_timeout is None
         and not fail_fast
         and fleet is None
+        and workers is None
     ):
         return None
     from repro.runtime import SupervisorConfig
@@ -409,7 +411,7 @@ def supervision_from_args(args) -> Optional[Any]:
         resume=resume is not None,
         salvage=bool(getattr(args, "resume_salvage", False)),
         fleet=fleet,
-        workers=getattr(args, "workers", None),
+        workers=1 if workers is None else workers,
         verbose=True,
     )
     if lease_timeout is not None:
@@ -420,10 +422,7 @@ def supervision_from_args(args) -> Optional[Any]:
 
 
 def apply_common_args(config: ExperimentConfig, args) -> ExperimentConfig:
-    """Fold the shared CLI flags (workers, supervision) into a config."""
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        config.workers = workers
+    """Fold the shared supervision flags into a config."""
     supervision = supervision_from_args(args)
     if supervision is not None:
         config.options["supervision"] = supervision
@@ -467,6 +466,5 @@ def resolve_engine(config: ExperimentConfig):
     if isinstance(engine, RunSupervisor):
         return engine
     if supervision is not None:
-        inner = engine or SweepEngine(workers=config.workers)
-        return RunSupervisor(engine=inner, config=supervision)
-    return engine or SweepEngine(workers=config.workers)
+        return RunSupervisor(engine=engine or SweepEngine(), config=supervision)
+    return engine or SweepEngine()

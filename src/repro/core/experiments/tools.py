@@ -56,7 +56,6 @@ class ExploreExperiment(Experiment):
             n_layers=config.n_layers,
             imbalance=config.option("imbalance", 0.65),
             grid_nodes=config.grid_nodes,
-            workers=config.workers,
             engine=resolve_engine(config),
         )
         result = explorer.explore()

@@ -227,8 +227,8 @@ class DesignSpaceExplorer:
 
     ``explore()`` runs on the :class:`repro.runtime.engine.SweepEngine`
     — every distinct topology in the cross product is built and
-    factorised once, and independent topologies can fan out across
-    worker processes (``workers`` / ``REPRO_SWEEP_WORKERS``).
+    factorised once.  Pass ``engine=RunSupervisor(workers=N)`` to
+    spread the topologies over N worker processes.
     """
 
     def __init__(
@@ -238,7 +238,6 @@ class DesignSpaceExplorer:
         grid_nodes: int = 12,
         em: Optional[EMParameters] = None,
         capacitor_technology: str = "trench",
-        workers: Optional[int] = None,
         engine: Optional[SweepEngine] = None,
     ):
         if not 0.0 <= imbalance <= 1.0:
@@ -248,7 +247,7 @@ class DesignSpaceExplorer:
         self.grid_nodes = grid_nodes
         self.em = em or default_em()
         self.capacitor_technology = capacitor_technology
-        self.engine = engine or SweepEngine(workers=workers)
+        self.engine = engine or SweepEngine()
 
     def explore(
         self,

@@ -65,6 +65,7 @@ __all__ = [
     "backend_availability",
     "default_backend_name",
     "get_backend",
+    "jacobi_preconditioner",
     "notice_once",
     "register_backend",
     "resolve_backend",
@@ -176,6 +177,23 @@ def _asymmetry(matrix) -> float:
     """Largest ``|A - A^T|`` entry; exactly 0.0 when ``A == A^T`` bit for bit."""
     asym = abs(matrix - matrix.T)
     return float(asym.max()) if asym.nnz else 0.0
+
+
+def jacobi_preconditioner(matrix) -> LinearOperator:
+    """The diagonal (Jacobi) preconditioner ``v -> v / diag(A)``.
+
+    Zero diagonal entries (an MNA matrix's voltage-source rows) are left
+    unscaled; they are masked before the division, so none of them
+    raises a divide-by-zero warning.
+    """
+    diagonal = matrix.diagonal()
+    inv_diag = np.divide(
+        1.0,
+        diagonal,
+        out=np.ones_like(diagonal),
+        where=np.abs(diagonal) > 1e-300,
+    )
+    return LinearOperator(matrix.shape, matvec=lambda v: inv_diag * v)
 
 
 def _symmetric_indefinite(matrix) -> bool:
@@ -332,16 +350,12 @@ class _IterativeFactorization(Factorization):
         if self._spd:
             # Jacobi: cheap, deterministic, and (unlike an incomplete
             # factorisation) guaranteed SPD, which CG requires of M.
-            diagonal = matrix.diagonal()
-            inv_diag = np.where(np.abs(diagonal) > 1e-300, 1.0 / diagonal, 1.0)
-            return LinearOperator(matrix.shape, matvec=lambda v: inv_diag * v)
+            return jacobi_preconditioner(matrix)
         try:
             ilu = spilu(matrix.tocsc(), drop_tol=1e-5, fill_factor=10.0)
             return LinearOperator(matrix.shape, matvec=ilu.solve)
         except (RuntimeError, ValueError, MemoryError):
-            diagonal = matrix.diagonal()
-            inv_diag = np.where(np.abs(diagonal) > 1e-300, 1.0 / diagonal, 1.0)
-            return LinearOperator(matrix.shape, matvec=lambda v: inv_diag * v)
+            return jacobi_preconditioner(matrix)
 
     def _solve_one(self, b):
         iterations = 0

@@ -48,7 +48,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, lgmres
+from scipy.sparse.linalg import lgmres
 
 from repro.errors import (
     ConvergenceError,
@@ -59,6 +59,7 @@ from repro.grid.backends import (
     Factorization,
     SolverBackend,
     get_backend,
+    jacobi_preconditioner,
     notice_once,
     resolve_backend,
 )
@@ -737,11 +738,7 @@ class AssembledCircuit:
         Returns the answer when LGMRES converged, with its residual in
         ``diag`` (which may still miss the tolerance), else None.
         """
-        diagonal = matrix.diagonal()
-        inv_diag = np.where(np.abs(diagonal) > 1e-300, 1.0 / diagonal, 1.0)
-        preconditioner = LinearOperator(
-            matrix.shape, matvec=lambda v: inv_diag * v
-        )
+        preconditioner = jacobi_preconditioner(matrix)
         iterations = 0
 
         def count(_):

@@ -19,7 +19,6 @@ from repro.runtime.engine import (
     SweepOutcome,
     SweepPoint,
     SweepResult,
-    WORKERS_ENV,
     group_points,
 )
 from repro.runtime.journal import (
@@ -60,7 +59,6 @@ __all__ = [
     "maybe_write_bench_json",
     "BENCH_SCHEMA",
     "BENCH_DIR_ENV",
-    "WORKERS_ENV",
     "group_points",
     "JOURNAL_SCHEMA",
     "RunJournal",

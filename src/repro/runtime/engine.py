@@ -13,11 +13,11 @@ for, at sweep scope:
    ``run()`` calls (and invalidates itself on netlist revision bumps);
 2. all of a topology's load vectors are stacked into one dense RHS
    matrix and solved in a single batched
-   :meth:`repro.grid.solver.AssembledCircuit.solve` call;
-3. independent topologies fan out across a
-   :class:`concurrent.futures.ProcessPoolExecutor` with deterministic
-   result ordering and a serial fallback when the pool is unavailable
-   (or when results cannot be shipped between processes).
+   :meth:`repro.grid.solver.AssembledCircuit.solve` call.
+
+The engine runs serially.  Process fan-out (with crash recovery and
+deadlines) is :class:`repro.runtime.supervisor.RunSupervisor`'s job: it
+runs the same groups in its pool through :func:`_run_group_remote`.
 
 Every stage is instrumented (:mod:`repro.runtime.metrics`); pass
 ``bench_name`` to emit a machine-readable ``BENCH_<name>.json``.
@@ -25,7 +25,6 @@ Every stage is instrumented (:mod:`repro.runtime.metrics`); pass
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -48,10 +47,6 @@ __all__ = [
     "SweepEngine",
     "group_points",
 ]
-
-#: Environment knob for the default process fan-out width.
-WORKERS_ENV = "REPRO_SWEEP_WORKERS"
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -261,10 +256,14 @@ def _execute_group(
     )
 
     # Tally the solver escalation ladder: resilient solves report the
-    # rungs they climbed; strict direct solves count as a clean "lu".
-    # Alongside, roll the per-point physics-contract reports into the
-    # group's contract histogram (BENCH schema v3) and count degraded
-    # points so runs surface them instead of averaging them in.
+    # rungs they climbed; a strict direct solve is one clean rung named
+    # after the factorisation that answered it (``lu`` when the group's
+    # backend refused the matrix), as its trace span is.  Alongside,
+    # roll the per-point physics-contract reports into the group's
+    # contract histogram (BENCH schema v3) and count degraded points so
+    # runs surface them instead of averaging them in.
+    fact = pdn.assembled().factorization
+    strict_rung = fact.backend_name if fact is not None else metrics.backend
     for outcome in outcomes:
         if outcome.error is not None:
             metrics.count_escalation("failed")
@@ -272,7 +271,7 @@ def _execute_group(
                 metrics.count_contract("raise")
             continue
         diagnostics = getattr(outcome.result, "diagnostics", None)
-        rungs = getattr(diagnostics, "escalations", None) or [metrics.backend]
+        rungs = getattr(diagnostics, "escalations", None) or [strict_rung]
         for rung in rungs:
             metrics.count_escalation(rung)
         if diagnostics is not None and diagnostics.degraded:
@@ -327,24 +326,91 @@ def _run_group_remote(
     return values, metrics, spans
 
 
+@dataclass
+class _RunFrame:
+    """One run's shared prologue: grouping, fingerprint and metrics.
+
+    :class:`SweepEngine` and the run supervisor both open a run with
+    :func:`_open_run` and close it with :func:`_close_run`, so their
+    BENCH payloads and trace files are written by the same code.
+    """
+
+    points: List[SweepPoint]
+    groups: Dict[GroupKey, List[Tuple[int, SweepPoint]]]
+    #: ``task_fingerprint`` of each group, in group order.
+    task_fingerprints: List[str]
+    metrics: SweepMetrics
+    t_start: float
+
+    def sweep_span(self, **attributes: Any):
+        """The run's root "sweep" span."""
+        return get_tracer().span(
+            "sweep",
+            run_fingerprint=self.metrics.run_fingerprint,
+            n_points=len(self.points),
+            n_groups=len(self.groups),
+            workers=self.metrics.workers,
+            **attributes,
+        )
+
+
+def _open_run(points: Iterable[SweepPoint], workers: int = 1) -> _RunFrame:
+    """Group the points and name the run (and, when tracing, its trace)."""
+    t_start = time.perf_counter()
+    points = list(points)
+    solver = resolve_backend(default_backend_name()).name
+    groups = group_points(points, solver)
+    fingerprints = [
+        task_fingerprint(key, members) for key, members in groups.items()
+    ]
+    run_fp = run_fingerprint(fingerprints, len(points))
+    tracer = get_tracer()
+    if tracer.enabled and tracer.trace_id is None:
+        tracer.set_trace_id(run_fp)
+    metrics = SweepMetrics(workers=workers, run_fingerprint=run_fp, solver=solver)
+    return _RunFrame(points, groups, fingerprints, metrics, t_start)
+
+
+def _close_run(
+    frame: _RunFrame, cache_info: Dict[str, int], bench_name: Optional[str]
+) -> None:
+    """Stamp cache counters and wall time; write BENCH and flush spans."""
+    metrics = frame.metrics
+    metrics.cache_hits = cache_info["hits"]
+    metrics.cache_misses = cache_info["misses"]
+    metrics.cache_rebuilds = cache_info["rebuilds"]
+    metrics.wall_s = time.perf_counter() - frame.t_start
+    if bench_name is not None:
+        write_bench_json(bench_name, metrics.to_json())
+    tracer = get_tracer()
+    if tracer.enabled:
+        from repro.obs.export import flush_spans
+
+        flush_spans(
+            tracer.drain(), metrics.run_fingerprint, trace_id=tracer.trace_id
+        )
+
+
 class SweepEngine:
-    """Batched, cached, optionally process-parallel design-point sweeps.
+    """Batched, cached, serial design-point sweeps.
 
     Parameters
     ----------
     workers:
-        Process fan-out width for independent topologies.  ``None``
-        reads the ``REPRO_SWEEP_WORKERS`` environment variable and
-        defaults to 1 (serial).  Parallel mode needs a picklable
-        ``extract`` callable — raw PDN results hold SuperLU handles and
-        cannot cross process boundaries — and silently degrades to the
-        serial path when the pool cannot be used.
+        Must be 1, the only width an engine runs at; it stays so that
+        ``SweepEngine(workers=1)`` keeps working.  Process fan-out is
+        ``RunSupervisor(workers=N)``.
     """
 
-    def __init__(self, workers: Optional[int] = None):
-        if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-        self.workers = max(1, int(workers))
+    #: Engine surface the supervisor duck-types; an engine is serial.
+    workers = 1
+
+    def __init__(self, workers: int = 1):
+        if workers != 1:
+            raise ValueError(
+                f"SweepEngine runs serially (workers={workers!r}); "
+                "use RunSupervisor(workers=N) for process fan-out"
+            )
         self._cache: Dict[GroupKey, _CachedStructure] = {}
         self._cache_hits = 0
         self._cache_misses = 0
@@ -395,75 +461,20 @@ class SweepEngine:
         ``extract(outcome) -> value`` runs once per point after its
         group's batched solve (use :meth:`SweepOutcome.unwrap` inside it
         to re-raise captured solver errors).  Without an extractor the
-        raw outcomes are returned and the run is forced serial.
+        raw outcomes are returned.
         ``bench_name`` writes the stage metrics to
         ``BENCH_<bench_name>.json`` (see :mod:`repro.runtime.metrics`).
         """
-        t_start = time.perf_counter()
-        points = list(points)
-        solver = resolve_backend(default_backend_name()).name
-        groups = group_points(points, solver)
-        run_fp = run_fingerprint(
-            [task_fingerprint(key, members) for key, members in groups.items()],
-            len(points),
-        )
-        tracer = get_tracer()
-        if tracer.enabled and tracer.trace_id is None:
-            tracer.set_trace_id(run_fp)
-
-        metrics = SweepMetrics(
-            workers=self.workers, run_fingerprint=run_fp, solver=solver
-        )
-        values: List[Any] = [None] * len(points)
-
-        with tracer.span(
-            "sweep",
-            run_fingerprint=run_fp,
-            n_points=len(points),
-            n_groups=len(groups),
-            workers=self.workers,
-        ) as sweep_span:
-            parallel_keys: List[GroupKey] = []
-            if self.workers > 1 and extract is not None and len(groups) > 1:
-                parallel_keys = list(groups)
-
-            done = set()
-            if parallel_keys:
-                done = self._run_parallel(
-                    groups, parallel_keys, extract, values, metrics
+        frame = _open_run(points)
+        values: List[Any] = [None] * len(frame.points)
+        with frame.sweep_span() as sweep_span:
+            for key, members in frame.groups.items():
+                frame.metrics.groups.append(
+                    self._run_group_local(key, members, extract, values)
                 )
-                if done:
-                    metrics.mode = "process"
-
-            for key, members in groups.items():
-                if key in done:
-                    continue
-                group_metrics = self._run_group_local(
-                    key, members, extract, values
-                )
-                metrics.groups.append(group_metrics)
-            sweep_span.set(mode=metrics.mode)
-
-        # Re-order group metrics to first-appearance order for stable
-        # BENCH output regardless of which groups ran remotely.
-        order = {key: i for i, key in enumerate(groups)}
-        labels = {self._key_label(k): order[k] for k in groups}
-        metrics.groups.sort(key=lambda g: labels.get(g.key, len(labels)))
-
-        info = self.cache_info()
-        metrics.cache_hits = info["hits"]
-        metrics.cache_misses = info["misses"]
-        metrics.cache_rebuilds = info["rebuilds"]
-        metrics.wall_s = time.perf_counter() - t_start
-        if bench_name is not None:
-            write_bench_json(bench_name, metrics.to_json())
-        if tracer.enabled:
-            from repro.obs.export import flush_spans
-
-            flush_spans(
-                tracer.drain(), run_fp, trace_id=tracer.trace_id
-            )
-        return SweepResult(values=values, metrics=metrics)
+            sweep_span.set(mode=frame.metrics.mode)
+        _close_run(frame, self.cache_info(), bench_name)
+        return SweepResult(values=values, metrics=frame.metrics)
 
     # ------------------------------------------------------------------
     def _key_label(self, key: GroupKey) -> str:
@@ -553,59 +564,3 @@ class SweepEngine:
         for (index, _), value in zip(members, group_values):
             values[index] = value
         return group_metrics
-
-    def _run_parallel(
-        self,
-        groups: Dict[GroupKey, List[Tuple[int, SweepPoint]]],
-        keys: List[GroupKey],
-        extract: Callable[[SweepOutcome], Any],
-        values: List[Any],
-        metrics: SweepMetrics,
-    ) -> set:
-        """Fan groups out over processes; returns the keys completed.
-
-        Any group the pool cannot handle — unpicklable plans or
-        extractors, a broken pool, a sandbox that forbids forking —
-        simply stays unfinished and is re-run on the serial path by the
-        caller.  Determinism is unaffected: values land by index.
-        """
-        done: set = set()
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-        except ImportError:  # pragma: no cover - stdlib always has it
-            return done
-        tracer = get_tracer()
-        trace_ctx = tracer.worker_context()
-        try:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                futures = {}
-                for key in keys:
-                    members = groups[key]
-                    plan = members[0][1].fault_plan
-                    try:
-                        futures[key] = pool.submit(
-                            _run_group_remote,
-                            key[0],
-                            plan,
-                            tuple(point for _, point in members),
-                            key[2],
-                            extract,
-                            self._key_label(key),
-                            trace_ctx,
-                            key[3] if len(key) > 3 else None,
-                        )
-                    except Exception:
-                        continue
-                for key, future in futures.items():
-                    try:
-                        group_values, group_metrics, spans = future.result()
-                    except Exception:
-                        continue  # serial fallback picks this group up
-                    for (index, _), value in zip(groups[key], group_values):
-                        values[index] = value
-                    metrics.groups.append(group_metrics)
-                    tracer.adopt(spans)
-                    done.add(key)
-        except Exception:
-            return done
-        return done

@@ -84,7 +84,7 @@ class SweepMetrics:
 
     groups: List[GroupMetrics] = field(default_factory=list)
     wall_s: float = 0.0
-    #: "serial" or "process" (ProcessPoolExecutor fan-out).
+    #: "serial", "process" (the run supervisor's pool) or "fleet".
     mode: str = "serial"
     workers: int = 1
     #: Solver backend the run was requested under (repro.grid.backends

@@ -52,7 +52,6 @@ from repro.errors import (
     ResumeMismatchError,
     TaskTimeoutError,
 )
-from repro.grid.backends import default_backend_name, resolve_backend
 from repro.obs.logs import get_logger
 from repro.obs.trace import get_tracer
 from repro.runtime.engine import (
@@ -61,8 +60,9 @@ from repro.runtime.engine import (
     SweepOutcome,
     SweepPoint,
     SweepResult,
+    _close_run,
+    _open_run,
     _run_group_remote,
-    group_points,
 )
 from repro.runtime.fingerprint import (
     _plan_description,  # noqa: F401  (re-exported for compatibility)
@@ -77,11 +77,7 @@ from repro.runtime.journal import (
     decode_payload,
     encode_payload,
 )
-from repro.runtime.metrics import (
-    GroupMetrics,
-    SweepMetrics,
-    write_bench_json,
-)
+from repro.runtime.metrics import GroupMetrics, SweepMetrics
 from repro.runtime.spec import PDNSpec
 
 __all__ = [
@@ -135,8 +131,9 @@ class SupervisorConfig:
     #: With ``resume``: truncate the journal at its first corrupted
     #: record (logged) instead of refusing with ResumeMismatchError.
     salvage: bool = False
-    #: Process fan-out width; None inherits the wrapped engine's.
-    workers: Optional[int] = None
+    #: Process fan-out width.  A run uses a pool when it has a deadline
+    #: to enforce, or more than one task and ``workers > 1``.
+    workers: int = 1
     #: Coordinator bind address ("host:port") for the distributed sweep
     #: fleet; None keeps everything in-process.  With an address set,
     #: tasks are leased to connected ``repro worker`` processes and the
@@ -368,7 +365,7 @@ class RunSupervisor:
         elif overrides:
             config = replace(config, **overrides)
         self.config = config
-        self.engine = engine or SweepEngine(workers=config.workers)
+        self.engine = engine or SweepEngine()
         #: Report of the most recent run (headline-style multi-run
         #: callers find all of them in :attr:`reports`).
         self.last_report: Optional[RunReport] = None
@@ -382,9 +379,7 @@ class RunSupervisor:
     # ------------------------------------------------------------------
     @property
     def workers(self) -> int:
-        if self.config.workers is not None:
-            return max(1, int(self.config.workers))
-        return self.engine.workers
+        return max(1, int(self.config.workers))
 
     def cache_info(self) -> Dict[str, int]:
         return self.engine.cache_info()
@@ -438,28 +433,21 @@ class RunSupervisor:
         failures are retried/quarantined rather than raised (unless
         ``fail_fast``) and the result carries a :class:`RunReport`.
         """
-        t_start = time.perf_counter()
-        points = list(points)
-        solver = resolve_backend(default_backend_name()).name
-        groups = group_points(points, solver)
+        frame = _open_run(points, self.workers)
+        metrics = frame.metrics
+        run_fp = metrics.run_fingerprint
         tasks = [
             _Task(
-                fingerprint=task_fingerprint(key, members),
+                fingerprint=fingerprint,
                 label=self.engine._key_label(key),
                 key=key,
                 members=members,
             )
-            for key, members in groups.items()
+            for fingerprint, (key, members) in zip(
+                frame.task_fingerprints, frame.groups.items()
+            )
         ]
-        run_fp = run_fingerprint([t.fingerprint for t in tasks], len(points))
-        tracer = get_tracer()
-        if tracer.enabled and tracer.trace_id is None:
-            tracer.set_trace_id(run_fp)
-
-        metrics = SweepMetrics(
-            workers=self.workers, run_fingerprint=run_fp, solver=solver
-        )
-        values: List[Any] = [None] * len(points)
+        values: List[Any] = [None] * len(frame.points)
         records: Dict[str, TaskRecord] = {
             task.fingerprint: TaskRecord(
                 fingerprint=task.fingerprint,
@@ -469,15 +457,8 @@ class RunSupervisor:
             for task in tasks
         }
 
-        with tracer.span(
-            "sweep",
-            run_fingerprint=run_fp,
-            n_points=len(points),
-            n_groups=len(tasks),
-            workers=self.workers,
-            supervised=True,
-        ) as sweep_span:
-            journal, journaled = self._open_journal(run_fp, tasks, len(points))
+        with frame.sweep_span(supervised=True) as sweep_span:
+            journal, journaled = self._open_journal(run_fp, tasks, len(values))
             state = _RunState(
                 values=values,
                 metrics=metrics,
@@ -507,14 +488,11 @@ class RunSupervisor:
                     self._execute_serial(pending, state)
             sweep_span.set(mode=metrics.mode, resumed=metrics.resumed)
 
-        # Stable first-appearance ordering, matching the plain engine.
+        # Stable first-appearance ordering: pool, fleet and resumed tasks
+        # land out of order.
         order = {task.label: i for i, task in enumerate(tasks)}
         metrics.groups.sort(key=lambda g: order.get(g.key, len(order)))
 
-        info = self.cache_info()
-        metrics.cache_hits = info["hits"]
-        metrics.cache_misses = info["misses"]
-        metrics.cache_rebuilds = info["rebuilds"]
         metrics.retries = sum(
             max(0, r.attempts - 1)
             for r in records.values()
@@ -524,11 +502,11 @@ class RunSupervisor:
             [r for r in records.values() if r.status == "quarantined"]
         )
         metrics.timeouts = sum(r.timeouts for r in records.values())
-        metrics.wall_s = time.perf_counter() - t_start
+        _close_run(frame, self.cache_info(), bench_name)
 
         report = RunReport(
             run_fingerprint=run_fp,
-            n_points=len(points),
+            n_points=len(values),
             tasks=[records[task.fingerprint] for task in tasks],
             mode=metrics.mode,
             wall_s=metrics.wall_s,
@@ -547,12 +525,6 @@ class RunSupervisor:
             atomic_write_text(
                 path, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
             )
-        if bench_name is not None:
-            write_bench_json(bench_name, metrics.to_json())
-        if tracer.enabled:
-            from repro.obs.export import flush_spans
-
-            flush_spans(tracer.drain(), run_fp, trace_id=tracer.trace_id)
         if self.config.verbose:
             # --verbose promises the summary on stderr regardless of the
             # configured log level, so lift the logger floor to INFO.
@@ -878,9 +850,17 @@ class RunSupervisor:
     def _use_processes(
         self, tasks: List[_Task], extract: Optional[Callable]
     ) -> bool:
+        """Whether a pool pays: a deadline to enforce, or tasks to spread.
+
+        A pool re-builds and re-factorises every topology it runs, so a
+        single task without a deadline stays in-process on the cached
+        engine.  Raw outcomes (no ``extract``), extractors and fault
+        plans that do not pickle never leave the process either.
+        """
         if extract is None:
             return False
-        if self.workers <= 1 and self.config.task_timeout is None:
+        spread = self.workers > 1 and len(tasks) > 1
+        if self.config.task_timeout is None and not spread:
             return False
         try:
             pickle.dumps(extract)

@@ -83,8 +83,8 @@ class _RecordingEngine(SweepEngine):
     """Records, per run, the cached specs and ``cache_info()`` as it
     starts, the specs it reads and ``factor_entries`` as it ends."""
 
-    def __init__(self, workers=1):
-        super().__init__(workers=workers)
+    def __init__(self):
+        super().__init__()
         self.runs = []
 
     def run(self, points, extract=None, bench_name=None):
@@ -159,14 +159,16 @@ class TestHeadlineEngines:
     def serial(self):
         return run_headline(grid_nodes=GRID, engine=SweepEngine(workers=1))
 
-    def test_process_engine_matches_serial(self, serial):
+    def test_process_supervisor_matches_serial(self, serial):
         """One schedule for every engine: each run holds one topology, so
-        a ``workers=2`` engine keeps it in-process and cached."""
-        engine = _RecordingEngine(workers=2)
-        _assert_same_report(run_headline(grid_nodes=GRID, engine=engine), serial)
-        info = engine.cache_info()
+        a ``workers=2`` supervisor keeps it in-process and cached."""
+        supervisor = RunSupervisor(config=SupervisorConfig(workers=2))
+        _assert_same_report(run_headline(grid_nodes=GRID, engine=supervisor), serial)
+        info = supervisor.cache_info()
         assert (info["entries"], info["misses"], info["hits"]) == (0, 10, 6)
-        assert all(cached <= read for cached, _, read, _ in engine.runs)
+        assert len(supervisor.reports) == 16
+        assert all(len(report.tasks) == 1 for report in supervisor.reports)
+        assert {report.mode for report in supervisor.reports} == {"serial"}
 
     def test_supervised_run_resumes_without_executing(self, serial, tmp_path):
         run_dir = tmp_path / "run"

@@ -2,7 +2,7 @@
 
 These tests exercise the hard guarantees of docs/OBSERVABILITY.md:
 
-* spans recorded inside ``ProcessPoolExecutor`` workers ship back and
+* spans recorded inside the supervisor's pool workers ship back and
   reassemble into **one** coherent tree under the coordinator's sweep
   span,
 * ``--resume`` appends to the existing ``trace-<fp>.jsonl`` without
@@ -91,7 +91,9 @@ class TestSpanTreeAcrossProcesses:
         assert all(a["factor_entries"] > 0 for a in factorize)
 
     def test_process_fanout_reassembles_under_sweep(self, traced):
-        run = SweepEngine(workers=2).run(_points(), extract=_ir_extract)
+        run = RunSupervisor(config=SupervisorConfig(workers=2)).run(
+            _points(), extract=_ir_extract
+        )
         assert run.metrics.mode == "process"
         spans = load_trace(_single_trace(traced))
         roots = build_tree(spans)
@@ -169,6 +171,35 @@ class TestBenchAgreement:
             assert from_spans[stage] == pytest.approx(
                 bench_value, rel=0.01, abs=1e-6
             ), stage
+
+
+    def test_strict_rungs_match_trace_under_cholesky(
+        self, traced, tmp_path, monkeypatch
+    ):
+        """A strict solve is tallied under the factorisation that
+        answered it: cholesky refuses the saddle-point MNA matrix, lu
+        answers, and BENCH and the trace both say ``lu``."""
+        from repro.grid.backends import set_default_backend
+        from repro.runtime.metrics import BENCH_DIR_ENV
+
+        bench_dir = tmp_path / "bench"
+        monkeypatch.setenv(BENCH_DIR_ENV, str(bench_dir))
+        set_default_backend("cholesky")
+        try:
+            run = SweepEngine().run(_points(2, 1), bench_name="obs_rungs")
+        finally:
+            set_default_backend(None)
+        payload = json.loads((bench_dir / "BENCH_obs_rungs.json").read_text())
+        assert payload["solver"] == "cholesky"
+        assert payload["escalations"] == {"lu": 2}
+
+        spans = load_trace(trace_path(run.metrics.run_fingerprint, traced))
+        from_spans = {}
+        for span in spans:
+            if span.name == "rung":
+                rung = span.attributes["rung"]
+                from_spans[rung] = from_spans.get(rung, 0) + span.attributes["count"]
+        assert from_spans == payload["escalations"]
 
 
 class TestTracingIsInert:

@@ -9,6 +9,7 @@ SciPy exception and never non-finite voltages.
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from scipy.sparse.linalg import splu
 from repro.errors import ReproError, SingularCircuitError
 from repro.faults import severed_layer_plan
 from repro.grid import backends as backends_mod
-from repro.grid.backends import register_backend
+from repro.grid.backends import jacobi_preconditioner, register_backend
 from repro.grid.netlist import ISOURCE, RESISTOR, Circuit
 from repro.grid.solver import AssembledCircuit, SolveOptions, SolveRequest
 from repro.pdn.regular3d import RegularPDN3D
@@ -491,6 +492,35 @@ class TestEscalationLadder:
             assert diag.escalations == LADDERS["raise"][backend]
             assert len(diag.escalation_times_s) == len(diag.escalations)
             assert diag.fallback == "iterative"
+
+
+class TestJacobiPreconditioner:
+    """One Jacobi preconditioner serves the iterative backend (when ILU
+    fails) and the ``lgmres`` rung; an MNA matrix's voltage-source rows
+    have zero diagonal entries, which it must mask before dividing."""
+
+    def test_bit_identical_to_masked_reciprocal(self):
+        matrix = parallel_supply_circuit(4, 1.0).assemble()._matrix
+        diagonal = matrix.diagonal()
+        assert (diagonal == 0).any()
+        with np.errstate(divide="ignore"):
+            expected = np.where(np.abs(diagonal) > 1e-300, 1.0 / diagonal, 1.0)
+        v = np.linspace(-1.0, 2.0, matrix.shape[0])
+        assert np.array_equal(jacobi_preconditioner(matrix).matvec(v), expected * v)
+
+    @pytest.mark.parametrize("backend", ["iterative", "lu"])
+    def test_voltage_source_solve_is_warning_free(self, backend):
+        """``iterative`` reaches the backend's Jacobi fallback (ILU fails
+        on this singular system); ``lu`` climbs to the ``lgmres`` rung."""
+        asm = parallel_supply_circuit(4, 1.0).assemble(backend=backend)
+        request = SolveRequest(
+            options=SolveOptions(resilient=True, backend=backend)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = asm.solve(request)
+        assert sol.diagnostics.escalations == LADDERS["lgmres"][backend]
+        assert_matches_dense_oracle(asm, sol)
 
 
 class TestLadderRegressions:

@@ -1,4 +1,4 @@
-"""Sweep engine: batched == sequential, caching, ordering, fan-out."""
+"""Sweep engine: batched == sequential, caching, ordering, serial-only."""
 
 import pytest
 
@@ -270,30 +270,16 @@ class TestOrderingAndFanOut:
         run = SweepEngine().run(points)
         assert [o.point.tag for o in run.values] == list(range(6))
 
-    def test_process_fanout_matches_serial(self):
-        specs = [
-            PDNSpec.regular(2, grid_nodes=TEST_GRID),
-            PDNSpec.stacked(2, converters_per_core=4, grid_nodes=TEST_GRID),
-        ]
-        points = [SweepPoint(spec=s) for s in specs for _ in range(2)]
-        serial = SweepEngine(workers=1).run(points, extract=_ir_drop)
-        parallel = SweepEngine(workers=2).run(points, extract=_ir_drop)
-        assert serial.metrics.mode == "serial"
-        for a, b in zip(serial.values, parallel.values):
-            _assert_close(a, b)
-
-    def test_unpicklable_extract_falls_back_to_serial(self):
-        points = [
-            SweepPoint(spec=PDNSpec.regular(2, grid_nodes=TEST_GRID)),
-            SweepPoint(
-                spec=PDNSpec.stacked(2, converters_per_core=4, grid_nodes=TEST_GRID)
-            ),
-        ]
-        run = SweepEngine(workers=2).run(
-            points, extract=lambda o: o.unwrap().max_ir_drop_fraction()
-        )
-        assert run.metrics.mode == "serial"
-        assert all(v is not None for v in run.values)
+    @pytest.mark.parametrize("workers", [0, 2, None])
+    def test_fan_out_width_is_a_one_line_error(self, workers):
+        """An engine is serial; fan-out is the supervisor's, and a width
+        other than 1 must say so rather than run serially."""
+        with pytest.raises(ValueError) as info:
+            SweepEngine(workers=workers)
+        message = str(info.value)
+        assert "\n" not in message
+        assert "RunSupervisor(workers=N)" in message
+        assert SweepEngine(workers=1).workers == 1
 
 
 class TestMetrics:

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.errors import ReproError, ResumeMismatchError
+from repro.faults import FaultPlan
 from repro.runtime import (
     PDNSpec,
     RunJournal,
@@ -322,6 +323,70 @@ class TestProcessRecovery:
             assert a == pytest.approx(b, rel=REL_TOL)
 
 
+def _mixed_points():
+    """A regular and a voltage-stacked topology, two points each."""
+    specs = [
+        PDNSpec.regular(2, grid_nodes=TEST_GRID),
+        PDNSpec.stacked(2, converters_per_core=4, grid_nodes=TEST_GRID),
+    ]
+    return [SweepPoint(spec=s) for s in specs for _ in range(2)]
+
+
+class TestProcessFanOut:
+    """The supervisor's pool is the package's only process fan-out."""
+
+    @pytest.mark.parametrize(
+        "workers, n_tasks, task_timeout, mode",
+        [
+            (1, 1, None, "serial"),
+            (1, 3, None, "serial"),
+            (2, 1, None, "serial"),  # one task: the cached engine wins
+            (2, 3, None, "process"),
+            (1, 1, 30.0, "process"),  # a deadline needs a killable child
+            (1, 3, 30.0, "process"),
+            (2, 1, 30.0, "process"),
+            (2, 3, 30.0, "process"),
+        ],
+    )
+    def test_pool_rule(self, workers, n_tasks, task_timeout, mode):
+        sup = RunSupervisor(
+            config=SupervisorConfig(workers=workers, task_timeout=task_timeout)
+        )
+        points = _points(n_groups=n_tasks, per_group=1)
+        assert len(group_points(points)) == n_tasks
+        assert sup.run(points, extract=_ir_extract).metrics.mode == mode
+
+    def test_raw_outcomes_and_unpicklable_plans_stay_in_process(self):
+        sup = RunSupervisor(config=SupervisorConfig(workers=2, task_timeout=30.0))
+        points = _points(n_groups=2, per_group=1)
+        assert sup.run(points).metrics.mode == "serial"
+        lambda_plan = [
+            SweepPoint(spec=_spec(n), fault_plan=lambda pdn: FaultPlan())
+            for n in (2, 3)
+        ]
+        run = sup.run(lambda_plan, extract=_ir_extract)
+        assert run.metrics.mode == "serial"
+        assert all(isinstance(v, float) for v in run.values)
+
+    def test_process_fanout_matches_serial(self):
+        points = _mixed_points()
+        serial = RunSupervisor().run(points, extract=_ir_extract)
+        process = RunSupervisor(config=SupervisorConfig(workers=2)).run(
+            points, extract=_ir_extract
+        )
+        assert serial.metrics.mode == "serial"
+        assert process.metrics.mode == "process"
+        assert process.values == serial.values  # bit-identical floats
+
+    def test_unpicklable_extract_falls_back_to_serial(self):
+        points = _mixed_points()
+        run = RunSupervisor(config=SupervisorConfig(workers=2)).run(
+            points, extract=lambda o: o.unwrap().max_ir_drop_fraction()
+        )
+        assert run.metrics.mode == "serial"
+        assert all(v is not None for v in run.values)
+
+
 class TestMetricsSchemaParity:
     @staticmethod
     def _key_tree(payload, prefix=""):
@@ -336,19 +401,19 @@ class TestMetricsSchemaParity:
         return keys
 
     def test_serial_and_process_emit_same_schema(self):
-        """The serial-fallback path must emit the exact stage-metrics
-        schema the process path emits (satellite: schema parity)."""
+        """The plain engine, the supervisor's serial path and its process
+        pool emit the exact same stage-metrics schema."""
         points = _points(n_groups=2)
-        serial = SweepEngine(workers=1).run(points, extract=_ir_extract)
-        process = SweepEngine(workers=2).run(points, extract=_ir_extract)
+        plain = SweepEngine().run(points, extract=_ir_extract)
+        serial = RunSupervisor().run(points, extract=_ir_extract)
+        process = RunSupervisor(config=SupervisorConfig(workers=2)).run(
+            points, extract=_ir_extract
+        )
         assert serial.metrics.mode == "serial"
         assert process.metrics.mode == "process"
-        serial_keys = self._key_tree(serial.metrics.to_json())
         process_keys = self._key_tree(process.metrics.to_json())
-        assert serial_keys == process_keys
-        # The supervisor's serial path too.
-        supervised = RunSupervisor().run(points, extract=_ir_extract)
-        assert self._key_tree(supervised.metrics.to_json()) == process_keys
+        assert self._key_tree(serial.metrics.to_json()) == process_keys
+        assert self._key_tree(plain.metrics.to_json()) == process_keys
 
     def test_bench_json_carries_robustness_counters(self, tmp_path, monkeypatch):
         from repro.runtime.metrics import BENCH_DIR_ENV
