@@ -20,6 +20,11 @@ survive:
 
 Exit status 0 = all three proofs hold.
 
+Then, as a measurement and not a gate, it times cached hits on an
+in-process replica against an in-process asyncio newline-JSON echo of
+the same response, over the same client, and writes both p50s to
+``<work_dir>/hit-latency.json``.
+
 Usage::
 
     python scripts/service_check.py [work_dir] [--grid N] [--burst N]
@@ -28,13 +33,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import pathlib
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -48,6 +56,11 @@ KILL_GRID_NODES = 30
 BURST_DUPLICATES = 6
 NOVEL_LAYERS = (2, 3, 4)
 DUPLICATE_LAYERS = 5
+#: Hit-latency measurement: a V-S point (the cached summary's shape),
+#: timed in alternating rounds of hits and echoes.
+FLOOR_GRID_NODES = 6
+FLOOR_ROUNDS = 4
+FLOOR_QUERIES = 500
 
 
 def log(message: str) -> None:
@@ -287,6 +300,115 @@ def check_clean_shutdown(address: str, server: subprocess.Popen) -> None:
     log("clean-shutdown ok: in-flight query answered, server exited 0")
 
 
+# ----------------------------------------------------------------------
+# Measurement: hit p50 next to the asyncio echo floor
+# ----------------------------------------------------------------------
+
+def _echo_server(response: dict):
+    """An asyncio newline-JSON echo on its own thread: parse each
+    request line and answer ``response``, encoded like the replica's
+    envelopes.  Returns (address, stop)."""
+    box = {}
+    ready = threading.Event()
+
+    async def handle(reader, writer):
+        while True:
+            line = await reader.readline()
+            if not line:
+                break
+            json.loads(line)
+            writer.write(
+                (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
+            )
+            await writer.drain()
+        writer.close()
+
+    async def serve():
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        box["address"] = f"{host}:{port}"
+        box["loop"] = asyncio.get_running_loop()
+        box["stop"] = asyncio.Event()
+        ready.set()
+        await box["stop"].wait()
+        server.close()
+        await server.wait_closed()
+
+    thread = threading.Thread(target=lambda: asyncio.run(serve()), daemon=True)
+    thread.start()
+    ready.wait(timeout=30.0)
+
+    def stop():
+        box["loop"].call_soon_threadsafe(box["stop"].set)
+        thread.join(timeout=10.0)
+
+    return box["address"], stop
+
+
+def _latencies(client, spec, activities, n: int) -> list:
+    out = []
+    for _ in range(n):
+        t0 = time.perf_counter()
+        client.query(spec, activities=activities)
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def measure_hit_floor(work: pathlib.Path) -> dict:
+    """Cached-hit p50 vs the echo floor, measured in this process."""
+    from repro.runtime import PDNSpec
+    from repro.service import ServiceConfig, serve_in_background
+    from repro.service.client import ServiceClient
+
+    spec = PDNSpec.stacked(
+        4, converters_per_core=2, grid_nodes=FLOOR_GRID_NODES
+    )
+    activities = [1.0, 0.8, 1.0, 0.8]
+    replica = serve_in_background(
+        ServiceConfig(
+            cache_dir=str(work / "hit-floor-cache"), bench_name=None
+        )
+    )
+    hits, echoes = [], []
+    try:
+        with ServiceClient(replica.address, timeout_s=300.0) as client:
+            client.query(spec, activities=activities)
+            response = client.query(spec, activities=activities)
+            if not response.get("cached"):
+                fail(f"hit-floor query was not a cache hit: {response}")
+            echo_address, stop_echo = _echo_server(response)
+            try:
+                with ServiceClient(echo_address) as echo:
+                    for _ in range(FLOOR_ROUNDS):
+                        hits += _latencies(
+                            client, spec, activities, FLOOR_QUERIES
+                        )
+                        echoes += _latencies(
+                            echo, spec, activities, FLOOR_QUERIES
+                        )
+            finally:
+                stop_echo()
+    finally:
+        replica.stop()
+    hit_ms = statistics.median(hits) * 1e3
+    echo_ms = statistics.median(echoes) * 1e3
+    record = {
+        "hit_p50_ms": round(hit_ms, 4),
+        "echo_p50_ms": round(echo_ms, 4),
+        "ratio": round(hit_ms / echo_ms, 3),
+        "samples": len(hits),
+        "response_bytes": len(json.dumps(response, sort_keys=True)) + 1,
+    }
+    (work / "hit-latency.json").write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n"
+    )
+    log(
+        f"hit p50 {hit_ms:.3f} ms vs asyncio echo floor {echo_ms:.3f} ms "
+        f"(x{record['ratio']:.2f}, {len(hits)} samples each; not a gate)"
+    )
+    return record
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -328,6 +450,7 @@ def main(argv=None) -> int:
         f"{payload['service']['requests'].get('query', 0)} queries served"
     )
     log("all service proofs hold")
+    measure_hit_floor(work)
     return 0
 
 

@@ -121,10 +121,6 @@ class _Columnar:
         self._active_cache = None
 
     @property
-    def n_inactive(self) -> int:
-        return len(self._inactive)
-
-    @property
     def active(self) -> np.ndarray:
         """Boolean mask over all elements; False = removed/failed-open.
 

@@ -83,9 +83,17 @@ class Counter:
     )
 
     def inc(self, amount: float = 1.0, **labels) -> None:
+        self._add(_label_key(labels), amount)
+
+    def labels(self, **labels) -> "_BoundCounter":
+        """A child bound to one label set: its ``inc`` skips building
+        and sorting the label key (hot paths bind once, up front).  The
+        series appears on the first ``inc``, as with ``inc(**labels)``."""
+        return _BoundCounter(self, _label_key(labels))
+
+    def _add(self, key: LabelKey, amount: float) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (got {amount})")
-        key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
@@ -236,7 +244,13 @@ class Histogram:
             )
 
     def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
+        self._observe(_label_key(labels), value)
+
+    def labels(self, **labels) -> "_BoundHistogram":
+        """A child bound to one label set (see :meth:`Counter.labels`)."""
+        return _BoundHistogram(self, _label_key(labels))
+
+    def _observe(self, key: LabelKey, value: float) -> None:
         with self._lock:
             series = self._series.get(key)
             if series is None:
@@ -355,6 +369,32 @@ class Histogram:
             lines.append(f"{full}_sum 0")
             lines.append(f"{full}_count 0")
         return lines
+
+
+class _BoundCounter:
+    """One label set of a :class:`Counter`, bound by ``labels()``."""
+
+    __slots__ = ("_counter", "_key")
+
+    def __init__(self, counter: Counter, key: LabelKey):
+        self._counter = counter
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._counter._add(self._key, amount)
+
+
+class _BoundHistogram:
+    """One label set of a :class:`Histogram`, bound by ``labels()``."""
+
+    __slots__ = ("_histogram", "_key")
+
+    def __init__(self, histogram: Histogram, key: LabelKey):
+        self._histogram = histogram
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        self._histogram._observe(self._key, value)
 
 
 class MetricsRegistry:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.config.converters import SCConverterSpec, default_sc_spec
-from repro.regulator.area import converters_area_overhead
 from repro.utils.validation import check_positive, check_positive_int
 
 
@@ -60,17 +59,6 @@ class LadderDesign:
         """All cells on all layers of the stack for ``core_count`` cores."""
         check_positive_int("core_count", core_count)
         return self.banks * self.converters_per_core * core_count
-
-    def area_overhead_per_core(self, core_area: float, technology: str = None) -> float:
-        """Converter area per core *per layer* as a fraction of core area.
-
-        Each intermediate rail's bank lives on the layer whose Vdd net it
-        regulates, so a layer carries ``converters_per_core`` cells per
-        core (except the top layer, which carries none).
-        """
-        return converters_area_overhead(
-            self.spec, self.converters_per_core, core_area, technology
-        )
 
     def max_mismatch_current_per_core(self) -> float:
         """Largest adjacent-layer current mismatch a bank can absorb (A).

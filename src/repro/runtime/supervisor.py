@@ -97,6 +97,11 @@ __all__ = [
 #: additive, so v2 readers keep working.
 REPORT_SCHEMA = 3
 
+#: Seconds a pool teardown waits for the executor's manager thread
+#: after terminating the workers (it normally exits within
+#: milliseconds).
+POOL_JOIN_TIMEOUT_S = 5.0
+
 
 #: Module logger (JSON-line records via repro.obs.logs).
 _log = get_logger(__name__)
@@ -879,7 +884,13 @@ class RunSupervisor:
 
     @staticmethod
     def _kill_pool(pool) -> None:
-        """Tear a pool down hard, terminating hung workers."""
+        """Tear a pool down hard, terminating hung workers.
+
+        The executor's manager thread is joined here, within
+        :data:`POOL_JOIN_TIMEOUT_S`, rather than left for the
+        interpreter's exit hook to join.
+        """
+        manager = getattr(pool, "_executor_manager_thread", None)
         try:
             for process in list(getattr(pool, "_processes", {}).values()):
                 process.terminate()
@@ -889,6 +900,8 @@ class RunSupervisor:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
+        if manager is not None:
+            manager.join(timeout=POOL_JOIN_TIMEOUT_S)
 
     def _rebuild_pool(self, pool, metrics: SweepMetrics):
         self._kill_pool(pool)

@@ -22,12 +22,12 @@ Robustness properties:
   truncated or bit-flipped entry is detected on read, evicted, and
   counted (``corrupt``) instead of crashing the server or poisoning an
   answer.  Hits are served from the record this process verified (or
-  wrote), kept beside the file's ``(inode, size, mtime)`` stamp: any
-  change to one of the three — a peer's atomic rename, a truncation, a
-  rewrite — forces a re-read and re-check.  An in-place rewrite that
-  keeps all three is never served either, because the kept copy is the
-  verified one; ``repro cache verify`` (which always reads the disk)
-  or a restart finds it.
+  wrote) and its payload's canonical JSON, kept beside the file's
+  ``(inode, size, mtime)`` stamp: any change to one of the three — a
+  peer's atomic rename, a truncation, a rewrite — forces a re-read and
+  re-check.  An in-place rewrite that keeps all three is never served
+  either, because the kept copy is the verified one; ``repro cache
+  verify`` (which always reads the disk) or a restart finds it.
 * **Version coherence.**  Every entry is stamped with the code-version
   epoch (:func:`repro.service.epoch.code_epoch`) that produced it.  An
   entry from a *different* epoch is stale-but-keepable: never served as
@@ -36,9 +36,11 @@ Robustness properties:
   numbers when the backend is down.  ``repro cache invalidate --epoch``
   removes a generation explicitly.
 * **Bounded size.**  ``max_mb`` caps the directory; inserts evict the
-  least-recently-*used* entries (hits bump an entry's mtime) until the
-  cap holds, with evictions counted in the service metrics.  A
-  long-lived server therefore never fills the disk.
+  least-recently-*used* entries until the cap holds, with evictions
+  counted in the service metrics.  A long-lived server therefore never
+  fills the disk.  Every hit refreshes its entry's in-memory recency;
+  the file's mtime (what a restart or a peer replica orders by) is
+  bumped at most once per :data:`RECENCY_INTERVAL_S` per entry.
 * **Freshness.**  ``ttl_s`` ages entries: an expired entry is not served
   on the fast path, but it is deliberately *kept* — while the circuit
   breaker is open the service serves stale entries as degraded answers
@@ -78,6 +80,10 @@ __all__ = [
 
 _log = get_logger(__name__)
 
+#: Seconds between two recency bumps of one entry's file mtime: hits
+#: inside the window update only the in-memory recency.
+RECENCY_INTERVAL_S = 1.0
+
 #: Schema version of the on-disk entry layout; bump on record changes.
 #: v2 added the code-version ``epoch`` stamp and the payload
 #: ``checksum`` (pre-epoch v1 entries are dropped on first read: with
@@ -115,14 +121,24 @@ def query_fingerprint(
     return task_fingerprint(key, [(0, point)])
 
 
+def _canonical_json(payload: Dict[str, Any]) -> bytes:
+    """The payload's sorted-keys JSON: checksummed, and spliced into hit
+    responses as their ``result`` (the same text the response encoder
+    would write for it)."""
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def _checksum(canonical: bytes) -> str:
+    return hashlib.sha256(canonical).hexdigest()[:16]
+
+
 def payload_checksum(payload: Dict[str, Any]) -> str:
     """Integrity checksum of one entry's payload (16 hex chars).
 
     Over the canonical (sorted-keys) JSON text, so the check is stable
     across dict ordering and a JSON round trip through the wire.
     """
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return _checksum(_canonical_json(payload))
 
 
 @dataclass
@@ -141,6 +157,9 @@ class CacheEntry:
     stale_reason: Optional[str] = None
     #: The code-version epoch stamped into the entry.
     epoch: Optional[str] = None
+    #: ``payload`` as sorted-keys JSON bytes, ready to splice into a
+    #: response without re-encoding.
+    result_json: bytes = b""
 
 
 #: ``(st_ino, st_size, st_mtime_ns)`` of one entry file.
@@ -157,12 +176,14 @@ class _Stored:
 
     path: pathlib.Path
     size: int
-    #: Last-used stamp (monotonic): hits refresh it, eviction sorts by it.
+    #: Last-used time (wall clock): hits refresh it, eviction sorts by it.
     used_at: float = 0.0
     created_at: float = field(default_factory=time.time)
-    #: The checksum-verified record, and the stamp of the file it was
-    #: verified from; served again while the file's stamp still matches.
+    #: The checksum-verified record, its payload's canonical JSON, and
+    #: the stamp of the file they were verified from; served again while
+    #: the file's stamp still matches.
     record: Optional[Dict[str, Any]] = None
+    result_json: bytes = b""
     stamp: Optional[_Stamp] = None
 
 
@@ -308,9 +329,10 @@ class ResultCache:
             self._discard(fingerprint, stored)
             return None
         payload = record.get("payload")
-        if not isinstance(payload, dict) or (
-            record.get("checksum") != payload_checksum(payload)
-        ):
+        canonical = (
+            _canonical_json(payload) if isinstance(payload, dict) else b""
+        )
+        if not canonical or record.get("checksum") != _checksum(canonical):
             _log.warning(
                 "service cache: dropping corrupt entry (checksum mismatch)",
                 extra={"fingerprint": fingerprint},
@@ -318,7 +340,8 @@ class ResultCache:
             self._discard(fingerprint, stored)
             self.corrupt += 1
             return None
-        stored.record, stored.stamp = record, stamp
+        stored.record, stored.result_json = record, canonical
+        stored.stamp = stamp
         return record
 
     def get(
@@ -329,8 +352,9 @@ class ResultCache:
     ) -> Optional[CacheEntry]:
         """Look one fingerprint up; None on miss (or unusable entry).
 
-        A fresh hit bumps the entry's recency (both in the index and on
-        disk, so LRU ordering survives a restart).  An entry older than
+        A fresh hit bumps the entry's recency in the index, and on disk
+        (so LRU ordering survives a restart) when the file's mtime is
+        more than :data:`RECENCY_INTERVAL_S` old.  An entry older than
         ``ttl_s`` *or written under a different code epoch* is a miss
         unless ``allow_stale`` — the breaker-open degraded path — in
         which case it comes back flagged ``stale`` with its
@@ -376,14 +400,15 @@ class ResultCache:
                     self.hits += 1
                 now_ns = time.time_ns()
                 stored.used_at = now_ns / 1e9
-                try:
-                    os.utime(stored.path, ns=(now_ns, now_ns))
-                except OSError:
-                    pass
-                else:
-                    # Our own recency bump must not force a re-read.
-                    ino, size, _ = stored.stamp
-                    stored.stamp = (ino, size, now_ns)
+                ino, size, mtime_ns = stored.stamp
+                if now_ns - mtime_ns >= RECENCY_INTERVAL_S * 1e9:
+                    try:
+                        os.utime(stored.path, ns=(now_ns, now_ns))
+                    except OSError:
+                        pass
+                    else:
+                        # Our own recency bump must not force a re-read.
+                        stored.stamp = (ino, size, now_ns)
             return CacheEntry(
                 fingerprint=fingerprint,
                 # A copy: callers must not edit the kept record.
@@ -394,6 +419,7 @@ class ResultCache:
                     "epoch" if epoch_stale else ("ttl" if ttl_stale else None)
                 ),
                 epoch=entry_epoch,
+                result_json=stored.result_json,
             )
 
     def put(self, fingerprint: str, payload: Dict[str, Any]) -> pathlib.Path:
@@ -402,17 +428,21 @@ class ResultCache:
         The record is stamped with this cache's epoch and a payload
         checksum; the tmp token makes concurrent same-fingerprint
         writes from different replica processes collision-free.  The
-        record as written (parsed back, so it equals a disk read) is
-        kept for later hits, with the file's stamp taken after the
-        rename.
+        record written (over a copy of ``payload``) and the payload's
+        canonical JSON are kept for later hits, with the file's stamp
+        taken after the rename.  ``payload`` must be JSON-native (string
+        keys, lists not tuples) for the kept copy to equal a disk read;
+        the service's summaries are.
         """
+        payload = dict(payload)
+        canonical = _canonical_json(payload)
         record = {
             "schema": CACHE_SCHEMA,
             "fingerprint": fingerprint,
             "payload": payload,
             "created": time.time(),
             "epoch": self.epoch,
-            "checksum": payload_checksum(payload),
+            "checksum": _checksum(canonical),
         }
         text = json.dumps(record, sort_keys=True) + "\n"
         path = self.directory / f"{_PREFIX}{fingerprint}{_SUFFIX}"
@@ -433,7 +463,8 @@ class ResultCache:
                 size=len(text.encode("utf-8")),
                 used_at=now,
                 created_at=now,
-                record=json.loads(text),
+                record=record,
+                result_json=canonical,
                 stamp=stamp,
             )
             self.writes += 1

@@ -29,6 +29,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.obs.logs import get_logger
+from repro.obs.trace import get_tracer, new_trace_id
 from repro.runtime.fleet import parse_address
 from repro.runtime.spec import PDNSpec
 from repro.service.admission import Deadline
@@ -132,7 +133,9 @@ class ServiceClient:
         self.address = address
         host, port = parse_address(address)
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
-        self._file = self._sock.makefile("rwb")
+        # Requests go out through ``sendall``; responses are read
+        # through this buffered reader.
+        self._file = self._sock.makefile("rb")
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -154,8 +157,7 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Send one request object, block for its response object."""
-        self._file.write((json.dumps(message) + "\n").encode("utf-8"))
-        self._file.flush()
+        self._sock.sendall((json.dumps(message) + "\n").encode("utf-8"))
         line = self._file.readline()
         if not line:
             raise ReproError(
@@ -197,8 +199,6 @@ class ServiceClient:
         spanning client, replica, and any fleet workers.  A client that
         is not already inside a trace mints a fresh trace id here.
         """
-        from repro.obs.trace import get_tracer, new_trace_id
-
         if isinstance(spec, PDNSpec):
             spec = spec.to_dict()
         message: Dict[str, Any] = {"kind": "query", "spec": spec}

@@ -55,7 +55,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
     CircuitOpenError,
@@ -66,7 +66,7 @@ from repro.errors import (
     ServiceProtocolError,
     TaskTimeoutError,
 )
-from repro.grid.backends import default_backend_name, resolve_backend
+from repro.grid.backends import default_backend_name
 from repro.obs.export import flush_spans
 from repro.obs.logs import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
@@ -118,6 +118,34 @@ _SPEC_FIELDS = (
     "grid_nodes",
     "converters_per_core",
 )
+_SPEC_FIELD_SET = frozenset(_SPEC_FIELDS)
+
+#: ``json.dumps(obj, sort_keys=True)`` without building an encoder per
+#: call: the encoding of every response envelope.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+#: Canonical queries whose fingerprints the replica remembers, at least;
+#: beyond this floor the memo holds as many as the cache has entries.
+_FINGERPRINT_MEMO_FLOOR = 64
+
+#: What the request span, the metrics and the flight recorder read off
+#: a response, in the order :func:`_response_fields` returns them.
+_RESPONSE_FIELDS = (
+    "fingerprint", "status", "code", "cached", "degraded", "coalesced"
+)
+
+
+def _response_fields(response) -> Tuple[Any, ...]:
+    if type(response) is _Hit:
+        return (response.fingerprint, "ok", 200, True, False, False)
+    return (
+        response.get("fingerprint"),
+        response.get("status"),
+        response.get("code"),
+        response.get("cached", False),
+        response.get("degraded", False),
+        response.get("coalesced", False),
+    )
 
 
 def extract_summary(outcome) -> Dict[str, Any]:
@@ -131,12 +159,17 @@ def extract_summary(outcome) -> Dict[str, Any]:
     from repro.core.experiments.base import outcome_degraded
 
     result = outcome.unwrap()
+    # Each quantity once; the same float operations as
+    # max_ir_drop_fraction() and efficiency(), so the same bits.
+    drop = result.max_ir_drop()
+    load = result.load_power()
+    source = result.source_power()
     return {
-        "max_ir_drop_v": float(result.max_ir_drop()),
-        "max_ir_drop_fraction": float(result.max_ir_drop_fraction()),
-        "efficiency": float(result.efficiency()),
-        "load_power_w": float(result.load_power()),
-        "source_power_w": float(result.source_power()),
+        "max_ir_drop_v": float(drop),
+        "max_ir_drop_fraction": float(drop / result.vdd_nominal),
+        "efficiency": float(0.0 if source <= 0 else load / source),
+        "load_power_w": float(load),
+        "source_power_w": float(source),
         "degraded_solve": bool(outcome_degraded(outcome)),
     }
 
@@ -147,8 +180,8 @@ def spec_from_payload(payload: Any) -> PDNSpec:
         raise ServiceProtocolError(
             f"query 'spec' must be an object, got {type(payload).__name__}"
         )
-    unknown = sorted(set(payload) - set(_SPEC_FIELDS))
-    if unknown:
+    if not payload.keys() <= _SPEC_FIELD_SET:
+        unknown = sorted(set(payload) - _SPEC_FIELD_SET)
         raise ServiceProtocolError(
             f"unknown spec field(s) {unknown}; allowed: {list(_SPEC_FIELDS)}"
         )
@@ -166,7 +199,7 @@ def _parse_activities(payload: Any) -> Optional[Tuple[float, ...]]:
             "query 'activities' must be a list of numbers or null"
         )
     try:
-        return tuple(float(a) for a in payload)
+        return tuple(map(float, payload))
     except (TypeError, ValueError) as exc:
         raise ServiceProtocolError(f"invalid activities: {exc}") from None
 
@@ -337,6 +370,39 @@ class _WorkItem:
     trace: Optional[Dict[str, Any]] = None
 
 
+class _Hit:
+    """A fresh cache hit on its way out: spliced, never re-encoded."""
+
+    __slots__ = ("fingerprint", "solver", "result_json")
+
+    def __init__(self, fingerprint: str, solver: str, result_json: bytes):
+        self.fingerprint = fingerprint
+        self.solver = solver
+        self.result_json = result_json
+
+    def encode(self, wall_s: float, message: Dict[str, Any]) -> bytes:
+        """The response line, byte for byte what ``_encode`` writes for
+        the hit's envelope: its keys in sorted order, the kept result
+        JSON spliced in."""
+        request_id = (
+            b', "id": ' + _encode(message["id"]).encode("utf-8")
+            if "id" in message
+            else b""
+        )
+        return (
+            b'{"cached": true, "code": 200, "degraded": false, '
+            b'"fingerprint": %b%b, "kind": "result", "protocol": %d, '
+            b'"result": %b, "solver": %b, "status": "ok", "wall_s": %b}\n'
+        ) % (
+            _encode(self.fingerprint).encode("utf-8"),
+            request_id,
+            SERVICE_PROTOCOL,
+            self.result_json,
+            _encode(self.solver).encode("utf-8"),
+            repr(wall_s).encode("utf-8"),
+        )
+
+
 class ExplorationService:
     """The asyncio TCP server tying cache, admission and breaker together.
 
@@ -422,7 +488,18 @@ class ExplorationService:
             "per-stage wall time (cache/queue/flight-wait/solve/fleet)",
             buckets=LATENCY_BUCKETS,
         )
-        #: Flight recorder: recent query events for post-mortems.
+        # The hit path's label sets, bound once.
+        self._m_query_requests = self._m_requests.labels(kind="query")
+        self._m_ok_responses = self._m_responses.labels(status="ok")
+        self._m_hit_latency = self._m_query_latency.labels(outcome="hit")
+        self._m_cache_latency = self._m_stage_latency.labels(stage="cache")
+        self._m_slo_ok = self._m_slo.labels(result="ok")
+        self._m_slo_breached = self._m_slo.labels(result="breached")
+        #: Canonical query -> fingerprint (see :meth:`_fingerprint`).
+        self._fingerprints: Dict[Tuple[str, str, str], str] = {}
+        #: Flight recorder: recent query events for post-mortems, as
+        #: ``(t, outcome, wall_s, peer, trace, response fields)`` tuples
+        #: (formatted only when dumped).
         self._recorder: Optional[deque] = (
             deque(maxlen=int(self.config.flight_recorder))
             if int(self.config.flight_recorder) > 0
@@ -600,7 +677,7 @@ class ExplorationService:
     def _record_flight(
         self,
         message: Dict[str, Any],
-        response: Dict[str, Any],
+        fields: Tuple[Any, ...],
         outcome: str,
         wall_s: float,
         peer: Any,
@@ -608,24 +685,28 @@ class ExplorationService:
         if self._recorder is None:
             return
         trace = message.get("trace")
+        trace_id = trace.get("id") if isinstance(trace, dict) else None
         self._recorder.append(
-            {
-                "t": round(time.time(), 6),
-                "fingerprint": response.get("fingerprint"),
-                "status": response.get("status"),
-                "code": response.get("code"),
-                "outcome": outcome,
-                "wall_s": round(wall_s, 6),
-                "cached": bool(response.get("cached", False)),
-                "degraded": bool(response.get("degraded", False)),
-                "coalesced": bool(response.get("coalesced", False)),
-                "peer": str(peer) if peer else None,
-                "trace": trace.get("id") if isinstance(trace, dict) else None,
-            }
+            (time.time(), outcome, wall_s, peer, trace_id, fields)
         )
-        code = int(response.get("code", 0) or 0)
+        code = int(fields[2] or 0)
         if code >= 500:
             self._dump_recorder(reason=f"status-{code}")
+
+    @staticmethod
+    def _flight_event(event: Tuple[Any, ...]) -> Dict[str, Any]:
+        t, outcome, wall_s, peer, trace_id, fields = event
+        record = dict(zip(_RESPONSE_FIELDS, fields))
+        for flag in ("cached", "degraded", "coalesced"):
+            record[flag] = bool(record[flag])
+        record.update(
+            t=round(t, 6),
+            outcome=outcome,
+            wall_s=round(wall_s, 6),
+            peer=str(peer) if peer else None,
+            trace=trace_id,
+        )
+        return record
 
     def _dump_recorder(self, reason: str) -> None:
         """Atomically dump the ring buffer for post-mortems."""
@@ -640,7 +721,7 @@ class ExplorationService:
             "reason": reason,
             "dumped_at": round(time.time(), 3),
             "capacity": self._recorder.maxlen,
-            "events": list(self._recorder),
+            "events": [self._flight_event(e) for e in self._recorder],
         }
         tmp = path.with_name(path.name + ".tmp")
         try:
@@ -811,14 +892,12 @@ class ExplorationService:
                     )
                 else:
                     response = await self._dispatch(message, peer=peer)
-                response.setdefault("protocol", SERVICE_PROTOCOL)
-                if "id" in message:
-                    response["id"] = message["id"]
-                writer.write(
-                    (json.dumps(response, sort_keys=True) + "\n").encode(
-                        "utf-8"
-                    )
-                )
+                if type(response) is not bytes:
+                    response.setdefault("protocol", SERVICE_PROTOCOL)
+                    if "id" in message:
+                        response["id"] = message["id"]
+                    response = (_encode(response) + "\n").encode("utf-8")
+                writer.write(response)
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -836,11 +915,14 @@ class ExplorationService:
 
     async def _dispatch(
         self, message: Dict[str, Any], peer: Any = None
-    ) -> Dict[str, Any]:
+    ) -> Union[Dict[str, Any], bytes]:
+        """One request's response: an envelope dict, or a cache hit's
+        finished response line."""
         kind = message.get("kind")
-        self._m_requests.inc(kind=str(kind))
         if kind == "query":
+            self._m_query_requests.inc()
             return await self._handle_query(message, peer=peer)
+        self._m_requests.inc(kind=str(kind))
         if kind == "health":
             return self._handle_health()
         if kind == "ready":
@@ -910,14 +992,39 @@ class ExplorationService:
     # ------------------------------------------------------------------
     async def _handle_query(
         self, message: Dict[str, Any], peer: Any = None
-    ) -> Dict[str, Any]:
+    ) -> Union[Dict[str, Any], bytes]:
+        tracer = get_tracer()
+        t0 = time.perf_counter()
+        if tracer.enabled:
+            response = await self._answer_traced(message, peer)
+        else:
+            response = await self._answer_query(message)
+        wall = time.perf_counter() - t0
+        fields = _response_fields(response)
+        if type(response) is _Hit:
+            self._m_ok_responses.inc()
+            self._m_hit_latency.observe(wall)
+            self._account_slo(200, wall)
+            self._record_flight(message, fields, "hit", wall, peer)
+            return response.encode(round(wall, 6), message)
+        response["wall_s"] = round(wall, 6)
+        self._m_responses.inc(status=str(response.get("status", "unknown")))
+        outcome = self._classify(response)
+        self._m_query_latency.observe(wall, outcome=outcome)
+        self._account_slo(int(fields[2] or 0), wall)
+        self._record_flight(message, fields, outcome, wall, peer)
+        return response
+
+    async def _answer_traced(
+        self, message: Dict[str, Any], peer: Any
+    ) -> Union[Dict[str, Any], _Hit]:
+        """:meth:`_answer_query` inside a ``service.request`` span,
+        anchored under the client's span when the envelope carries
+        trace context (contextvars keep concurrent requests on separate
+        anchors)."""
         tracer = get_tracer()
         trace = message.get("trace")
         trace = trace if isinstance(trace, dict) else {}
-        t0 = time.perf_counter()
-        # Anchor this request's spans under the client's span (when the
-        # envelope carries trace context) — contextvars keep concurrent
-        # requests on separate anchors.
         with tracer.remote_context(trace.get("id"), trace.get("parent")):
             with tracer.span(
                 "service.request",
@@ -927,24 +1034,41 @@ class ExplorationService:
             ) as request_span:
                 response = await self._answer_query(message)
                 request_span.set(
-                    fingerprint=response.get("fingerprint"),
-                    status=response.get("status"),
-                    code=response.get("code"),
-                    cached=response.get("cached", False),
-                    degraded=response.get("degraded", False),
+                    **dict(zip(_RESPONSE_FIELDS, _response_fields(response)))
                 )
-        wall = time.perf_counter() - t0
-        response["wall_s"] = round(wall, 6)
-        status = str(response.get("status", "unknown"))
-        self._m_responses.inc(status=status)
-        outcome = self._classify(response)
-        self._m_query_latency.observe(wall, outcome=outcome)
-        if self.config.slo_latency_s is not None:
-            code = int(response.get("code", 0) or 0)
-            breached = code != 200 or wall > self.config.slo_latency_s
-            self._m_slo.inc(result="breached" if breached else "ok")
-        self._record_flight(message, response, outcome, wall, peer)
         return response
+
+    def _account_slo(self, code: int, wall_s: float) -> None:
+        if self.config.slo_latency_s is None:
+            return
+        if code != 200 or wall_s > self.config.slo_latency_s:
+            self._m_slo_breached.inc()
+        else:
+            self._m_slo_ok.inc()
+
+    def _fingerprint(
+        self,
+        spec: PDNSpec,
+        activities: Optional[Tuple[float, ...]],
+        solver: str,
+    ) -> str:
+        """:func:`query_fingerprint`, memoised per canonical query.
+
+        The key is the text the fingerprint hashes, not the values:
+        ``1``, ``1.0`` and ``true`` (or ``0.0`` and ``-0.0``) compare
+        equal but fingerprint apart.  The memo keeps at most as many
+        queries as the cache has entries (or the floor), dropping the
+        oldest first.
+        """
+        key = (repr(spec.key()), repr(activities), solver)
+        fingerprint = self._fingerprints.get(key)
+        if fingerprint is None:
+            fingerprint = query_fingerprint(spec, activities, solver)
+            bound = max(len(self.cache), _FINGERPRINT_MEMO_FLOOR)
+            while len(self._fingerprints) >= bound:
+                del self._fingerprints[next(iter(self._fingerprints))]
+            self._fingerprints[key] = fingerprint
+        return fingerprint
 
     @staticmethod
     def _classify(response: Dict[str, Any]) -> str:
@@ -963,7 +1087,9 @@ class ExplorationService:
             return "timeout"
         return "error"
 
-    async def _answer_query(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    async def _answer_query(
+        self, message: Dict[str, Any]
+    ) -> Union[Dict[str, Any], _Hit]:
         try:
             spec = spec_from_payload(message.get("spec"))
             activities = _parse_activities(message.get("activities"))
@@ -977,15 +1103,15 @@ class ExplorationService:
                 )
         except ServiceProtocolError as exc:
             return self._error_response(None, exc)
-        solver = resolve_backend(default_backend_name()).name
-        fingerprint = query_fingerprint(spec, activities, solver)
+        solver = default_backend_name()
+        fingerprint = self._fingerprint(spec, activities, solver)
         tracer = get_tracer()
 
         # 1. Cache fast path: repeated queries never touch admission.
         probe_t0 = time.perf_counter()
         entry = self.cache.get(fingerprint)
         probe_s = time.perf_counter() - probe_t0
-        self._m_stage_latency.observe(probe_s, stage="cache")
+        self._m_cache_latency.observe(probe_s)
         tracer.record(
             "service.cache_probe",
             probe_s,
@@ -993,9 +1119,7 @@ class ExplorationService:
             hit=entry is not None,
         )
         if entry is not None:
-            return self._ok_response(
-                fingerprint, entry.payload, solver, cached=True
-            )
+            return _Hit(fingerprint, solver, entry.result_json)
 
         if self._draining:
             return self._error_response(

@@ -14,13 +14,6 @@ import numpy as np
 T = TypeVar("T")
 
 
-def check_finite(name: str, value: float) -> float:
-    """Require a finite scalar; return it for chaining."""
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
-
-
 def check_finite_array(name: str, values) -> np.ndarray:
     """Require every entry to be finite, naming the first offender.
 

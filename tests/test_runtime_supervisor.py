@@ -312,6 +312,34 @@ class TestProcessRecovery:
         assert isinstance(result.values[0], float)
         assert result.report.tasks[0].timeouts >= 1
 
+    def test_deadline_kill_leaves_no_manager_thread(self, tmp_path):
+        import threading
+        from concurrent.futures.process import _ExecutorManagerThread
+        from functools import partial
+
+        def managers():
+            return {
+                t for t in threading.enumerate()
+                if isinstance(t, _ExecutorManagerThread) and t.is_alive()
+            }
+
+        before = managers()
+        marker = tmp_path / "hang-once"
+        marker.write_text("armed")
+        sup = RunSupervisor(
+            config=SupervisorConfig(
+                workers=1, task_timeout=2.0, backoff_base_s=0.0
+            )
+        )
+        result = sup.run(
+            [SweepPoint(spec=_spec())],
+            extract=partial(_hang_once_extract, marker=str(marker)),
+        )
+        assert result.metrics.timeouts >= 1
+        assert result.metrics.pool_rebuilds >= 1
+        # Both pools (the killed one and the last one) were joined.
+        assert managers() - before == set()
+
     def test_process_values_match_serial(self):
         points = _points(n_groups=3)
         serial = RunSupervisor().run(points, extract=_ir_extract)
