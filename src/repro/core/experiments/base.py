@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +29,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "FigurePlan",
+    "compute_plans",
     "register",
     "get_experiment",
     "all_experiments",
@@ -97,20 +99,52 @@ class FigurePlan:
     """A figure's engine runs as data, plus the step that assembles them.
 
     Each of ``runs`` is a ``(points, extract)`` pair, one
-    ``engine.run(points, extract=extract)``; ``assemble`` turns their
-    values (one list per run, in run order) into the figure's result.
-    :meth:`compute` runs them in order.  A caller may instead run any
-    subset of a run's points at a time (the headline report runs one
-    topology at a time) and assemble the values itself.
+    ``engine.run(points, extract=extract)`` when run whole; ``assemble``
+    turns their values (one list per run, in run order) into the
+    figure's result.  :func:`compute_plans` runs plans.
     """
 
     runs: Tuple[Tuple[Sequence[Any], Callable[[Any], Any]], ...]
     assemble: Callable[[List[List[Any]]], Any]
 
-    def compute(self, engine) -> Any:
-        return self.assemble(
-            [engine.run(points, extract=extract).values for points, extract in self.runs]
-        )
+
+def compute_plans(plans: Sequence[FigurePlan], engine) -> List[Any]:
+    """Run ``plans`` on ``engine``; return each plan's assembled result.
+
+    Topology-major on a plain :class:`~repro.runtime.SweepEngine`, and
+    on any engine when a topology is read by more than one run of the
+    set: topologies go in first-appearance order; every run that reads
+    one gets its points on it as one ``engine.run``, in plan and run
+    order; then ``engine.clear_cache([spec])`` drops it (even if it was
+    cached before the call), so peak memory holds one topology's
+    factor.  A :class:`~repro.runtime.RunSupervisor` whose runs share no
+    topology gets each run whole, to spread over its pool.  A run's
+    points on one topology are the batch the whole run solves there, so
+    both schedules give the same values bit for bit.
+    """
+    from repro.runtime import SweepEngine
+
+    runs = [run for plan in plans for run in plan.runs]
+    # Per run: spec -> indices of the run's points on it, in order.
+    groups: List[Dict[Any, List[int]]] = [{} for _ in runs]
+    for (points, _), group in zip(runs, groups):
+        for i, point in enumerate(points):
+            group.setdefault(point.spec, []).append(i)
+    readers = Counter(spec for group in groups for spec in group)
+    if isinstance(engine, SweepEngine) or max(readers.values(), default=0) > 1:
+        values = [[None] * len(points) for points, _ in runs]
+        for spec in readers:
+            for (points, extract), group, run_values in zip(runs, groups, values):
+                if spec in group:
+                    batch = [points[i] for i in group[spec]]
+                    result = engine.run(batch, extract=extract)
+                    for i, value in zip(group[spec], result.values):
+                        run_values[i] = value
+            engine.clear_cache([spec])
+    else:
+        values = [engine.run(points, extract=extract).values for points, extract in runs]
+    per_run = iter(values)
+    return [plan.assemble([next(per_run) for _ in plan.runs]) for plan in plans]
 
 
 class Experiment(ABC):

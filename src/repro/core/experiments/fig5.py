@@ -11,10 +11,11 @@ EM-damage-free lifetime normalised to the 2-layer V-S PDN:
   sites used for power vs the V-S PDN at 25%.  The C4 array's stress is
   insensitive to the TSV topology, so a single (Few) topology is used.
 
-Both sweeps run on the :class:`repro.runtime.engine.SweepEngine`: each
-distinct topology is built and factorised once and shared with any
-other experiment using the same engine (the headline report reuses one
-engine across Figs. 5a/5b/6).
+Both sweeps are figure plans run by
+:func:`~repro.core.experiments.base.compute_plans`: each distinct
+topology is built and factorised once, serves every plan that reads it
+(the headline report and ``repro report`` run several figures on one
+engine), and is freed before the next one is built.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.core.experiments.base import (
     ExperimentResult,
     FigurePlan,
     add_grid_argument,
+    compute_plans,
     degraded_notes,
     outcome_degraded,
     resolve_engine,
@@ -51,7 +53,7 @@ LayerSweep = Tuple[int, ...]
 DEFAULT_LAYERS: LayerSweep = (2, 4, 6, 8)
 
 
-def _tsv_array_lifetime(result: PDNResult, em: EMParameters) -> float:
+def tsv_array_lifetime(result: PDNResult, em: EMParameters) -> float:
     """Array lifetime over all TSV conductors (tiers + through-vias)."""
     currents = [result.conductor_currents("tsv")]
     if result.has_group_prefix("tvia"):
@@ -62,7 +64,7 @@ def _tsv_array_lifetime(result: PDNResult, em: EMParameters) -> float:
     return expected_em_lifetime(medians, em)
 
 
-def _c4_array_lifetime(result: PDNResult, em: EMParameters) -> float:
+def c4_array_lifetime(result: PDNResult, em: EMParameters) -> float:
     """Array lifetime over all power C4 pads."""
     medians = median_lifetimes_from_currents(
         result.conductor_currents("c4"), C4_CROSS_SECTION, em
@@ -74,11 +76,11 @@ def _c4_array_lifetime(result: PDNResult, em: EMParameters) -> float:
 # Each returns ``(value, degraded)`` so the contract/convergence flag
 # survives the trip back from worker processes.
 def _extract_tsv_lifetime(outcome, em: EMParameters) -> Tuple[float, bool]:
-    return _tsv_array_lifetime(outcome.unwrap(), em), outcome_degraded(outcome)
+    return tsv_array_lifetime(outcome.unwrap(), em), outcome_degraded(outcome)
 
 
 def _extract_c4_lifetime(outcome, em: EMParameters) -> Tuple[float, bool]:
-    return _c4_array_lifetime(outcome.unwrap(), em), outcome_degraded(outcome)
+    return c4_array_lifetime(outcome.unwrap(), em), outcome_degraded(outcome)
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,9 @@ def compute_fig5a(
 
     The engine-backed implementation behind :class:`Fig5aExperiment`.
     """
-    return fig5a_plan(layers, grid_nodes, em).compute(engine or SweepEngine())
+    return compute_plans(
+        [fig5a_plan(layers, grid_nodes, em)], engine or SweepEngine()
+    )[0]
 
 
 def compute_fig5b(
@@ -262,14 +266,15 @@ def compute_fig5b(
 
     The engine-backed implementation behind :class:`Fig5bExperiment`.
     """
-    return fig5b_plan(layers, pad_fractions, grid_nodes, em).compute(
-        engine or SweepEngine()
-    )
+    return compute_plans(
+        [fig5b_plan(layers, pad_fractions, grid_nodes, em)], engine or SweepEngine()
+    )[0]
 
 
 class Fig5aExperiment(Experiment):
     name = "fig5a"
     description = "Fig. 5a: TSV array EM lifetime"
+    compute = staticmethod(compute_fig5a)
 
     @classmethod
     def configure_parser(cls, parser) -> None:
@@ -277,7 +282,7 @@ class Fig5aExperiment(Experiment):
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         config = config or ExperimentConfig()
-        result = compute_fig5a(
+        result = self.compute(
             grid_nodes=config.grid_nodes,
             engine=resolve_engine(config),
         )
@@ -294,28 +299,9 @@ class Fig5aExperiment(Experiment):
         )
 
 
-class Fig5bExperiment(Experiment):
+class Fig5bExperiment(Fig5aExperiment):
+    """Fig. 5a's command over the C4 array."""
+
     name = "fig5b"
     description = "Fig. 5b: C4 array EM lifetime"
-
-    @classmethod
-    def configure_parser(cls, parser) -> None:
-        add_grid_argument(parser)
-
-    def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-        config = config or ExperimentConfig()
-        result = compute_fig5b(
-            grid_nodes=config.grid_nodes,
-            engine=resolve_engine(config),
-        )
-        return ExperimentResult(
-            name=self.name,
-            table=result.format(),
-            data={
-                "layers": list(result.layers),
-                "series": result.series,
-                "degraded_points": result.degraded_points,
-            },
-            raw=result,
-            notes=degraded_notes(result.degraded_points),
-        )
+    compute = staticmethod(compute_fig5b)

@@ -24,6 +24,7 @@ from repro.core.experiments.base import (
     FigurePlan,
     add_grid_argument,
     add_layers_argument,
+    compute_plans,
     degraded_notes,
     outcome_degraded,
     resolve_engine,
@@ -101,19 +102,17 @@ class Fig6Result:
         return table + "\n" + "\n".join(lines)
 
 
-def fig6_plan(
-    n_layers: int = 8,
-    imbalances: Sequence[float] = DEFAULT_IMBALANCES,
-    converters_per_core: Sequence[int] = DEFAULT_CONVERTERS,
-    grid_nodes: int = 20,
-) -> FigurePlan:
-    """Fig. 6's two engine runs and their assembly.
+def vs_series_points(
+    n_layers: int,
+    imbalances: Sequence[float],
+    converters_per_core: Sequence[int],
+    grid_nodes: int,
+) -> List[SweepPoint]:
+    """The V-S (Few TSV) sweep, converter-major: one topology per count.
 
-    The first run is the V-S series (converter-major, one topology per
-    converter count), the second the regular PDN's worst-case lines.
+    Figs. 6 and 8 read the same topologies at their own imbalances.
     """
-    imbalances = tuple(imbalances)
-    vs_points = [
+    return [
         SweepPoint(
             spec=PDNSpec.stacked(
                 n_layers, converters_per_core=k, topology="Few",
@@ -126,6 +125,31 @@ def fig6_plan(
         for k in converters_per_core
         for imbalance in imbalances
     ]
+
+
+def split_vs_series(flagged, converters_per_core: Sequence[int]):
+    """``(values, degraded flags)`` per converter count, from the
+    ``(value, degraded)`` pairs of a :func:`vs_series_points` run."""
+    n_imb = len(flagged) // max(1, len(converters_per_core))
+    chunks = {
+        k: flagged[i * n_imb:(i + 1) * n_imb] for i, k in enumerate(converters_per_core)
+    }
+    values = {k: [value for value, _ in chunk] for k, chunk in chunks.items()}
+    return values, {k: [bool(flag) for _, flag in chunk] for k, chunk in chunks.items()}
+
+
+def fig6_plan(
+    n_layers: int = 8,
+    imbalances: Sequence[float] = DEFAULT_IMBALANCES,
+    converters_per_core: Sequence[int] = DEFAULT_CONVERTERS,
+    grid_nodes: int = 20,
+) -> FigurePlan:
+    """Fig. 6's two engine runs and their assembly.
+
+    The first run is the V-S series (converter-major, one topology per
+    converter count), the second the regular PDN's worst-case lines.
+    """
+    imbalances = tuple(imbalances)
     regular_points = [
         SweepPoint(
             spec=PDNSpec.regular(n_layers, topology=topology, grid_nodes=grid_nodes),
@@ -136,13 +160,7 @@ def fig6_plan(
 
     def assemble(values) -> Fig6Result:
         vs_flagged, regular_flagged = values
-        vs_series: Dict[int, List[Optional[float]]] = {}
-        vs_degraded: Dict[int, List[bool]] = {}
-        n_imb = len(imbalances)
-        for i, k in enumerate(converters_per_core):
-            chunk = vs_flagged[i * n_imb:(i + 1) * n_imb]
-            vs_series[k] = [value for value, _ in chunk]
-            vs_degraded[k] = [bool(flag) for _, flag in chunk]
+        vs_series, vs_degraded = split_vs_series(vs_flagged, converters_per_core)
         regular_lines = dict(
             zip(("Dense", "Sparse", "Few"), (value for value, _ in regular_flagged))
         )
@@ -160,7 +178,10 @@ def fig6_plan(
 
     return FigurePlan(
         runs=(
-            (vs_points, _extract_rated_ir_drop),
+            (
+                vs_series_points(n_layers, imbalances, converters_per_core, grid_nodes),
+                _extract_rated_ir_drop,
+            ),
             (regular_points, _extract_ir_drop),
         ),
         assemble=assemble,
@@ -178,9 +199,10 @@ def compute_fig6(
 
     The engine-backed implementation behind :class:`Fig6Experiment`.
     """
-    return fig6_plan(n_layers, imbalances, converters_per_core, grid_nodes).compute(
-        engine or SweepEngine()
-    )
+    return compute_plans(
+        [fig6_plan(n_layers, imbalances, converters_per_core, grid_nodes)],
+        engine or SweepEngine(),
+    )[0]
 
 
 class Fig6Experiment(Experiment):

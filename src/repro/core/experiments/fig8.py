@@ -8,9 +8,9 @@ comparison line — SC converters providing *all* the power, stepping a
 core served by the minimal number of converters that respects the
 100 mA rating.
 
-The V-S sweep runs on the :class:`repro.runtime.engine.SweepEngine`:
-one topology group per converter count, all imbalance points solved in
-one batched multi-RHS call.
+The V-S sweep reads Fig. 6's topologies (one per converter count) at
+Fig. 8's imbalances; each topology's points are solved in one batched
+multi-RHS call.
 """
 
 from __future__ import annotations
@@ -26,14 +26,17 @@ from repro.core.experiments.base import (
     Experiment,
     ExperimentConfig,
     ExperimentResult,
+    FigurePlan,
     add_grid_argument,
     add_layers_argument,
+    compute_plans,
     degraded_notes,
     outcome_degraded,
     resolve_engine,
 )
+from repro.core.experiments.fig6 import split_vs_series, vs_series_points
 from repro.regulator.compact import SCCompactModel
-from repro.runtime import PDNSpec, SweepEngine, SweepPoint
+from repro.runtime import SweepEngine
 from repro.workload.imbalance import interleaved_layer_activities
 
 DEFAULT_IMBALANCES: Tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -122,6 +125,38 @@ class Fig8Result:
         )
 
 
+def fig8_plan(
+    n_layers: int = 8,
+    imbalances: Sequence[float] = DEFAULT_IMBALANCES,
+    converters_per_core: Sequence[int] = DEFAULT_CONVERTERS,
+    grid_nodes: int = 20,
+) -> FigurePlan:
+    """Fig. 8's engine run (Fig. 6's V-S topologies) and its assembly."""
+    imbalances = tuple(imbalances)
+
+    def assemble(values) -> Fig8Result:
+        (flagged,) = values
+        vs_series, vs_degraded = split_vs_series(flagged, converters_per_core)
+        return Fig8Result(
+            n_layers=n_layers,
+            imbalances=imbalances,
+            vs_series=vs_series,
+            regular_sc=[regular_sc_efficiency(i, n_layers) for i in imbalances],
+            vs_degraded=vs_degraded,
+            degraded_points=sum(1 for _, flag in flagged if flag),
+        )
+
+    return FigurePlan(
+        runs=(
+            (
+                vs_series_points(n_layers, imbalances, converters_per_core, grid_nodes),
+                _extract_rated_efficiency,
+            ),
+        ),
+        assemble=assemble,
+    )
+
+
 def compute_fig8(
     n_layers: int = 8,
     imbalances: Sequence[float] = DEFAULT_IMBALANCES,
@@ -133,38 +168,10 @@ def compute_fig8(
 
     The engine-backed implementation behind :class:`Fig8Experiment`.
     """
-    engine = engine or SweepEngine()
-    imbalances = tuple(imbalances)
-    points = [
-        SweepPoint(
-            spec=PDNSpec.stacked(
-                n_layers, converters_per_core=k, topology="Few",
-                grid_nodes=grid_nodes,
-            ),
-            layer_activities=tuple(
-                interleaved_layer_activities(n_layers, imbalance)
-            ),
-        )
-        for k in converters_per_core
-        for imbalance in imbalances
-    ]
-    flagged = engine.run(points, extract=_extract_rated_efficiency).values
-    vs_series: Dict[int, List[Optional[float]]] = {}
-    vs_degraded: Dict[int, List[bool]] = {}
-    n_imb = len(imbalances)
-    for i, k in enumerate(converters_per_core):
-        chunk = flagged[i * n_imb:(i + 1) * n_imb]
-        vs_series[k] = [value for value, _ in chunk]
-        vs_degraded[k] = [bool(flag) for _, flag in chunk]
-    regular = [regular_sc_efficiency(i, n_layers) for i in imbalances]
-    return Fig8Result(
-        n_layers=n_layers,
-        imbalances=imbalances,
-        vs_series=vs_series,
-        regular_sc=regular,
-        vs_degraded=vs_degraded,
-        degraded_points=sum(1 for _, flag in flagged if flag),
-    )
+    return compute_plans(
+        [fig8_plan(n_layers, imbalances, converters_per_core, grid_nodes)],
+        engine or SweepEngine(),
+    )[0]
 
 
 class Fig8Experiment(Experiment):

@@ -14,14 +14,14 @@ Abstract / conclusions checked:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.core.experiments.base import (
     Experiment,
     ExperimentConfig,
     ExperimentResult,
-    FigurePlan,
     add_grid_argument,
+    compute_plans,
     degraded_notes,
     resolve_engine,
 )
@@ -143,34 +143,6 @@ HEADLINE_CLAIM_BANDS: Tuple[ClaimBand, ...] = (
 )
 
 
-def _compute_topology_major(plans: Sequence[FigurePlan], engine) -> List[Any]:
-    """Assemble each plan's result, running one topology at a time.
-
-    Topologies go in first-appearance order over the plans' points.
-    Each is built once; every run of every plan that reads it then gets
-    its points on that topology, in plan and run order; then it is
-    dropped from the engine before the next topology is built.  A run's
-    points on one topology are exactly the group the whole run would
-    solve as one batch, so the values equal those of
-    :meth:`FigurePlan.compute` bit for bit.
-    """
-    values = [[[None] * len(points) for points, _ in plan.runs] for plan in plans]
-    specs = dict.fromkeys(
-        point.spec for plan in plans for points, _ in plan.runs for point in points
-    )
-    for spec in specs:
-        for plan, plan_values in zip(plans, values):
-            for (points, extract), run_values in zip(plan.runs, plan_values):
-                indices = [i for i, point in enumerate(points) if point.spec == spec]
-                if not indices:
-                    continue
-                result = engine.run([points[i] for i in indices], extract=extract)
-                for i, value in zip(indices, result.values):
-                    run_values[i] = value
-        engine.clear_cache([spec])
-    return [plan.assemble(plan_values) for plan, plan_values in zip(plans, values)]
-
-
 def run_headline(
     grid_nodes: int = 20,
     fig5a: Optional[Fig5aResult] = None,
@@ -188,15 +160,11 @@ def run_headline(
     full figures' 35; the claims come out identical to those taken from
     full-axis figures.  Supplied figures are used as given.
 
-    The figures are computed topology-major on one engine (see
-    :func:`_compute_topology_major`): each topology is built and
-    factorised once, every figure run that reads it runs on it, and it
-    is dropped from the engine (even if it was cached before the call)
-    before the next one is built.  Peak memory therefore holds one
-    topology's factor, and the engine ends holding none of the ten.
-    Each figure keeps its own right-hand-side batches, so the report
-    equals the one from figure-by-figure runs; a default report makes
-    16 engine runs, with 10 structure-cache misses and 6 hits.
+    The figures share topologies, so :func:`compute_plans` runs them
+    topology-major on any engine, and the engine ends holding none of
+    the ten.  Each figure keeps its own right-hand-side batches, so the
+    report equals the one from figure-by-figure runs; a default report
+    makes 16 engine runs, with 10 structure-cache misses and 6 hits.
     """
     engine = engine or SweepEngine()
     plans = {}
@@ -210,9 +178,7 @@ def run_headline(
         plans["fig6"] = fig6_plan(
             converters_per_core=HEADLINE_FIG6_CONVERTERS, grid_nodes=grid_nodes
         )
-    computed = dict(
-        zip(plans, _compute_topology_major(list(plans.values()), engine))
-    )
+    computed = dict(zip(plans, compute_plans(list(plans.values()), engine)))
     fig5a = computed.get("fig5a", fig5a)
     fig5b = computed.get("fig5b", fig5b)
     fig6 = computed.get("fig6", fig6)

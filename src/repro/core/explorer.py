@@ -15,21 +15,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.analysis.tables import format_table
 from repro.config.stackups import ProcessorSpec, TSV_TOPOLOGIES
 from repro.config.technology import EMParameters, default_em, default_tsv
-from repro.em import (
-    C4_CROSS_SECTION,
-    TSV_CROSS_SECTION,
-    expected_em_lifetime,
-    median_lifetimes_from_currents,
-)
 from repro.regulator.area import converters_area_overhead
 from repro.config.converters import default_sc_spec
+from repro.core.experiments.base import FigurePlan, compute_plans
+from repro.core.experiments.fig5 import c4_array_lifetime, tsv_array_lifetime
 from repro.runtime import PDNSpec, SweepEngine, SweepPoint
 from repro.workload.imbalance import interleaved_layer_activities
 
@@ -165,26 +159,6 @@ class ExplorationResult:
         )
 
 
-def _array_lifetimes(result, em: EMParameters) -> Tuple[float, float]:
-    """(C4, TSV) expected EM-damage-free lifetimes of one solve."""
-    c4 = expected_em_lifetime(
-        median_lifetimes_from_currents(
-            result.conductor_currents("c4"), C4_CROSS_SECTION, em
-        ),
-        em,
-    )
-    tsv_currents = [result.conductor_currents("tsv")]
-    if result.has_group_prefix("tvia"):
-        tsv_currents.append(result.conductor_currents("tvia"))
-    tsv = expected_em_lifetime(
-        median_lifetimes_from_currents(
-            np.concatenate(tsv_currents), TSV_CROSS_SECTION, em
-        ),
-        em,
-    )
-    return c4, tsv
-
-
 def _area_overhead(
     topology: str, converters: int, capacitor_technology: str
 ) -> float:
@@ -204,7 +178,6 @@ def _design_point_extract(
     """Build one DesignPoint from a sweep outcome (picklable)."""
     arrangement, topology, pad_fraction, converters = outcome.point.tag
     result = outcome.unwrap()
-    c4_life, tsv_life = _array_lifetimes(result, em)
     # A regular PDN is always feasible; a V-S point is infeasible when
     # its converters exceed the 100 mA rating.
     feasible = converters == 0 or result.converters_within_rating()
@@ -215,8 +188,8 @@ def _design_point_extract(
         power_pad_fraction=pad_fraction,
         ir_drop=result.max_ir_drop_fraction() if feasible else None,
         efficiency=result.efficiency() if feasible else None,
-        c4_lifetime=c4_life,
-        tsv_lifetime=tsv_life,
+        c4_lifetime=c4_array_lifetime(result, em),
+        tsv_lifetime=tsv_array_lifetime(result, em),
         area_overhead=_area_overhead(topology, converters, capacitor_technology),
         degraded=bool(getattr(result, "degraded", False)),
     )
@@ -225,10 +198,10 @@ def _design_point_extract(
 class DesignSpaceExplorer:
     """Sweep and rank 3D-PDN design scenarios.
 
-    ``explore()`` runs on the :class:`repro.runtime.engine.SweepEngine`
-    — every distinct topology in the cross product is built and
-    factorised once.  Pass ``engine=RunSupervisor(workers=N)`` to
-    spread the topologies over N worker processes.
+    ``explore()`` runs its cross product as a one-run plan through
+    :func:`~repro.core.experiments.base.compute_plans`, one topology at
+    a time on a plain engine.  Pass ``engine=RunSupervisor(workers=N)``
+    to spread the topologies over N worker processes.
     """
 
     def __init__(
@@ -294,7 +267,10 @@ class DesignSpaceExplorer:
             em=self.em,
             capacitor_technology=self.capacitor_technology,
         )
-        points = list(self.engine.run(sweep_points, extract=extract).values)
-        return ExplorationResult(
-            points=points, imbalance=self.imbalance, n_layers=self.n_layers
+        plan = FigurePlan(
+            runs=((sweep_points, extract),),
+            assemble=lambda values: ExplorationResult(
+                list(values[0]), self.imbalance, self.n_layers
+            ),
         )
+        return compute_plans([plan], self.engine)[0]

@@ -13,15 +13,16 @@ from typing import Optional
 
 from repro.core.experiments import (
     compute_fig3,
-    compute_fig5a,
-    compute_fig5b,
-    compute_fig6,
     compute_fig7,
-    compute_fig8,
     run_headline,
     table1_report,
     table2_report,
 )
+from repro.core.experiments.base import compute_plans
+from repro.core.experiments.fig5 import fig5a_plan, fig5b_plan
+from repro.core.experiments.fig6 import fig6_plan
+from repro.core.experiments.fig8 import fig8_plan
+from repro.runtime import SweepEngine
 
 
 def generate_report(grid_nodes: int = 16, rng: Optional[int] = None) -> str:
@@ -45,23 +46,24 @@ def generate_report(grid_nodes: int = 16, rng: Optional[int] = None) -> str:
     fig3 = compute_fig3()
     section("Fig. 3 — SC converter model validation", fig3.format())
 
-    fig5a = compute_fig5a(grid_nodes=grid_nodes)
+    # One engine, topology-major: Figs. 6 and 8 share their V-S
+    # topologies, and Figs. 5a/5b/6 their regular ones.
+    engine = SweepEngine()
+    plans = (fig5a_plan, fig5b_plan, fig6_plan, fig8_plan)
+    fig5a, fig5b, fig6, fig8 = compute_plans(
+        [plan(grid_nodes=grid_nodes) for plan in plans], engine
+    )
     section("Fig. 5a — TSV array EM lifetime", fig5a.format())
-
-    fig5b = compute_fig5b(grid_nodes=grid_nodes)
     section("Fig. 5b — C4 array EM lifetime", fig5b.format())
-
-    fig6 = compute_fig6(grid_nodes=grid_nodes)
     section("Fig. 6 — IR drop vs workload imbalance", fig6.format())
 
     fig7 = compute_fig7(rng=rng)
     section("Fig. 7 — PARSEC power distributions", fig7.format())
-
-    fig8 = compute_fig8(grid_nodes=grid_nodes)
     section("Fig. 8 — system power efficiency", fig8.format())
 
     headline = run_headline(
-        grid_nodes=grid_nodes, fig5a=fig5a, fig5b=fig5b, fig6=fig6, fig7=fig7
+        grid_nodes=grid_nodes, fig5a=fig5a, fig5b=fig5b, fig6=fig6, fig7=fig7,
+        engine=engine,
     )
     section("Headline claims", headline.format())
 

@@ -216,11 +216,6 @@ class BasePDN3D:
         """True once any fault plan has been applied."""
         return bool(self._fault_reports)
 
-    @property
-    def fault_reports(self) -> List:
-        """Reports of every fault plan applied so far, in order."""
-        return list(self._fault_reports)
-
     def fault_tags(self, prefix: str = "") -> List[str]:
         """Conductor-group keys addressable by fault plans."""
         return [k for k in self.conductor_groups if k.startswith(prefix)]

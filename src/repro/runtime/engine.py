@@ -478,8 +478,7 @@ class SweepEngine:
 
     # ------------------------------------------------------------------
     def _key_label(self, key: GroupKey) -> str:
-        spec, plan_key, resilient = key[0], key[1], key[2]
-        solver = key[3] if len(key) > 3 else "lu"
+        spec, plan_key, resilient, solver = key
         label = spec.label()
         if plan_key is not None:
             label += "+faults"
@@ -511,8 +510,7 @@ class SweepEngine:
                 return cached
         else:
             self._cache_misses += 1
-        solver = key[3] if len(key) > 3 else None
-        pdn, report, build_s, factorize_s = _build_group(spec, plan, solver)
+        pdn, report, build_s, factorize_s = _build_group(spec, plan, key[3])
         entry = _CachedStructure(
             pdn=pdn,
             fault_report=report,
@@ -539,7 +537,7 @@ class SweepEngine:
     ) -> GroupMetrics:
         group_metrics = GroupMetrics(
             key=self._key_label(key),
-            backend=key[3] if len(key) > 3 else "lu",
+            backend=key[3],
         )
         plan = members[0][1].fault_plan
         with get_tracer().span(

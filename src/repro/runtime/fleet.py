@@ -808,7 +808,7 @@ class FleetCoordinator(_LeaseCore):
             self.state.extract,
             task.label,
             self._trace_ctx,
-            task.key[3] if len(task.key) > 3 else None,
+            task.key[3],
         ))
 
     def _unleased_task(self, task_id: str) -> Optional["_Task"]:

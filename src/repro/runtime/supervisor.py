@@ -944,7 +944,7 @@ class RunSupervisor:
                             extract,
                             task.label,
                             trace_ctx,
-                            task.key[3] if len(task.key) > 3 else None,
+                            task.key[3],
                         )
                     except Exception:
                         # Pool already broken before the submit landed:

@@ -34,7 +34,7 @@ import os
 import pathlib
 from typing import Optional
 
-__all__ = ["EPOCH_ENV", "code_epoch", "compute_epoch", "reset_epoch_cache"]
+__all__ = ["EPOCH_ENV", "code_epoch", "compute_epoch"]
 
 #: Environment override: any non-empty token becomes the epoch verbatim.
 EPOCH_ENV = "REPRO_EPOCH"
@@ -79,9 +79,3 @@ def code_epoch() -> str:
     if _cached is None:
         _cached = compute_epoch()
     return _cached
-
-
-def reset_epoch_cache() -> None:
-    """Forget the memoized digest (tests that patch the tree or env)."""
-    global _cached
-    _cached = None

@@ -880,18 +880,22 @@ class ExplorationService:
                     continue
                 try:
                     message = json.loads(line)
-                    if not isinstance(message, dict):
-                        raise ServiceProtocolError(
-                            "request must be a JSON object"
-                        )
-                except json.JSONDecodeError as exc:
+                    error = (
+                        None
+                        if isinstance(message, dict)
+                        else "request must be a JSON object"
+                    )
+                except UnicodeDecodeError:
+                    error = "request is not UTF-8"
+                except ValueError as exc:  # JSONDecodeError, overlong ints
+                    error = f"unparsable request: {getattr(exc, 'msg', exc)}"
+                if error is None:
+                    response = await self._dispatch(message, peer=peer)
+                else:
                     message = {}
                     response = self._error_response(
-                        None,
-                        ServiceProtocolError(f"unparsable request: {exc.msg}"),
+                        None, ServiceProtocolError(error)
                     )
-                else:
-                    response = await self._dispatch(message, peer=peer)
                 if type(response) is not bytes:
                     response.setdefault("protocol", SERVICE_PROTOCOL)
                     if "id" in message:

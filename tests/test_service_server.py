@@ -10,6 +10,8 @@ test, which runs the real engine.
 from __future__ import annotations
 
 import gc
+import json
+import socket
 import threading
 import time
 import weakref
@@ -381,6 +383,22 @@ class TestProtocol:
             assert "4 layer(s)" in mismatch["error"]
             # The connection survived all three.
             assert client.health()["status"] == "ok"
+
+    def test_non_object_and_non_utf8_lines_get_typed_400s(self, serve):
+        handle = serve(solve_fn=_CountingSolver())
+        host, port = handle.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+            stream = sock.makefile("rb")
+            replies = []
+            for line in (b"[1, 2]", b"\xff", b'{"kind": "health"}'):
+                sock.sendall(line + b"\n")
+                replies.append(json.loads(stream.readline()))
+        assert [reply["code"] for reply in replies] == [400, 400, 200]
+        assert {reply.get("error_type") for reply in replies[:2]} == {
+            "ServiceProtocolError"
+        }
+        assert replies[0]["error"] == "request must be a JSON object"
+        assert replies[1]["error"] == "request is not UTF-8"
 
     def test_request_id_echo(self, serve):
         handle = serve(solve_fn=_CountingSolver())
