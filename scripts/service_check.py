@@ -21,8 +21,9 @@ survive:
 Exit status 0 = all three proofs hold.
 
 Then, as a measurement and not a gate, it times cached hits on an
-in-process replica against an in-process asyncio newline-JSON echo of
-the same response, over the same client, and writes both p50s to
+in-process replica against two in-process newline-JSON echoes of the
+same response over the same client, one on asyncio streams and one on
+an ``asyncio.Protocol``, and writes the three p50s to
 ``<work_dir>/hit-latency.json``.
 
 Usage::
@@ -304,12 +305,32 @@ def check_clean_shutdown(address: str, server: subprocess.Popen) -> None:
 # Measurement: hit p50 next to the asyncio echo floor
 # ----------------------------------------------------------------------
 
-def _echo_server(response: dict):
-    """An asyncio newline-JSON echo on its own thread: parse each
-    request line and answer ``response``, encoded like the replica's
-    envelopes.  Returns (address, stop)."""
+class _EchoProtocol(asyncio.Protocol):
+    """The protocol echo: parse each complete line in the read callback
+    and answer it there."""
+
+    def __init__(self, encoded: bytes):
+        self._encoded = encoded
+        self._buffer = b""
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        *lines, self._buffer = (self._buffer + data).split(b"\n")
+        for line in lines:
+            json.loads(line)
+            self._transport.write(self._encoded)
+
+
+def _echo_server(response: dict, protocol: bool = False):
+    """A newline-JSON echo on its own thread: parse each request line
+    and answer ``response``, encoded like the replica's envelopes, over
+    asyncio streams or (``protocol``) an ``asyncio.Protocol``.  Returns
+    (address, stop)."""
     box = {}
     ready = threading.Event()
+    encoded = (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
 
     async def handle(reader, writer):
         while True:
@@ -324,7 +345,12 @@ def _echo_server(response: dict):
         writer.close()
 
     async def serve():
-        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        if protocol:
+            server = await asyncio.get_running_loop().create_server(
+                lambda: _EchoProtocol(encoded), "127.0.0.1", 0
+            )
+        else:
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
         host, port = server.sockets[0].getsockname()[:2]
         box["address"] = f"{host}:{port}"
         box["loop"] = asyncio.get_running_loop()
@@ -369,7 +395,7 @@ def measure_hit_floor(work: pathlib.Path) -> dict:
             cache_dir=str(work / "hit-floor-cache"), bench_name=None
         )
     )
-    hits, echoes = [], []
+    hits, echoes, protocol_echoes = [], [], []
     try:
         with ServiceClient(replica.address, timeout_s=300.0) as client:
             client.query(spec, activities=activities)
@@ -377,8 +403,13 @@ def measure_hit_floor(work: pathlib.Path) -> dict:
             if not response.get("cached"):
                 fail(f"hit-floor query was not a cache hit: {response}")
             echo_address, stop_echo = _echo_server(response)
+            protocol_address, stop_protocol = _echo_server(
+                response, protocol=True
+            )
             try:
-                with ServiceClient(echo_address) as echo:
+                with ServiceClient(echo_address) as echo, ServiceClient(
+                    protocol_address
+                ) as protocol_echo:
                     for _ in range(FLOOR_ROUNDS):
                         hits += _latencies(
                             client, spec, activities, FLOOR_QUERIES
@@ -386,16 +417,23 @@ def measure_hit_floor(work: pathlib.Path) -> dict:
                         echoes += _latencies(
                             echo, spec, activities, FLOOR_QUERIES
                         )
+                        protocol_echoes += _latencies(
+                            protocol_echo, spec, activities, FLOOR_QUERIES
+                        )
             finally:
                 stop_echo()
+                stop_protocol()
     finally:
         replica.stop()
     hit_ms = statistics.median(hits) * 1e3
     echo_ms = statistics.median(echoes) * 1e3
+    protocol_ms = statistics.median(protocol_echoes) * 1e3
     record = {
         "hit_p50_ms": round(hit_ms, 4),
         "echo_p50_ms": round(echo_ms, 4),
+        "protocol_echo_p50_ms": round(protocol_ms, 4),
         "ratio": round(hit_ms / echo_ms, 3),
+        "protocol_ratio": round(hit_ms / protocol_ms, 3),
         "samples": len(hits),
         "response_bytes": len(json.dumps(response, sort_keys=True)) + 1,
     }
@@ -403,8 +441,10 @@ def measure_hit_floor(work: pathlib.Path) -> dict:
         json.dumps(record, indent=2, sort_keys=True) + "\n"
     )
     log(
-        f"hit p50 {hit_ms:.3f} ms vs asyncio echo floor {echo_ms:.3f} ms "
-        f"(x{record['ratio']:.2f}, {len(hits)} samples each; not a gate)"
+        f"hit p50 {hit_ms:.3f} ms vs echo floors: streams {echo_ms:.3f} ms "
+        f"(x{record['ratio']:.2f}), protocol {protocol_ms:.3f} ms "
+        f"(x{record['protocol_ratio']:.2f}); {len(hits)} samples each, "
+        "not a gate"
     )
     return record
 

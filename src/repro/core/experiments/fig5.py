@@ -55,21 +55,19 @@ DEFAULT_LAYERS: LayerSweep = (2, 4, 6, 8)
 
 def tsv_array_lifetime(result: PDNResult, em: EMParameters) -> float:
     """Array lifetime over all TSV conductors (tiers + through-vias)."""
-    currents = [result.conductor_currents("tsv")]
+    bundles = [result.conductor_bundles("tsv")]
     if result.has_group_prefix("tvia"):
-        currents.append(result.conductor_currents("tvia"))
-    medians = median_lifetimes_from_currents(
-        np.concatenate(currents), TSV_CROSS_SECTION, em
-    )
-    return expected_em_lifetime(medians, em)
+        bundles.append(result.conductor_bundles("tvia"))
+    currents, counts = (np.concatenate(part) for part in zip(*bundles))
+    medians = median_lifetimes_from_currents(currents, TSV_CROSS_SECTION, em)
+    return expected_em_lifetime(medians, em, counts=counts)
 
 
 def c4_array_lifetime(result: PDNResult, em: EMParameters) -> float:
     """Array lifetime over all power C4 pads."""
-    medians = median_lifetimes_from_currents(
-        result.conductor_currents("c4"), C4_CROSS_SECTION, em
-    )
-    return expected_em_lifetime(medians, em)
+    currents, counts = result.conductor_bundles("c4")
+    medians = median_lifetimes_from_currents(currents, C4_CROSS_SECTION, em)
+    return expected_em_lifetime(medians, em, counts=counts)
 
 
 # Module-level extractors so sweeps stay picklable for process fan-out.

@@ -43,12 +43,17 @@ def lognormal_failure_cdf(t, median: float, sigma: float):
     return out if out.ndim else float(out)
 
 
-def _distinct_medians(medians):
-    """Sorted distinct medians ``t50_k`` and their multiplicities ``m_k``."""
+def _distinct_medians(medians, counts=None):
+    """Sorted distinct medians ``t50_k`` and their multiplicities ``m_k``;
+    ``counts[i]`` conductors share ``medians[i]`` (one each by default)."""
     medians = np.asarray(medians, dtype=float)
+    if counts is None:
+        counts = np.ones(medians.size, dtype=np.int64)
+    medians, counts = medians[counts > 0], counts[counts > 0]
     if medians.size == 0:
         raise ValueError("medians must be non-empty")
-    return np.unique(medians, return_counts=True)
+    distinct, inverse = np.unique(medians, return_inverse=True)
+    return distinct, np.bincount(inverse, weights=counts).astype(np.int64)
 
 
 def _array_failure_cdf(
@@ -158,16 +163,18 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
 
 
 def expected_em_lifetime(
-    medians: np.ndarray, em: EMParameters = None
+    medians: np.ndarray, em: EMParameters = None, counts=None
 ) -> float:
     """The paper's expected EM-damage-free lifetime: ``P(t) = 0.5``.
 
     ``medians`` are per-conductor median lifetimes (same units as the
-    returned value).  An infinite median is an immortal conductor and
-    is allowed, as long as some conductor can fail.
+    returned value), or with ``counts`` the median each of ``counts[i]``
+    conductors shares: the same array without expanding it.  An infinite
+    median is an immortal conductor and is allowed, as long as some
+    conductor can fail.
     """
     em = em or default_em()
-    distinct, counts = _distinct_medians(medians)
+    distinct, counts = _distinct_medians(medians, counts)
     if distinct[0] <= 0:
         raise ValueError("median lifetimes must be positive")
     # np.unique sorts NaN last and +inf just before it.

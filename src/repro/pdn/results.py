@@ -47,6 +47,11 @@ class ConductorGroup:
 
     def per_conductor_currents(self, solution: Solution) -> np.ndarray:
         """|current| of every physical conductor in the group (A)."""
+        return np.repeat(*self.bundle_currents(solution))
+
+    def bundle_currents(self, solution: Solution):
+        """``(current, count)`` per bundle: the |current| (A) each of its
+        conductors carries, and how many conductor segments carry it."""
         bundle_currents = np.abs(solution.resistor_currents(self.tag))
         if len(bundle_currents) != len(self.multiplicity):
             raise ValueError(
@@ -54,9 +59,9 @@ class ConductorGroup:
                 f"{len(self.multiplicity)} multiplicities"
             )
         # Fully-failed bundles have multiplicity 0 (and carry no current
-        # once opened); guard the divide and let np.repeat drop them.
+        # once opened): guard the divide; their count of 0 drops them.
         per_conductor = bundle_currents / np.maximum(self.multiplicity, 1)
-        return np.repeat(per_conductor, self.multiplicity * self.segments)
+        return per_conductor, self.multiplicity * self.segments
 
 
 class PDNResult:
@@ -122,14 +127,20 @@ class PDNResult:
     def conductor_currents(self, prefix: str) -> np.ndarray:
         """Per-conductor |current| over all groups whose tag starts with
         ``prefix`` ("c4", "tsv", "tvia")."""
+        return np.repeat(*self.conductor_bundles(prefix))
+
+    def conductor_bundles(self, prefix: str):
+        """:meth:`conductor_currents` before expansion: ``(current,
+        count)`` per bundle (see :meth:`ConductorGroup.bundle_currents`)."""
         parts = [
-            group.per_conductor_currents(self.solution)
+            group.bundle_currents(self.solution)
             for tag, group in self.conductor_groups.items()
             if tag.startswith(prefix)
         ]
         if not parts:
             raise KeyError(f"no conductor groups with prefix {prefix!r}")
-        return np.concatenate(parts)
+        currents, counts = zip(*parts)
+        return np.concatenate(currents), np.concatenate(counts)
 
     def has_group_prefix(self, prefix: str) -> bool:
         return any(tag.startswith(prefix) for tag in self.conductor_groups)

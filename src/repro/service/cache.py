@@ -422,6 +422,17 @@ class ResultCache:
                 result_json=stored.result_json,
             )
 
+    def fresh_json(self, fingerprint: str) -> Optional[bytes]:
+        """A fresh entry's ``result_json``, counted as a hit; None counts
+        nothing, so a caller that falls back to :meth:`get` counts its
+        miss once."""
+        entry = self.get(fingerprint, count=False)
+        if entry is None:
+            return None
+        with self._lock:
+            self.hits += 1
+        return entry.result_json
+
     def put(self, fingerprint: str, payload: Dict[str, Any]) -> pathlib.Path:
         """Store one answer atomically; evicts LRU entries over the cap.
 

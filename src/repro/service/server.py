@@ -124,9 +124,16 @@ _SPEC_FIELD_SET = frozenset(_SPEC_FIELDS)
 #: call: the encoding of every response envelope.
 _encode = json.JSONEncoder(sort_keys=True).encode
 
-#: Canonical queries whose fingerprints the replica remembers, at least;
+#: Query lines whose fingerprints the replica remembers, at least;
 #: beyond this floor the memo holds as many as the cache has entries.
 _FINGERPRINT_MEMO_FLOOR = 64
+
+#: The longest request line, in bytes before its newline (the asyncio
+#: streams limit); a longer one closes the connection.
+MAX_LINE_BYTES = 2**16
+
+#: A query line carrying only these fields may be memoised.
+_PLAIN_QUERY_FIELDS = frozenset(("kind", "spec", "activities"))
 
 #: What the request span, the metrics and the flight recorder read off
 #: a response, in the order :func:`_response_fields` returns them.
@@ -403,6 +410,89 @@ class _Hit:
         )
 
 
+class _Connection(asyncio.Protocol):
+    """One client connection, answered in request order.
+
+    A memoised plain query whose entry is a fresh hit is answered in the
+    read callback (:meth:`ExplorationService._answer_hit`).  Any other
+    line goes to one task on the full path, and the lines behind it wait
+    in the buffer.  Reading pauses while writing is paused or more than
+    two maximal lines wait; a line over :data:`MAX_LINE_BYTES` closes
+    the connection when its turn comes.
+    """
+
+    def __init__(self, service: "ExplorationService"):
+        self._service = service
+        self._buffer = bytearray()
+        self._task: Optional[asyncio.Task] = None
+        self._write_paused = self._eof = False
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._peer = transport.get_extra_info("peername")
+        self._service._connections.add(transport)
+
+    def connection_lost(self, exc) -> None:
+        self._service._connections.discard(self._transport)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._pump()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._pump()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._pump()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._pump()
+        return True  # _pump closes once every answer is written
+
+    def _pump(self) -> None:
+        buffer, start, transport = self._buffer, 0, self._transport
+        while not (self._task or self._write_paused or transport.is_closing()):
+            end = buffer.find(b"\n", start, start + MAX_LINE_BYTES + 1)
+            if end < 0 and self._eof and start < len(buffer) <= start + MAX_LINE_BYTES:
+                end = len(buffer)  # an unterminated last line at EOF
+            if end < 0:
+                break
+            line, start = bytes(buffer[start:end]), end + 1
+            response = self._service._answer_hit(line, self._peer)
+            if response is None:
+                self._task = asyncio.ensure_future(self._answer(line))
+            else:
+                transport.write(response)
+        del buffer[:start]
+        if transport.is_closing():
+            return
+        if not (self._task or self._write_paused) and (
+            self._eof or len(buffer) > MAX_LINE_BYTES
+        ):
+            if len(buffer) > MAX_LINE_BYTES:
+                _log.warning("request line over the limit", extra={"peer": str(self._peer)})
+            transport.close()
+            return
+        pause = self._write_paused or self._eof or len(buffer) > 2 * MAX_LINE_BYTES
+        if pause == transport.is_reading():
+            (transport.pause_reading if pause else transport.resume_reading)()
+
+    async def _answer(self, line: bytes) -> None:
+        try:
+            response = await self._service._respond(line, self._peer)
+        except Exception:  # pragma: no cover - handler must never leak
+            _log.warning("service connection handler error", extra={"peer": str(self._peer)})
+            response = None
+            self._transport.close()
+        if response is not None and not self._transport.is_closing():
+            self._transport.write(response)
+        self._task = None
+        self._pump()
+
+
 class ExplorationService:
     """The asyncio TCP server tying cache, admission and breaker together.
 
@@ -495,8 +585,8 @@ class ExplorationService:
         self._m_cache_latency = self._m_stage_latency.labels(stage="cache")
         self._m_slo_ok = self._m_slo.labels(result="ok")
         self._m_slo_breached = self._m_slo.labels(result="breached")
-        #: Canonical query -> fingerprint (see :meth:`_fingerprint`).
-        self._fingerprints: Dict[Tuple[str, str, str], str] = {}
+        #: (plain query line, solver) -> fingerprint (see _answer_hit).
+        self._lines: Dict[Tuple[bytes, str], str] = {}
         #: Flight recorder: recent query events for post-mortems, as
         #: ``(t, outcome, wall_s, peer, trace, response fields)`` tuples
         #: (formatted only when dumped).
@@ -550,9 +640,8 @@ class ExplorationService:
                 )
             else:
                 self.fleet = fleet
-        self._server = await asyncio.start_server(
-            self._serve_connection, host=host, port=port
-        )
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(lambda: _Connection(self), host, port)
         sock = self._server.sockets[0].getsockname()
         self.address = f"{sock[0]}:{sock[1]}"
         self._started_at = time.monotonic()
@@ -615,13 +704,9 @@ class ExplorationService:
             worker.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers.clear()
-        # Close idle connections so their handlers see EOF and exit
-        # before the loop tears down (no orphaned readline tasks).
-        for writer in list(self._connections):
-            try:
-                writer.close()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+        # Close every connection before the loop tears down.
+        for transport in list(self._connections):
+            transport.close()
         if self._server is not None:
             await self._server.wait_closed()
         self._server = None
@@ -865,67 +950,62 @@ class ExplorationService:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        self._connections.add(writer)
+    def _answer_hit(self, line: bytes, peer: Any) -> Optional[bytes]:
+        """A memoised line's response when its entry is a fresh hit and
+        tracing is off, with the full path's accounting but no task and
+        no await; None sends the line down :meth:`_respond`."""
+        t0 = time.perf_counter()
+        solver = default_backend_name()
+        fingerprint = self._lines.get((line, solver))
+        if fingerprint is None or get_tracer().enabled:
+            return None
+        result_json = self.cache.fresh_json(fingerprint)
+        if result_json is None:
+            return None
+        self._m_cache_latency.observe(time.perf_counter() - t0)
+        self._m_query_requests.inc()
+        hit = _Hit(fingerprint, solver, result_json)
+        return self._send_hit(hit, {}, time.perf_counter() - t0, peer)
+
+    async def _respond(self, raw: bytes, peer: Any) -> Optional[bytes]:
+        """One request line's response line (None for a blank line)."""
+        line = raw.strip()
+        if not line:
+            return None
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    message = json.loads(line)
-                    error = (
-                        None
-                        if isinstance(message, dict)
-                        else "request must be a JSON object"
-                    )
-                except UnicodeDecodeError:
-                    error = "request is not UTF-8"
-                except ValueError as exc:  # JSONDecodeError, overlong ints
-                    error = f"unparsable request: {getattr(exc, 'msg', exc)}"
-                if error is None:
-                    response = await self._dispatch(message, peer=peer)
-                else:
-                    message = {}
-                    response = self._error_response(
-                        None, ServiceProtocolError(error)
-                    )
-                if type(response) is not bytes:
-                    response.setdefault("protocol", SERVICE_PROTOCOL)
-                    if "id" in message:
-                        response["id"] = message["id"]
-                    response = (_encode(response) + "\n").encode("utf-8")
-                writer.write(response)
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except Exception:  # pragma: no cover - handler must never leak
-            _log.warning(
-                "service connection handler error", extra={"peer": str(peer)}
+            message = json.loads(line)
+            error = (
+                None
+                if isinstance(message, dict)
+                else "request must be a JSON object"
             )
-        finally:
-            self._connections.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        except UnicodeDecodeError:
+            error = "request is not UTF-8"
+        except ValueError as exc:  # JSONDecodeError, overlong ints
+            error = f"unparsable request: {getattr(exc, 'msg', exc)}"
+        if error is None:
+            plain = message.keys() <= _PLAIN_QUERY_FIELDS
+            response = await self._dispatch(message, peer, raw if plain else None)
+        else:
+            message = {}
+            response = self._error_response(None, ServiceProtocolError(error))
+        if type(response) is not bytes:
+            response.setdefault("protocol", SERVICE_PROTOCOL)
+            if "id" in message:
+                response["id"] = message["id"]
+            response = (_encode(response) + "\n").encode("utf-8")
+        return response
 
     async def _dispatch(
-        self, message: Dict[str, Any], peer: Any = None
+        self, message: Dict[str, Any], peer: Any = None, line: Optional[bytes] = None
     ) -> Union[Dict[str, Any], bytes]:
         """One request's response: an envelope dict, or a cache hit's
-        finished response line."""
+        finished response line.  A query's ``line`` is memoised once
+        the query validates."""
         kind = message.get("kind")
         if kind == "query":
             self._m_query_requests.inc()
-            return await self._handle_query(message, peer=peer)
+            return await self._handle_query(message, peer, line)
         self._m_requests.inc(kind=str(kind))
         if kind == "health":
             return self._handle_health()
@@ -995,22 +1075,18 @@ class ExplorationService:
     # Query path
     # ------------------------------------------------------------------
     async def _handle_query(
-        self, message: Dict[str, Any], peer: Any = None
+        self, message: Dict[str, Any], peer: Any = None, line: Optional[bytes] = None
     ) -> Union[Dict[str, Any], bytes]:
         tracer = get_tracer()
         t0 = time.perf_counter()
         if tracer.enabled:
-            response = await self._answer_traced(message, peer)
+            response = await self._answer_traced(message, peer, line)
         else:
-            response = await self._answer_query(message)
+            response = await self._answer_query(message, line)
         wall = time.perf_counter() - t0
-        fields = _response_fields(response)
         if type(response) is _Hit:
-            self._m_ok_responses.inc()
-            self._m_hit_latency.observe(wall)
-            self._account_slo(200, wall)
-            self._record_flight(message, fields, "hit", wall, peer)
-            return response.encode(round(wall, 6), message)
+            return self._send_hit(response, message, wall, peer)
+        fields = _response_fields(response)
         response["wall_s"] = round(wall, 6)
         self._m_responses.inc(status=str(response.get("status", "unknown")))
         outcome = self._classify(response)
@@ -1019,8 +1095,17 @@ class ExplorationService:
         self._record_flight(message, fields, outcome, wall, peer)
         return response
 
+    def _send_hit(
+        self, hit: _Hit, message: Dict[str, Any], wall: float, peer: Any
+    ) -> bytes:
+        self._m_ok_responses.inc()
+        self._m_hit_latency.observe(wall)
+        self._account_slo(200, wall)
+        self._record_flight(message, _response_fields(hit), "hit", wall, peer)
+        return hit.encode(round(wall, 6), message)
+
     async def _answer_traced(
-        self, message: Dict[str, Any], peer: Any
+        self, message: Dict[str, Any], peer: Any, line: Optional[bytes]
     ) -> Union[Dict[str, Any], _Hit]:
         """:meth:`_answer_query` inside a ``service.request`` span,
         anchored under the client's span when the envelope carries
@@ -1036,7 +1121,7 @@ class ExplorationService:
                 replica=self.replica_id,
                 peer=str(peer) if peer else "",
             ) as request_span:
-                response = await self._answer_query(message)
+                response = await self._answer_query(message, line)
                 request_span.set(
                     **dict(zip(_RESPONSE_FIELDS, _response_fields(response)))
                 )
@@ -1049,30 +1134,6 @@ class ExplorationService:
             self._m_slo_breached.inc()
         else:
             self._m_slo_ok.inc()
-
-    def _fingerprint(
-        self,
-        spec: PDNSpec,
-        activities: Optional[Tuple[float, ...]],
-        solver: str,
-    ) -> str:
-        """:func:`query_fingerprint`, memoised per canonical query.
-
-        The key is the text the fingerprint hashes, not the values:
-        ``1``, ``1.0`` and ``true`` (or ``0.0`` and ``-0.0``) compare
-        equal but fingerprint apart.  The memo keeps at most as many
-        queries as the cache has entries (or the floor), dropping the
-        oldest first.
-        """
-        key = (repr(spec.key()), repr(activities), solver)
-        fingerprint = self._fingerprints.get(key)
-        if fingerprint is None:
-            fingerprint = query_fingerprint(spec, activities, solver)
-            bound = max(len(self.cache), _FINGERPRINT_MEMO_FLOOR)
-            while len(self._fingerprints) >= bound:
-                del self._fingerprints[next(iter(self._fingerprints))]
-            self._fingerprints[key] = fingerprint
-        return fingerprint
 
     @staticmethod
     def _classify(response: Dict[str, Any]) -> str:
@@ -1092,7 +1153,7 @@ class ExplorationService:
         return "error"
 
     async def _answer_query(
-        self, message: Dict[str, Any]
+        self, message: Dict[str, Any], line: Optional[bytes] = None
     ) -> Union[Dict[str, Any], _Hit]:
         try:
             spec = spec_from_payload(message.get("spec"))
@@ -1108,7 +1169,14 @@ class ExplorationService:
         except ServiceProtocolError as exc:
             return self._error_response(None, exc)
         solver = default_backend_name()
-        fingerprint = self._fingerprint(spec, activities, solver)
+        fingerprint = query_fingerprint(spec, activities, solver)
+        if line is not None:
+            # At most as many lines as the cache has entries (or the
+            # floor), oldest dropped first.
+            bound = max(len(self.cache), _FINGERPRINT_MEMO_FLOOR)
+            while len(self._lines) >= bound:
+                del self._lines[next(iter(self._lines))]
+            self._lines[line, solver] = fingerprint
         tracer = get_tracer()
 
         # 1. Cache fast path: repeated queries never touch admission.

@@ -1,8 +1,18 @@
 """Fig. 5 experiment drivers: EM lifetime shapes (small grid)."""
 
+import numpy as np
 import pytest
 
-from repro.core.experiments.fig5 import compute_fig5a, compute_fig5b
+from repro.config.technology import default_em
+from repro.core.experiments.fig5 import (
+    c4_array_lifetime,
+    compute_fig5a,
+    compute_fig5b,
+    tsv_array_lifetime,
+)
+from repro.em import expected_em_lifetime, median_lifetimes_from_currents
+from repro.em.black import C4_CROSS_SECTION, TSV_CROSS_SECTION
+from repro.runtime import PDNSpec
 
 GRID = 8
 LAYERS = (2, 4, 8)
@@ -92,3 +102,42 @@ class TestFig5b:
 
     def test_format(self, fig5b):
         assert "Fig. 5b" in fig5b.format()
+
+
+class TestBundleLifetimes:
+    """The array lifetimes read one median per conductor bundle, with its
+    conductor count, instead of expanding every physical conductor; the
+    answer is the per-conductor one, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PDNSpec.regular(8, topology="Dense", grid_nodes=GRID),
+            PDNSpec.stacked(
+                8, converters_per_core=8, topology="Dense", grid_nodes=GRID
+            ),
+        ],
+        ids=["regular", "stacked"],
+    )
+    def test_equal_the_per_conductor_lifetimes(self, spec):
+        em = default_em()
+        result = spec.build().solve()
+        prefixes = [p for p in ("tsv", "tvia") if result.has_group_prefix(p)]
+        for lifetime, cross_section, parts in (
+            (tsv_array_lifetime, TSV_CROSS_SECTION, prefixes),
+            (c4_array_lifetime, C4_CROSS_SECTION, ["c4"]),
+        ):
+            currents = np.concatenate(
+                [result.conductor_currents(p) for p in parts]
+            )
+            per_conductor = expected_em_lifetime(
+                median_lifetimes_from_currents(currents, cross_section, em), em
+            )
+            assert lifetime(result, em) == per_conductor
+
+    def test_a_zero_count_drops_its_median(self):
+        medians = np.array([3.0e9, 1.0e9, 2.0e9, 1.0e9])
+        counts = np.array([2, 0, 1, 0])
+        assert expected_em_lifetime(medians, counts=counts) == (
+            expected_em_lifetime(np.array([3.0e9, 3.0e9, 2.0e9]))
+        )

@@ -26,12 +26,7 @@ from repro.service import (
     serve_in_background,
 )
 from repro.service import cache as cache_module
-from repro.service.server import (
-    SERVICE_PROTOCOL,
-    ExplorationService,
-    _Hit,
-    extract_summary,
-)
+from repro.service.server import SERVICE_PROTOCOL, _Hit, extract_summary
 
 from tests.conftest import TEST_GRID
 
@@ -58,7 +53,7 @@ class _Solver:
 
     def __call__(self, spec, activities, deadline):
         self.calls += 1
-        return dict(self.payload)
+        return dict(self.payload)  # a None payload raises: a failed solve
 
 
 @pytest.fixture
@@ -305,53 +300,74 @@ class TestRecencyInterval:
 # ----------------------------------------------------------------------
 
 class TestFingerprintMemo:
-    @pytest.fixture
-    def service(self, tmp_path):
-        return ExplorationService(
-            ServiceConfig(cache_dir=str(tmp_path / "c"), bench_name=None),
-            solve_fn=_Solver(),
-        )
+    """The line memo: raw plain query line (and solver) -> fingerprint."""
 
-    def test_memo_equals_query_fingerprint(self, service):
+    @staticmethod
+    def _lines(handle, messages):
+        raw = _RawLine(handle.address)
+        try:
+            for message in messages:
+                raw.ask(message)
+        finally:
+            raw.close()
+        return handle.service._lines
+
+    def test_memo_equals_query_fingerprint(self, serve):
+        handle = serve(solve_fn=_Solver())
         spec = _spec(3)
-        for activities in (None, (1.0, 0.5, 1.0)):
-            for _ in range(2):
-                assert service._fingerprint(
-                    spec, activities, "lu"
-                ) == query_fingerprint(spec, activities, "lu")
+        messages = [
+            {"kind": "query", "spec": spec.to_dict()},
+            {"kind": "query", "spec": spec.to_dict(), "activities": [1.0, 0.5, 1.0]},
+        ]
+        memo = self._lines(handle, messages + messages)
+        assert sorted(memo.values()) == sorted(
+            query_fingerprint(spec, activities, "lu")
+            for activities in (None, (1.0, 0.5, 1.0))
+        )
+        assert handle.service.cache.hits == 2
 
-    def test_equal_values_of_other_types_keep_their_fingerprints(
-        self, service
-    ):
+    def test_equal_values_of_other_types_keep_their_fingerprints(self, serve):
         # 0, 0.0 and False compare equal, but fingerprint apart.
+        handle = serve(solve_fn=_Solver())
         variants = [
             PDNSpec(grid_nodes=TEST_GRID, vdd_pads_per_core=value)
             for value in (0, 0.0, False)
         ]
-        for spec in variants + variants:
-            assert service._fingerprint(spec, None, "lu") == (
-                query_fingerprint(spec, None, "lu")
-            )
-        assert len({query_fingerprint(s) for s in variants}) == 3
         spec = _spec()
-        for activities in ((0.0, 1.0), (-0.0, 1.0), (0.0, 1.0)):
-            assert service._fingerprint(spec, activities, "lu") == (
-                query_fingerprint(spec, activities, "lu")
-            )
+        activity_variants = ((0.0, 1.0), (-0.0, 1.0))
+        messages = [{"kind": "query", "spec": v.to_dict()} for v in variants] + [
+            {"kind": "query", "spec": spec.to_dict(), "activities": list(a)}
+            for a in activity_variants
+        ]
+        memo = self._lines(handle, messages + messages)
+        expected = [query_fingerprint(v, None, "lu") for v in variants] + [
+            query_fingerprint(spec, a, "lu") for a in activity_variants
+        ]
+        assert len(set(expected)) == 5
+        assert list(memo.values()) == expected
 
-    def test_memo_stays_bounded_by_the_cache(self, service, monkeypatch):
+    def test_memo_stays_bounded_by_the_cache(self, serve, monkeypatch):
         from repro.service import server
 
         monkeypatch.setattr(server, "_FINGERPRINT_MEMO_FLOOR", 4)
-        for i in range(20):
-            service._fingerprint(_spec(), (float(i), 1.0), "lu")
-        assert len(service._fingerprints) == 4
-        service.cache.open()
-        for i in range(6):
-            service.cache.put(f"k{i}", {"v": i})
-        for i in range(20, 40):
-            service._fingerprint(_spec(), (float(i), 1.0), "lu")
-        assert len(service._fingerprints) == 6
+        solver = _Solver()
+        handle = serve(solve_fn=solver, breaker_threshold=1000)
+
+        def queries(first, last):
+            return [
+                {"kind": "query", "spec": _spec().to_dict(), "activities": [float(i), 1.0]}
+                for i in range(first, last)
+            ]
+
+        # Validated but never cached: the memo holds the floor.
+        solver.payload = None  # the solver raises: nothing is cached
+        assert len(self._lines(handle, queries(0, 20))) == 4
+        # Six answers cached: the memo grows with the cache (a line is
+        # memoised before its own answer is cached, so asking all six
+        # again settles it at six).
+        solver.payload = _PAYLOAD
+        assert len(self._lines(handle, queries(20, 26) * 2)) == 6
+        assert len(handle.service.cache) == 6
 
 
 # ----------------------------------------------------------------------
