@@ -111,19 +111,20 @@ class FigurePlan:
 def compute_plans(plans: Sequence[FigurePlan], engine) -> List[Any]:
     """Run ``plans`` on ``engine``; return each plan's assembled result.
 
-    Topology-major on a plain :class:`~repro.runtime.SweepEngine`, and
-    on any engine when a topology is read by more than one run of the
-    set: topologies go in first-appearance order; every run that reads
-    one gets its points on it as one ``engine.run``, in plan and run
-    order; then ``engine.clear_cache([spec])`` drops it (even if it was
-    cached before the call), so peak memory holds one topology's
-    factor.  A :class:`~repro.runtime.RunSupervisor` whose runs share no
-    topology gets each run whole, to spread over its pool.  A run's
-    points on one topology are the batch the whole run solves there, so
-    both schedules give the same values bit for bit.
+    Topology-major on an engine whose runs stay in process (its
+    ``in_process`` is true: a :class:`~repro.runtime.SweepEngine`, or a
+    :class:`~repro.runtime.RunSupervisor` with one worker, no fleet and
+    no task timeout), and on any engine when a topology is read by more
+    than one run of the set: topologies go in first-appearance order;
+    every run that reads one gets its points on it as one
+    ``engine.run``, in plan and run order; then
+    ``engine.clear_cache([spec])`` drops it (even if it was cached
+    before the call), so peak memory holds one topology's factor.  An
+    engine that fans out, with runs that share no topology, gets each
+    run whole to spread.  A run's points on one topology are the batch
+    the whole run solves there, so both schedules give the same values
+    bit for bit.
     """
-    from repro.runtime import SweepEngine
-
     runs = [run for plan in plans for run in plan.runs]
     # Per run: spec -> indices of the run's points on it, in order.
     groups: List[Dict[Any, List[int]]] = [{} for _ in runs]
@@ -131,7 +132,7 @@ def compute_plans(plans: Sequence[FigurePlan], engine) -> List[Any]:
         for i, point in enumerate(points):
             group.setdefault(point.spec, []).append(i)
     readers = Counter(spec for group in groups for spec in group)
-    if isinstance(engine, SweepEngine) or max(readers.values(), default=0) > 1:
+    if getattr(engine, "in_process", False) or max(readers.values(), default=0) > 1:
         values = [[None] * len(points) for points, _ in runs]
         for spec in readers:
             for (points, extract), group, run_values in zip(runs, groups, values):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 from typing import Optional
 
 from repro.core.experiments.base import (
@@ -65,6 +64,7 @@ class DashExperiment(Experiment):
         return config
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
+        from repro.obs.export import write_prometheus
         from repro.service.dash import (
             fleet_summary,
             merge_scrapes,
@@ -85,10 +85,7 @@ class DashExperiment(Experiment):
             merged = merge_scrapes(scrapes)
             table = render_dashboard(scrapes, merged)
             if out:
-                path = Path(out)
-                tmp = path.with_suffix(path.suffix + ".tmp")
-                tmp.write_text(merged.to_prometheus())
-                tmp.replace(path)
+                write_prometheus(merged, out)
             ticks += 1
             if not watch:
                 break

@@ -312,7 +312,7 @@ class TraceExperiment(Experiment):
         for span in spans:
             if span.name in ("build", "factorize", "solve", "post", "contracts"):
                 stage.observe(span.duration_s, stage=span.name)
-            if span.name == "rung":
+            if span.name == "rung" and span.status == "ok":
                 rungs.inc(
                     int(span.attributes.get("count", 1)),
                     rung=str(span.attributes.get("rung", "?")),

@@ -949,38 +949,33 @@ class AssembledCircuit:
     ) -> np.ndarray:
         """The historical fail-fast path: one direct solve or a typed error."""
         backend = self.backend if backend is None else backend
-        tracer = get_tracer()
-        t0 = time.perf_counter() if tracer.enabled else 0.0
-        fact, rung = self._fallback_factorization(backend)
-        if fact is None:
-            exc = self._fact_errors.get(("lu", "full")) or self._fact_errors.get(
-                (backend.name, "full")
-            )
-            raise SingularCircuitError(
-                f"MNA matrix is singular ({exc}); check for floating nodes"
-            ) from exc
-        x = fact.solve_batch(z) if z.ndim == 2 else fact.solve(z)
-        if not np.all(np.isfinite(x)):
-            raise SingularCircuitError("solve produced non-finite voltages")
-        if z.ndim == 2:  # multi-RHS: every column must meet the tolerance
-            rel = float(self._batch_residuals(self._matrix, x, z).max())
-        else:
-            rel = self._relative_residual(self._matrix, x, z)
-        if rel > self.RESIDUAL_TOLERANCE:
-            raise SingularCircuitError(
-                f"solve residual {rel:.2e} exceeds tolerance; "
-                "the circuit is ill-conditioned or disconnected"
-            )
-        if tracer.enabled:
-            # Strict solves count as a clean direct rung in the engine's
-            # escalation tally; record the matching span so trace and
-            # BENCH attribute the ladder identically.
-            tracer.record(
-                "rung",
-                time.perf_counter() - t0,
-                rung=rung,
-                count=int(z.shape[1]) if z.ndim == 2 else 1,
-            )
+        # Strict solves count as a clean direct rung in the engine's
+        # escalation tally; the matching span lets trace and BENCH
+        # attribute the ladder identically.  A solve that raises leaves
+        # its span with status "error".
+        count = int(z.shape[1]) if z.ndim == 2 else 1
+        with get_tracer().span("rung", rung=backend.name, count=count) as rung_span:
+            fact, rung = self._fallback_factorization(backend)
+            rung_span.set(rung=rung)
+            if fact is None:
+                exc = self._fact_errors.get(("lu", "full")) or self._fact_errors.get(
+                    (backend.name, "full")
+                )
+                raise SingularCircuitError(
+                    f"MNA matrix is singular ({exc}); check for floating nodes"
+                ) from exc
+            x = fact.solve_batch(z) if z.ndim == 2 else fact.solve(z)
+            if not np.all(np.isfinite(x)):
+                raise SingularCircuitError("solve produced non-finite voltages")
+            if z.ndim == 2:  # multi-RHS: every column must meet the tolerance
+                rel = float(self._batch_residuals(self._matrix, x, z).max())
+            else:
+                rel = self._relative_residual(self._matrix, x, z)
+            if rel > self.RESIDUAL_TOLERANCE:
+                raise SingularCircuitError(
+                    f"solve residual {rel:.2e} exceeds tolerance; "
+                    "the circuit is ill-conditioned or disconnected"
+                )
         return x
 
     def _solve_resilient(

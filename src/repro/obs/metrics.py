@@ -1,13 +1,20 @@
 """Typed metrics: counters, gauges, and histograms with labels.
 
-A :class:`MetricsRegistry` is the single home for the run tallies that
-used to live scattered across ``runtime/metrics.py`` (stage timers),
-``SolveDiagnostics`` (escalation rungs), ``ContractReport`` (violation
-histograms) and the supervisor ``RunReport`` (retries/quarantines).
-The legacy BENCH/report fields survive as *views* computed from a
-registry (see :meth:`repro.runtime.metrics.SweepMetrics.registry`), so
-downstream consumers keep their schema while new consumers get one
-queryable, exportable store.
+A :class:`MetricsRegistry` is a queryable, exportable store of labelled
+series.  Three consumers build one:
+
+* the exploration service keeps one live registry
+  (``ExplorationService.metrics``) that its hot path updates; its
+  ``counters()`` ints and BENCH counter block are views over it, and
+  its latency histograms are fed from the spans that time each stage;
+* ``repro trace --prometheus`` rebuilds one from a flushed trace
+  (stage histograms, escalation-rung counters, contract timing);
+* ``repro dash`` merges the registries scraped from N replicas.
+
+Sweep BENCH files are not registry views:
+:class:`~repro.runtime.metrics.SweepMetrics` keeps plain per-group
+fields, filled from the same spans the trace records (see
+:mod:`repro.obs.trace`), so the two agree.
 
 Everything here is dependency-free stdlib; rendering follows the
 Prometheus text exposition format so a node_exporter textfile collector
@@ -19,8 +26,7 @@ Two serving-stack extensions ride on the same types:
   keeps cumulative per-bucket counts (Prometheus ``_bucket{le=...}``
   rendering, always monotone, closed by ``+Inf``) alongside the
   count/sum/min/max summary, and can estimate quantiles from them.
-  The bucket-free default stays a pure summary — sweep BENCH files
-  keep their shape.
+  The bucket-free default stays a pure summary.
 * **Merge + wire form** — every metric can :meth:`merge` a peer of the
   same type, and a :class:`MetricsRegistry` round-trips through a
   plain-JSON wire form (:meth:`~MetricsRegistry.to_wire` /

@@ -162,7 +162,10 @@ def slowest_groups(spans: Iterable[Span], top: int = 10) -> List[GroupProfile]:
                 span = sub.span
                 if span.status == "error":
                     profile.errors += 1
-                if span.name == "rung":
+                # A strict solve that raised leaves an error "rung"
+                # span; BENCH tallies that point as "failed", not as a
+                # climbed rung.
+                if span.name == "rung" and span.status == "ok":
                     rung = str(span.attributes.get("rung", "?"))
                     # Batched direct solves emit one span covering many
                     # columns; "count" carries how many.
@@ -204,7 +207,7 @@ def attribution(spans: Iterable[Span]) -> Attribution:
     for span in spans:
         if span.status == "error":
             out.error_spans += 1
-        if span.name == "rung":
+        if span.name == "rung" and span.status == "ok":
             rung = str(span.attributes.get("rung", "?"))
             n = int(span.attributes.get("count", 1))
             out.escalations[rung] = out.escalations.get(rung, 0) + n

@@ -6,9 +6,12 @@ hierarchy: experiment → sweep → topology group → build / factorize /
 solve / post stages → solver escalation rungs → fixed-point iterations →
 contract checks.  The design goals, in order:
 
-1. **Disabled is free.**  Tracing is off by default; ``span()`` then
-   returns a shared no-op context manager and the only cost at a call
-   site is one attribute check.  Numerical outputs are bit-identical
+1. **Off costs one clock.**  Tracing is off by default; ``span()`` then
+   returns a bare timing handle — two ``perf_counter`` reads, no id,
+   nothing recorded.  Every caller reads ``span.duration_s`` whatever
+   the tracer's state, so a span is the only stopwatch for its interval
+   and BENCH stage totals, the service's latency histograms and the
+   trace agree by construction.  Numerical outputs are bit-identical
    with tracing on or off — the tracer only ever reads clocks and
    generates ids (``os.urandom``-backed, so the NumPy/stdlib RNG streams
    experiments rely on are untouched).
@@ -120,24 +123,23 @@ class Span:
         )
 
 
-class _NullSpan:
-    """The shared no-op span handle returned while tracing is disabled."""
+class _Stopwatch:
+    """What ``span()`` and ``remote_context()`` return while tracing is
+    off: a span's clock with nothing recorded."""
 
-    __slots__ = ()
-    duration_s = 0.0
+    __slots__ = ("duration_s", "_start")
     span_id = None
 
-    def __enter__(self) -> "_NullSpan":
+    def __enter__(self) -> "_Stopwatch":
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
+        self.duration_s = time.perf_counter() - self._start
         return False
 
     def set(self, **attributes) -> None:
         """Discard attributes (no-op)."""
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class _RemoteAnchor:
@@ -296,9 +298,10 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attributes):
-        """A context manager timing one region (no-op when disabled)."""
+        """A context manager timing one region; its ``duration_s`` is
+        read after the block, recorded or not (see the module docstring)."""
         if not self._enabled:
-            return _NULL_SPAN
+            return _Stopwatch()
         return _ActiveSpan(self, name, attributes)
 
     def remote_context(
@@ -310,11 +313,11 @@ class Tracer:
 
         Spans opened inside the returned context manager parent onto
         ``parent_id`` and stamp ``trace_id`` — the server side of
-        trace-context propagation over a wire protocol.  No-op (but
-        still a valid context manager) while disabled.
+        trace-context propagation over a wire protocol.  A bare
+        :class:`_Stopwatch` while disabled.
         """
         if not self._enabled:
-            return _NULL_SPAN
+            return _Stopwatch()
         return _RemoteContext(self, _RemoteAnchor(parent_id, trace_id))
 
     def record(

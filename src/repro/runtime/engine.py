@@ -119,8 +119,6 @@ class _CachedStructure:
     pdn: Any
     fault_report: Any
     revision: int
-    build_s: float
-    factorize_s: float
     #: ``Factorization.factor_entries`` at insertion (0 when unknown).
     factor_entries: int = 0
 
@@ -173,25 +171,26 @@ def group_points(
     return groups
 
 
-def _build_group(spec: PDNSpec, plan: Any, solver: Optional[str] = None):
+def _build_group(
+    spec: PDNSpec, plan: Any, solver: Optional[str], metrics: GroupMetrics
+):
     """Build one topology's PDN, apply its plan, factorise eagerly.
 
-    Returns ``(pdn, fault_report, build_s, factorize_s)``.  With tracing
-    enabled the "build"/"factorize" span durations *are* the returned
-    stage timings, so BENCH stage totals and span totals agree exactly.
-    ``solver`` picks the factorisation backend; a non-``lu`` backend
-    that cannot factorise warms its lu fallback here too, so the
-    degraded cost lands in the factorise stage, not the first solve.
+    Returns ``(pdn, fault_report)`` and stores the "build"/"factorize"
+    span durations in ``metrics``, so BENCH stage totals and span totals
+    agree exactly.  ``solver`` picks the factorisation backend; a
+    non-``lu`` backend that cannot factorise warms its lu fallback here
+    too, so the degraded cost lands in the factorise stage, not the
+    first solve.
     """
     tracer = get_tracer()
     with tracer.span("build") as build_span:
-        t0 = time.perf_counter()
         pdn = spec.build()
         report = None
         if plan is not None:
             actual = plan(pdn) if callable(plan) else plan
             report = pdn.apply_faults(actual)
-        t1 = time.perf_counter()
+    metrics.build_s = build_span.duration_s
     with tracer.span("factorize") as factorize_span:
         assembled = pdn.assembled(backend=solver)
         factorize_span.set(backend=assembled.backend.name)
@@ -203,10 +202,8 @@ def _build_group(spec: PDNSpec, plan: Any, solver: Optional[str] = None):
             factorize_span.set(
                 ordering=fact.ordering, factor_entries=fact.factor_entries
             )
-        t2 = time.perf_counter()
-    if tracer.enabled:
-        return pdn, report, build_span.duration_s, factorize_span.duration_s
-    return pdn, report, t1 - t0, t2 - t1
+    metrics.factorize_s = factorize_span.duration_s
+    return pdn, report
 
 
 def _execute_group(
@@ -220,7 +217,6 @@ def _execute_group(
     """Solve one topology group (batched, with per-point fallback)."""
     tracer = get_tracer()
     activity_sets = [p.activities_tuple() for p in points]
-    t0 = time.perf_counter()
     outcomes: List[SweepOutcome]
     with tracer.span(
         "solve", n_points=len(points), resilient=bool(resilient)
@@ -251,9 +247,7 @@ def _execute_group(
                     outcomes.append(
                         SweepOutcome(point=p, error=exc, fault_report=fault_report)
                     )
-    metrics.solve_s += (
-        solve_span.duration_s if tracer.enabled else time.perf_counter() - t0
-    )
+    metrics.solve_s += solve_span.duration_s
 
     # Tally the solver escalation ladder: resilient solves report the
     # rungs they climbed; a strict direct solve is one clean rung named
@@ -282,12 +276,9 @@ def _execute_group(
                 metrics.count_contract(status, count)
             metrics.contracts_s += report.elapsed_s
 
-    t0 = time.perf_counter()
     with tracer.span("post", n_points=len(points)) as post_span:
         values = [extract(o) if extract is not None else o for o in outcomes]
-    metrics.post_s += (
-        post_span.duration_s if tracer.enabled else time.perf_counter() - t0
-    )
+    metrics.post_s += post_span.duration_s
     metrics.n_points = len(points)
     return values
 
@@ -318,9 +309,7 @@ def _run_group_remote(
     with tracer.span(
         "group", key=key_label, n_points=len(points), executed="remote"
     ):
-        pdn, report, build_s, factorize_s = _build_group(spec, plan, solver)
-        metrics.build_s = build_s
-        metrics.factorize_s = factorize_s
+        pdn, report = _build_group(spec, plan, solver, metrics)
         values = _execute_group(pdn, points, resilient, extract, report, metrics)
     spans = tracer.drain() if tracing else []
     return values, metrics, spans
@@ -404,6 +393,7 @@ class SweepEngine:
 
     #: Engine surface the supervisor duck-types; an engine is serial.
     workers = 1
+    in_process = True
 
     def __init__(self, workers: int = 1):
         if workers != 1:
@@ -510,13 +500,9 @@ class SweepEngine:
                 return cached
         else:
             self._cache_misses += 1
-        pdn, report, build_s, factorize_s = _build_group(spec, plan, key[3])
+        pdn, report = _build_group(spec, plan, key[3], metrics)
         entry = _CachedStructure(
-            pdn=pdn,
-            fault_report=report,
-            revision=pdn.circuit.revision,
-            build_s=build_s,
-            factorize_s=factorize_s,
+            pdn=pdn, fault_report=report, revision=pdn.circuit.revision
         )
         if self._cacheable(key):
             fact = pdn.assembled().factorization
@@ -547,9 +533,6 @@ class SweepEngine:
             executed="local",
         ) as group_span:
             entry = self._obtain_structure(key, plan, group_metrics)
-            if not group_metrics.cached:
-                group_metrics.build_s = entry.build_s
-                group_metrics.factorize_s = entry.factorize_s
             group_span.set(cached=group_metrics.cached)
             group_values = _execute_group(
                 entry.pdn,

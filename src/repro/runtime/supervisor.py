@@ -386,6 +386,17 @@ class RunSupervisor:
     def workers(self) -> int:
         return max(1, int(self.config.workers))
 
+    @property
+    def in_process(self) -> bool:
+        """Whether every run stays in this process, on :attr:`engine`:
+        one worker, no fleet and no task deadline to enforce."""
+        config = self.config
+        return (
+            self.workers == 1
+            and config.fleet is None
+            and config.task_timeout is None
+        )
+
     def cache_info(self) -> Dict[str, int]:
         return self.engine.cache_info()
 

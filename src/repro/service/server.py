@@ -72,6 +72,7 @@ from repro.obs.logs import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.trace import TRACE_DIR_ENV, get_tracer
 from repro.runtime.fleet import ServiceFleet, parse_address
+from repro.runtime.journal import atomic_write_text
 from repro.runtime.metrics import BENCH_SCHEMA, write_bench_json
 from repro.runtime.spec import ARRANGEMENTS, PDNSpec
 from repro.service.admission import AdmissionQueue, Deadline
@@ -808,12 +809,10 @@ class ExplorationService:
             "capacity": self._recorder.maxlen,
             "events": [self._flight_event(e) for e in self._recorder],
         }
-        tmp = path.with_name(path.name + ".tmp")
         try:
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
+            atomic_write_text(
+                path, json.dumps(payload, sort_keys=True) + "\n", durable=False
             )
-            os.replace(tmp, path)
         except OSError:  # pragma: no cover - disk trouble
             _log.warning(
                 "could not dump flight recorder", extra={"reason": reason}
@@ -1077,13 +1076,25 @@ class ExplorationService:
     async def _handle_query(
         self, message: Dict[str, Any], peer: Any = None, line: Optional[bytes] = None
     ) -> Union[Dict[str, Any], bytes]:
+        # The request span is the query's one clock; it is anchored under
+        # the client's span when the envelope carries trace context
+        # (contextvars keep concurrent requests on separate anchors).
         tracer = get_tracer()
-        t0 = time.perf_counter()
-        if tracer.enabled:
-            response = await self._answer_traced(message, peer, line)
-        else:
-            response = await self._answer_query(message, line)
-        wall = time.perf_counter() - t0
+        trace = message.get("trace")
+        trace = trace if isinstance(trace, dict) else {}
+        with tracer.remote_context(trace.get("id"), trace.get("parent")):
+            with tracer.span(
+                "service.request",
+                transport="tcp",
+                replica=self.replica_id,
+                peer=str(peer) if peer else "",
+            ) as request_span:
+                response = await self._answer_query(message, line)
+                if tracer.enabled:
+                    request_span.set(
+                        **dict(zip(_RESPONSE_FIELDS, _response_fields(response)))
+                    )
+        wall = request_span.duration_s
         if type(response) is _Hit:
             return self._send_hit(response, message, wall, peer)
         fields = _response_fields(response)
@@ -1103,29 +1114,6 @@ class ExplorationService:
         self._account_slo(200, wall)
         self._record_flight(message, _response_fields(hit), "hit", wall, peer)
         return hit.encode(round(wall, 6), message)
-
-    async def _answer_traced(
-        self, message: Dict[str, Any], peer: Any, line: Optional[bytes]
-    ) -> Union[Dict[str, Any], _Hit]:
-        """:meth:`_answer_query` inside a ``service.request`` span,
-        anchored under the client's span when the envelope carries
-        trace context (contextvars keep concurrent requests on separate
-        anchors)."""
-        tracer = get_tracer()
-        trace = message.get("trace")
-        trace = trace if isinstance(trace, dict) else {}
-        with tracer.remote_context(trace.get("id"), trace.get("parent")):
-            with tracer.span(
-                "service.request",
-                transport="tcp",
-                replica=self.replica_id,
-                peer=str(peer) if peer else "",
-            ) as request_span:
-                response = await self._answer_query(message, line)
-                request_span.set(
-                    **dict(zip(_RESPONSE_FIELDS, _response_fields(response)))
-                )
-        return response
 
     def _account_slo(self, code: int, wall_s: float) -> None:
         if self.config.slo_latency_s is None:
@@ -1170,26 +1158,21 @@ class ExplorationService:
             return self._error_response(None, exc)
         solver = default_backend_name()
         fingerprint = query_fingerprint(spec, activities, solver)
-        if line is not None:
-            # At most as many lines as the cache has entries (or the
-            # floor), oldest dropped first.
-            bound = max(len(self.cache), _FINGERPRINT_MEMO_FLOOR)
-            while len(self._lines) >= bound:
-                del self._lines[next(iter(self._lines))]
-            self._lines[line, solver] = fingerprint
         tracer = get_tracer()
 
         # 1. Cache fast path: repeated queries never touch admission.
-        probe_t0 = time.perf_counter()
-        entry = self.cache.get(fingerprint)
-        probe_s = time.perf_counter() - probe_t0
-        self._m_cache_latency.observe(probe_s)
-        tracer.record(
-            "service.cache_probe",
-            probe_s,
-            fingerprint=fingerprint,
-            hit=entry is not None,
-        )
+        with tracer.span("service.cache_probe", fingerprint=fingerprint) as probe:
+            entry = self.cache.get(fingerprint)
+            probe.set(hit=entry is not None)
+        self._m_cache_latency.observe(probe.duration_s)
+        if line is not None:
+            # At most as many lines as the cache has entries, a miss's
+            # answer about to be cached included (or the floor), oldest
+            # dropped first.
+            bound = max(len(self.cache) + (entry is None), _FINGERPRINT_MEMO_FLOOR)
+            while len(self._lines) >= bound:
+                del self._lines[next(iter(self._lines))]
+            self._lines[line, solver] = fingerprint
         if entry is not None:
             return _Hit(fingerprint, solver, entry.result_json)
 
@@ -1397,11 +1380,10 @@ class ExplorationService:
         tracer = get_tracer()
         fleet = self.fleet
         if fleet is not None and fleet.workers_connected() > 0:
-            stage_t0 = time.perf_counter()
             try:
                 with tracer.span(
                     "service.fleet", fingerprint=item.fingerprint
-                ):
+                ) as fleet_span:
                     result = fleet.solve(
                         item.spec,
                         item.activities,
@@ -1420,18 +1402,13 @@ class ExplorationService:
                     },
                 )
             else:
-                self._m_stage_latency.observe(
-                    time.perf_counter() - stage_t0, stage="fleet"
-                )
+                self._m_stage_latency.observe(fleet_span.duration_s, stage="fleet")
                 return result
-        stage_t0 = time.perf_counter()
         with tracer.span(
             "service.solve", fingerprint=item.fingerprint, backend=item.solver
-        ):
+        ) as solve_span:
             result = self.solve_fn(item.spec, item.activities, item.deadline)
-        self._m_stage_latency.observe(
-            time.perf_counter() - stage_t0, stage="solve"
-        )
+        self._m_stage_latency.observe(solve_span.duration_s, stage="solve")
         return result
 
     async def _solve_as_leader(

@@ -146,3 +146,26 @@ def test_supervised_fig6_runs_each_run_whole_in_processes():
     assert [report.n_points for report in supervisor.reports] == [6, 3]
     assert {report.mode for report in supervisor.reports} == {"process"}
     assert result == compute_fig6(LAYERS, IMBALANCES, CONVERTERS, GRID)
+
+
+class TestSupervisedInProcess:
+    def test_an_in_process_supervisor_frees_each_topology(self):
+        supervisor = RunSupervisor(config=SupervisorConfig())
+        assert supervisor.in_process
+        result = compute_fig6(LAYERS, IMBALANCES, CONVERTERS, GRID, engine=supervisor)
+        # One supervised run per topology per plan run, each freed after.
+        plan = fig6_plan(LAYERS, IMBALANCES, CONVERTERS, GRID)
+        assert len(supervisor.reports) == sum(
+            len({point.spec for point in points}) for points, _ in plan.runs
+        )
+        info = supervisor.cache_info()
+        assert (info["entries"], info["factor_entries"]) == (0, 0)
+        assert info["misses"] == len(_topologies(plan))
+        assert result == compute_fig6(LAYERS, IMBALANCES, CONVERTERS, GRID)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(workers=2), dict(task_timeout=60.0), dict(fleet="127.0.0.1:0")],
+    )
+    def test_a_supervisor_that_may_fan_out_is_not_in_process(self, overrides):
+        assert not RunSupervisor(config=SupervisorConfig(**overrides)).in_process

@@ -202,6 +202,40 @@ class TestBenchAgreement:
         assert from_spans == payload["escalations"]
 
 
+    def test_failed_strict_rungs_are_error_spans_not_escalations(
+        self, traced, tmp_path, monkeypatch
+    ):
+        """A strict solve that raises is timed by its own rung span,
+        marked "error"; the trace's escalation tally skips it, as BENCH
+        tallies the point as "failed"."""
+        from repro.faults import severed_layer_plan
+        from repro.obs.profile import attribution
+        from repro.runtime.metrics import BENCH_DIR_ENV
+
+        bench_dir = tmp_path / "bench"
+        monkeypatch.setenv(BENCH_DIR_ENV, str(bench_dir))
+        spec = PDNSpec.regular(2, grid_nodes=TEST_GRID)
+        points = [
+            SweepPoint(
+                spec=spec,
+                layer_activities=(1.0, activity),
+                fault_plan=severed_layer_plan,
+                resilient=False,
+            )
+            for activity in (1.0, 0.5)
+        ]
+        run = SweepEngine().run(points, bench_name="obs_failed")
+        payload = json.loads((bench_dir / "BENCH_obs_failed.json").read_text())
+        assert payload["escalations"] == {"failed": 2}
+
+        spans = load_trace(trace_path(run.metrics.run_fingerprint, traced))
+        rungs = [s for s in spans if s.name == "rung"]
+        # The batch attempt, then one per-point retry each.
+        assert [s.attributes["count"] for s in rungs] == [2, 1, 1]
+        assert {s.status for s in rungs} == {"error"}
+        assert attribution(spans).escalations == {}
+
+
 class TestTracingIsInert:
     def test_outputs_bit_identical_on_off(self, tmp_path, monkeypatch):
         from repro.obs.trace import TRACE_DIR_ENV

@@ -369,6 +369,29 @@ class TestFingerprintMemo:
         assert len(self._lines(handle, queries(20, 26) * 2)) == 6
         assert len(handle.service.cache) == 6
 
+    def test_first_sights_past_the_floor_are_all_memoised(self, serve, monkeypatch):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "_FINGERPRINT_MEMO_FLOOR", 4)
+        handle = serve(solve_fn=_Solver())
+        messages = [
+            {"kind": "query", "spec": _spec().to_dict(), "activities": [float(i), 1.0]}
+            for i in range(8)
+        ]
+        # Each miss's own answer counts toward the bound it is memoised
+        # under, so no line is evicted while the cache still holds it.
+        assert len(self._lines(handle, messages)) == 8
+        full_path = []
+        respond = handle.service._respond
+
+        async def counting(raw, peer):
+            full_path.append(raw)
+            return await respond(raw, peer)
+
+        monkeypatch.setattr(handle.service, "_respond", counting)
+        self._lines(handle, messages)
+        assert full_path == []
+
 
 # ----------------------------------------------------------------------
 # pre-bound metric children

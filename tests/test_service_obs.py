@@ -185,6 +185,26 @@ class TestServiceTelemetry:
         assert slo["ok"] == 1 and slo["breached"] == 0
         assert slo["budget_burn"] == 0.0
 
+    def test_latency_histograms_sum_their_spans(self, serve, tracer):
+        """A span is its stage's one clock: each latency histogram sums
+        exactly the durations of the spans that time it."""
+        handle = serve(solve_fn=_stub_solver)
+        with ServiceClient(handle.address) as client:
+            assert not client.query(_spec())["cached"]  # a miss
+            assert client.query(_spec())["cached"]  # a first-sight hit
+        spans = tracer.drain()
+
+        def span_sum(name):
+            durations = [s.duration_s for s in spans if s.name == name]
+            assert durations, name
+            return sum(durations)
+
+        stage = handle.service.metrics.get("service_stage_latency")
+        query = handle.service.metrics.get("service_query_latency")
+        assert stage.sum(stage="solve") == span_sum("service.solve")
+        assert stage.sum(stage="cache") == span_sum("service.cache_probe")
+        assert query.total_sum() == span_sum("service.request")
+
     def test_flights_claims_counter_exported(self, serve):
         handle = serve(solve_fn=_stub_solver)
         with ServiceClient(handle.address) as client:
