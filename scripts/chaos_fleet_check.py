@@ -32,7 +32,7 @@ Usage::
 
     python scripts/chaos_fleet_check.py [--seed N] [work_dir]
     python scripts/chaos_fleet_check.py child RUN_DIR [flags]   # internal
-    python scripts/chaos_fleet_check.py worker ADDRESS [flags]  # internal
+    python scripts/chaos_fleet_check.py worker ADDRESS|RUN_DIR [flags]  # internal
 
 Workers run this same file, so the sweep's extractor pickles by
 reference across the process boundary (``__main__`` resolves to this
@@ -131,8 +131,15 @@ def run_child(args) -> int:
 def run_fleet_worker(args) -> int:
     from repro.runtime.fleet import run_worker
 
+    address = args.address
+    run_dir = pathlib.Path(address)
+    if run_dir.is_dir():
+        # Imported and ready: say so, then dial the coordinator the
+        # moment its discovery file appears.
+        (run_dir / f"{args.worker_id}.ready").touch()
+        address = _wait_for_fleet_file(run_dir, poll_s=0.01, timeout_s=120.0)
     summary = run_worker(
-        args.address, worker_id=args.worker_id, patience_s=args.patience
+        address, worker_id=args.worker_id, patience_s=args.patience
     )
     print(f"worker summary: {summary}", flush=True)
     return 0
@@ -172,7 +179,8 @@ def _spawn_worker(address, worker_id, chaos_plan) -> subprocess.Popen:
     return subprocess.Popen(argv, env=env)
 
 
-def _wait_for_fleet_file(run_dir: pathlib.Path, timeout_s: float = 30.0) -> str:
+def _wait_for_fleet_file(run_dir: pathlib.Path, timeout_s: float = 30.0,
+                         poll_s: float = 0.05) -> str:
     path = run_dir / "fleet.json"
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -181,7 +189,7 @@ def _wait_for_fleet_file(run_dir: pathlib.Path, timeout_s: float = 30.0) -> str:
                 return json.loads(path.read_text())["address"]
             except (ValueError, KeyError):
                 pass
-        time.sleep(0.05)
+        time.sleep(poll_s)
     raise RuntimeError(f"no fleet.json appeared in {run_dir}")
 
 
@@ -236,25 +244,34 @@ def orchestrate(work_dir: pathlib.Path, seed: int) -> int:
         return 1
 
     print(f"== 2. fleet under chaos (seed {seed}) ==", flush=True)
-    coordinator = _spawn_child(chaos_dir, fleet="127.0.0.1:0")
-    try:
-        address = _wait_for_fleet_file(chaos_dir)
-    except RuntimeError as exc:
-        coordinator.kill()
-        print(f"FAIL: {exc}")
-        return 1
     # Fault positions are seed-derived over each worker's expected share
     # of tasks, so the kills land while the sweep is still in flight.
+    # That share assumes every worker is attached when leasing starts:
+    # the workers start first, and the coordinator only once all four
+    # are imported and watching for its discovery file, so none can
+    # drain the sweep before a late starter joins.
     plans = [
         ChaosPlan.seeded(seed, 2, kill=True),
         ChaosPlan.seeded(seed + 1, 2, kill=True),
         ChaosPlan.seeded(seed + 2, 2, freeze=True, freeze_s=FREEZE_S),
         ChaosPlan.seeded(seed + 3, 2, dup_result=True),
     ]
+    chaos_dir.mkdir(parents=True, exist_ok=True)
     workers = [
-        _spawn_worker(address, f"chaos-w{i}", plan)
+        _spawn_worker(str(chaos_dir), f"chaos-w{i}", plan)
         for i, plan in enumerate(plans)
     ]
+    deadline = time.monotonic() + 120.0
+    while len(list(chaos_dir.glob("*.ready"))) < len(workers):
+        if time.monotonic() > deadline or any(
+            w.poll() is not None for w in workers
+        ):
+            for worker in workers:
+                worker.kill()
+            print("FAIL: the chaos workers never became ready")
+            return 1
+        time.sleep(0.05)
+    coordinator = _spawn_child(chaos_dir, fleet="127.0.0.1:0")
     if coordinator.wait(timeout=600) != 0:
         for worker in workers:
             worker.kill()

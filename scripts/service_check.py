@@ -2,7 +2,7 @@
 """End-to-end robustness proof for the exploration service.
 
 Boots a real ``repro serve`` subprocess (supervised, process-mode solve
-pool) and drives it through the failure modes the service claims to
+workers) and drives it through the failure modes the service claims to
 survive:
 
 1. **Mixed burst** — concurrent duplicate queries (must coalesce to one
@@ -11,8 +11,8 @@ survive:
    a hung or dead server).  Cache hit/miss counts are asserted through
    the metrics endpoint, not inferred from timing.
 2. **Worker kill** — a solver child process is SIGKILLed mid-request;
-   the query must still come back answered (the supervisor rebuilds its
-   pool and retries, or the breaker serves a degraded answer) and the
+   the query must still come back answered (the supervisor respawns its
+   worker and retries, or the breaker serves a degraded answer) and the
    server must stay healthy.
 3. **Clean shutdown** — a drain-shutdown is requested while a query is
    in flight; the in-flight query must receive its full answer and the
@@ -82,7 +82,7 @@ def spec_payload(n_layers: int, grid_nodes: int = GRID_NODES) -> dict:
 
 
 def start_server(work: pathlib.Path) -> subprocess.Popen:
-    """Launch ``repro serve`` with a supervised process-mode solve pool."""
+    """Launch ``repro serve`` with supervised process-mode solve workers."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
@@ -93,7 +93,7 @@ def start_server(work: pathlib.Path) -> subprocess.Popen:
             "--max-queue", "32",
             "--breaker-threshold", "3",
             "--breaker-cooldown", "5",
-            # Supervision: process pool (SIGKILL-able children) + retry.
+            # Supervision: local workers (SIGKILL-able children) + retry.
             "--workers", "2",
             "--task-timeout", "120",
             "--max-retries", "2",
@@ -227,11 +227,11 @@ def _child_pids(parent_pid: int) -> list:
 def check_worker_kill(address: str, server: subprocess.Popen) -> None:
     from repro.service.client import ServiceClient
 
-    # A heavy novel spec keeps the solve pool busy long enough to kill.
+    # A heavy novel spec keeps a solver child busy long enough to kill.
     heavy = spec_payload(6, grid_nodes=KILL_GRID_NODES)
     with ThreadPoolExecutor(max_workers=1) as pool:
         inflight = pool.submit(one_query, address, heavy)
-        # Wait for a pool child to appear under the server, then KILL it.
+        # Wait for a solver child to appear under the server, then KILL it.
         killed = None
         deadline = time.monotonic() + 60.0
         while killed is None and time.monotonic() < deadline:
@@ -282,7 +282,7 @@ def check_clean_shutdown(address: str, server: subprocess.Popen) -> None:
     heavy = spec_payload(7, grid_nodes=KILL_GRID_NODES)
     with ThreadPoolExecutor(max_workers=1) as pool:
         inflight = pool.submit(one_query, address, heavy)
-        time.sleep(0.5)  # let it reach the solve pool
+        time.sleep(0.5)  # let it reach a solver child
         with ServiceClient(address) as client:
             ack = client.shutdown(drain=True)
         if ack.get("status") != "draining":

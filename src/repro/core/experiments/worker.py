@@ -2,8 +2,8 @@
 
 The worker dials a coordinator started by any sweep subcommand running
 with ``--fleet HOST:PORT``, leases content-fingerprinted topology tasks,
-solves them with the exact same worker entry point the in-process pool
-uses, and streams results (plus trace spans) back.  It exits cleanly
+solves them with the same worker loop the supervisor's local workers
+run, and streams results (plus trace spans) back.  It exits cleanly
 when the coordinator reports the run complete; see docs/DISTRIBUTED.md
 for the protocol and failure semantics.
 """

@@ -409,6 +409,8 @@ class Tracer:
 
 
 _TRACER = Tracer()
+if hasattr(os, "register_at_fork"):  # a fork may land while a thread holds the lock
+    os.register_at_fork(after_in_child=lambda: setattr(_TRACER, "_lock", threading.Lock()))
 
 
 def get_tracer() -> Tracer:

@@ -16,8 +16,8 @@ for, at sweep scope:
    :meth:`repro.grid.solver.AssembledCircuit.solve` call.
 
 The engine runs serially.  Process fan-out (with crash recovery and
-deadlines) is :class:`repro.runtime.supervisor.RunSupervisor`'s job: it
-runs the same groups in its pool through :func:`_run_group_remote`.
+deadlines) is :class:`repro.runtime.supervisor.RunSupervisor`'s job: its
+workers run the same groups through :func:`_run_group_remote`.
 
 Every stage is instrumented (:mod:`repro.runtime.metrics`); pass
 ``bench_name`` to emit a machine-readable ``BENCH_<name>.json``.
@@ -25,11 +25,11 @@ Every stage is instrumented (:mod:`repro.runtime.metrics`); pass
 
 from __future__ import annotations
 
-import time
+import contextlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ContractViolationError, ReproError
+from repro.errors import ContractViolationError, ReproError, SingularCircuitError
 from repro.grid.backends import default_backend_name, resolve_backend
 from repro.obs.trace import activate_worker_context, get_tracer
 from repro.runtime.fingerprint import run_fingerprint, task_fingerprint
@@ -228,25 +228,34 @@ def _execute_group(
                 SweepOutcome(point=p, result=r, fault_report=fault_report)
                 for p, r in zip(points, results)
             ]
-        except ReproError:
-            # One bad point must not sink its batch siblings: fall back to
-            # per-point solves and capture each point's typed error.
-            metrics.sequential_fallback = True
-            solve_span.set(sequential_fallback=True)
-            outcomes = []
-            for p, activities in zip(points, activity_sets):
+        except ReproError as exc:
+            if not resilient and isinstance(exc, SingularCircuitError):
+                # The group's one factorisation does not solve it: a
+                # strict per-point retry would reuse it and fail again.
                 metrics.n_solve_calls += 1
-                try:
-                    result = pdn.solve(
-                        layer_activities=activities, resilient=resilient
-                    )
-                    outcomes.append(
-                        SweepOutcome(point=p, result=result, fault_report=fault_report)
-                    )
-                except ReproError as exc:
-                    outcomes.append(
-                        SweepOutcome(point=p, error=exc, fault_report=fault_report)
-                    )
+                outcomes = [
+                    SweepOutcome(point=p, error=exc, fault_report=fault_report)
+                    for p in points
+                ]
+            else:
+                # One bad point must not sink its batch siblings: fall
+                # back to per-point solves, each capturing its own error.
+                metrics.sequential_fallback = True
+                solve_span.set(sequential_fallback=True)
+                outcomes = []
+                for p, activities in zip(points, activity_sets):
+                    metrics.n_solve_calls += 1
+                    try:
+                        result = pdn.solve(
+                            layer_activities=activities, resilient=resilient
+                        )
+                        outcomes.append(SweepOutcome(
+                            point=p, result=result, fault_report=fault_report
+                        ))
+                    except ReproError as error:
+                        outcomes.append(SweepOutcome(
+                            point=p, error=error, fault_report=fault_report
+                        ))
     metrics.solve_s += solve_span.duration_s
 
     # Tally the solver escalation ladder: resilient solves report the
@@ -329,46 +338,42 @@ class _RunFrame:
     #: ``task_fingerprint`` of each group, in group order.
     task_fingerprints: List[str]
     metrics: SweepMetrics
-    t_start: float
-
-    def sweep_span(self, **attributes: Any):
-        """The run's root "sweep" span."""
-        return get_tracer().span(
-            "sweep",
-            run_fingerprint=self.metrics.run_fingerprint,
-            n_points=len(self.points),
-            n_groups=len(self.groups),
-            workers=self.metrics.workers,
-            **attributes,
-        )
+    #: The run's root "sweep" span.
+    span: Any
 
 
-def _open_run(points: Iterable[SweepPoint], workers: int = 1) -> _RunFrame:
-    """Group the points and name the run (and, when tracing, its trace)."""
-    t_start = time.perf_counter()
-    points = list(points)
-    solver = resolve_backend(default_backend_name()).name
-    groups = group_points(points, solver)
-    fingerprints = [
-        task_fingerprint(key, members) for key, members in groups.items()
-    ]
-    run_fp = run_fingerprint(fingerprints, len(points))
+@contextlib.contextmanager
+def _open_run(
+    points: Iterable[SweepPoint], workers: int = 1, **attributes: Any
+) -> Iterator[_RunFrame]:
+    """Open the run's "sweep" span, group the points and name the run
+    (and, when tracing, its trace).  The span is the run's one clock:
+    BENCH ``wall_s`` is its duration."""
     tracer = get_tracer()
-    if tracer.enabled and tracer.trace_id is None:
-        tracer.set_trace_id(run_fp)
-    metrics = SweepMetrics(workers=workers, run_fingerprint=run_fp, solver=solver)
-    return _RunFrame(points, groups, fingerprints, metrics, t_start)
+    with tracer.span("sweep", workers=workers, **attributes) as span:
+        points = list(points)
+        solver = resolve_backend(default_backend_name()).name
+        groups = group_points(points, solver)
+        fingerprints = [
+            task_fingerprint(key, members) for key, members in groups.items()
+        ]
+        run_fp = run_fingerprint(fingerprints, len(points))
+        if tracer.enabled and tracer.trace_id is None:
+            tracer.set_trace_id(run_fp)
+        span.set(run_fingerprint=run_fp, n_points=len(points), n_groups=len(groups))
+        metrics = SweepMetrics(workers=workers, run_fingerprint=run_fp, solver=solver)
+        yield _RunFrame(points, groups, fingerprints, metrics, span)
+    metrics.wall_s = span.duration_s
 
 
 def _close_run(
     frame: _RunFrame, cache_info: Dict[str, int], bench_name: Optional[str]
 ) -> None:
-    """Stamp cache counters and wall time; write BENCH and flush spans."""
+    """Stamp cache counters; write BENCH and flush spans."""
     metrics = frame.metrics
     metrics.cache_hits = cache_info["hits"]
     metrics.cache_misses = cache_info["misses"]
     metrics.cache_rebuilds = cache_info["rebuilds"]
-    metrics.wall_s = time.perf_counter() - frame.t_start
     if bench_name is not None:
         write_bench_json(bench_name, metrics.to_json())
     tracer = get_tracer()
@@ -455,14 +460,13 @@ class SweepEngine:
         ``bench_name`` writes the stage metrics to
         ``BENCH_<bench_name>.json`` (see :mod:`repro.runtime.metrics`).
         """
-        frame = _open_run(points)
-        values: List[Any] = [None] * len(frame.points)
-        with frame.sweep_span() as sweep_span:
+        with _open_run(points) as frame:
+            values: List[Any] = [None] * len(frame.points)
             for key, members in frame.groups.items():
                 frame.metrics.groups.append(
                     self._run_group_local(key, members, extract, values)
                 )
-            sweep_span.set(mode=frame.metrics.mode)
+            frame.span.set(mode=frame.metrics.mode)
         _close_run(frame, self.cache_info(), bench_name)
         return SweepResult(values=values, metrics=frame.metrics)
 

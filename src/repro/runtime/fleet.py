@@ -29,16 +29,20 @@ The coordinator side is written once, in ``_LeaseCore``: transport,
 worker registry, lease table, lease expiry, heartbeat scan, worker
 death and quarantine.  Two owners plug a task source into it:
 
-- :class:`FleetCoordinator` leases one supervised run's tasks
-  (``--fleet HOST:PORT``).  :func:`execute_fleet` returns whatever it
-  could not finish, so the supervisor's in-process paths (and thus
-  every CLI subcommand) degrade transparently when no worker ever
-  connects, every worker dies, or the transport cannot even bind.
-  Failures flow into the supervisor's retry/backoff/quarantine core —
-  a worker death or an expired lease charges the task one attempt,
-  exactly like a crashed pool worker — and results land through its
-  fingerprint-keyed journal commit.  Workers are told ``done`` when
-  the run ends.
+- :class:`FleetCoordinator` leases one supervised run's tasks to
+  ``repro worker`` processes (``--fleet HOST:PORT``) and to *local*
+  workers, children the supervisor forks to run :func:`run_worker`
+  over loopback (``--workers N``, ``--task-timeout``).  A local worker
+  whose lease expires or whose connection drops is SIGKILLed and
+  respawned; only remote workers are quarantined.
+  :func:`execute_fleet` returns whatever it could not finish, so the
+  supervisor's serial path (and thus every CLI subcommand) degrades
+  transparently when no worker ever connects, every worker dies, or
+  the transport cannot even bind.  Failures flow into the supervisor's
+  retry/backoff/quarantine core — a worker death or an expired lease
+  charges the task one attempt — and results land through its
+  fingerprint-keyed journal commit.  Workers are told ``done`` (local
+  ones are killed) when the run ends.
 - :class:`ServiceFleet` leases ``repro serve --fleet`` cache misses
   from an open-ended queue, with its own ``max_attempts`` per query,
   and tells workers ``done`` only at :meth:`ServiceFleet.close`.
@@ -49,7 +53,9 @@ See docs/DISTRIBUTED.md for the lease lifecycle and failure matrix.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import json
+import logging
 import os
 import socket
 import threading
@@ -163,6 +169,8 @@ class _WorkerInfo:
     status: str = "active"
     tasks_done: int = 0
     failures: int = 0
+    #: Forked by the owner (``_LeaseCore._local``): never quarantined.
+    local: bool = False
 
     def leasable(self) -> bool:
         return self.status == "active"
@@ -188,6 +196,8 @@ class _Lease:
     task: Any
     worker_id: str
     deadline: float
+    #: The lease's length in seconds; None leases never expire.
+    timeout_s: Optional[float]
 
 
 class _LeaseCore:
@@ -206,8 +216,8 @@ class _LeaseCore:
       names when its sender holds no lease on it (None drops the reply);
     - ``_is_open(task)``: False once the task has landed or been given
       up, so duplicates and late replies drop;
-    - ``_settle(task, values, group_metrics)``: land a result (True when
-      it landed, False for a duplicate);
+    - ``_settle(task, values, group_metrics, worker)``: land a result
+      (True when it landed, False for a duplicate);
     - ``_fail(task, error)``: route one charged failure;
     - ``_requeue(task)``: take a task back without a charge;
     - ``_shutdown()``: what :meth:`close` does with unfinished work.
@@ -223,6 +233,8 @@ class _LeaseCore:
 
     #: Names the owner in log lines and errors.
     _name = "fleet"
+    #: Level of the per-worker and per-lease log lines.
+    _log_level = logging.INFO
 
     def __init__(
         self,
@@ -235,6 +247,7 @@ class _LeaseCore:
         run_fp: str,
         reap_s: float,
         linger_s: float,
+        local_workers: int = 0,
     ):
         self.bind_address = bind
         self.lease_timeout_s = lease_timeout_s
@@ -259,6 +272,15 @@ class _LeaseCore:
         self._ever_connected = False
         self._last_activity = time.monotonic()
         self._trace_ctx = get_tracer().worker_context()
+        #: Local worker processes by id.  Only the owner's thread forks,
+        #: kills or reaps them; core threads name victims in ``_doomed``.
+        self._local: Dict[str, Any] = {}
+        self._n_local = local_workers
+        self._spawned = 0
+        self._doomed: set = set()
+        self._wake = threading.Event()
+        #: Lease length for local workers (None: no deadline).
+        self.local_timeout_s: Optional[float] = None
         self.address: Optional[str] = None
         # Counters (the run report and the service metrics read them).
         self.tasks_done = 0
@@ -287,15 +309,20 @@ class _LeaseCore:
         self._server = server
         self.address = f"{server.getsockname()[0]}:{server.getsockname()[1]}"
         self._last_activity = time.monotonic()
+        for _ in range(self._n_local):  # fork before any core thread
+            self._spawn_local()
         for name, target in (
             ("fleet-accept", self._accept_loop),
             ("fleet-reaper", self._reaper_loop),
         ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
+            # In a copy of this context, so the spans a core thread records
+            # (a run's "task" spans) nest under the span current here.
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(target,),
+                name=name, daemon=True)
             thread.start()
             self._threads.append(thread)
-        _log.info(
-            f"{self._name} listening",
+        _log.log(self._log_level, f"{self._name} listening",
             extra={"address": self.address, "run_fingerprint": self._run_fp},
         )
         return self.address
@@ -305,7 +332,12 @@ class _LeaseCore:
         self._stop.set()
         with self._lock:
             self._shutdown()
-        # Every request is now answered ``done``: give attached workers
+        # Local workers hold no lease now: kill them rather than wait out
+        # their idle sleep.
+        for process in self._local.values():
+            process.kill()
+            process.join(timeout=5.0)
+        # Every request is now answered ``done``: give attached remote workers
         # a beat to pick it up, so they exit through the clean-shutdown
         # handshake instead of observing a dropped connection.  An
         # aborted core lands nothing more, so it does not wait.
@@ -331,6 +363,23 @@ class _LeaseCore:
                 with contextlib.suppress(OSError):
                     sock.close()
 
+    def _spawn_local(self) -> None:
+        import multiprocessing
+
+        self._spawned += 1
+        worker_id = f"local-{os.getpid()}-{self._spawned}"
+        process = multiprocessing.get_context("fork").Process(
+            target=_local_worker_main, args=(self.address, worker_id), daemon=True
+        )
+        # Registered before the fork, so the child's hello finds it.
+        self._local[worker_id] = process
+        try:
+            process.start()
+        except OSError as exc:
+            del self._local[worker_id]
+            _log.warning("fleet: cannot fork a local worker",
+                         extra={"error": str(exc)})
+
     def _shutdown(self) -> None:
         """Hook: settle unfinished work at :meth:`close` (lock held)."""
 
@@ -340,10 +389,18 @@ class _LeaseCore:
             if self._error is None:
                 self._error = exc
             self._stop.set()
+        self._wake.set()
+
+    def _evict(self, worker_id: str) -> None:
+        """Name a local worker the core gave up on for its owner to kill."""
+        if worker_id in self._local:
+            self._doomed.add(worker_id)
+            self._wake.set()
 
     def workers_connected(self) -> int:
+        """Remote workers attached and leasable."""
         with self._lock:
-            return sum(1 for w in self._workers.values() if w.leasable())
+            return sum(1 for w in self._workers.values() if w.leasable() and not w.local)
 
     def accounting(self) -> List[Dict[str, Any]]:
         with self._lock:
@@ -358,14 +415,16 @@ class _LeaseCore:
                 continue
             except OSError:
                 return
+            # Replies are small writes: no Nagle wait for a delayed ACK.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 if self._stop.is_set():
                     conn.close()
                     return
                 self._conns.add(conn)
             handler = threading.Thread(
-                target=self._serve_connection,
-                args=(conn, f"{peer[0]}:{peer[1]}"),
+                target=contextvars.copy_context().run,
+                args=(self._serve_connection, conn, f"{peer[0]}:{peer[1]}"),
                 name=f"fleet-conn-{peer[1]}",
                 daemon=True,
             )
@@ -423,6 +482,8 @@ class _LeaseCore:
                     break
                 if not keep:
                     break
+        except OSError:
+            pass  # reset by a dying worker: a lost connection, as below
         finally:
             release = False
             with self._lock:
@@ -476,11 +537,12 @@ class _LeaseCore:
                 worker.conn = conn
                 worker.address = peer
                 worker.last_seen = self._last_activity = time.monotonic()
+                worker.local = worker_id in self._local
                 if worker.status in ("dead", "gone"):
                     worker.status = "active"
-                self._ever_connected = True
-                _log.info(
-                    f"{self._name}: worker joined",
+                if not worker.local:
+                    self._ever_connected = True
+                _log.log(self._log_level, f"{self._name}: worker joined",
                     extra={"worker": worker_id, "peer": peer},
                 )
                 return worker, {
@@ -526,13 +588,14 @@ class _LeaseCore:
             self._lost.discard(task_id)
             self.reassignments += 1
         task.attempts += 1
+        timeout_s = self.local_timeout_s if worker.local else self.lease_timeout_s
         self._leases[task_id] = _Lease(
             task=task,
             worker_id=worker.id,
-            deadline=time.monotonic() + self.lease_timeout_s,
+            deadline=time.monotonic() + (timeout_s or float("inf")),
+            timeout_s=timeout_s,
         )
-        _log.info(
-            f"{self._name}: leased task",
+        _log.log(self._log_level, f"{self._name}: leased task",
             extra={
                 "task": task_id,
                 "key": task.label,
@@ -545,7 +608,7 @@ class _LeaseCore:
             "task": task_id,
             "label": task.label,
             "attempt": task.attempts,
-            "lease_timeout_s": self.lease_timeout_s,
+            "lease_timeout_s": timeout_s,
             "payload": self._payload(task),
         }
 
@@ -596,7 +659,7 @@ class _LeaseCore:
                 )
             else:
                 get_tracer().adopt(spans)
-                if self._settle(task, values, group_metrics):
+                if self._settle(task, values, group_metrics, worker):
                     worker.tasks_done += 1
                     self.tasks_done += 1
                 return
@@ -608,11 +671,14 @@ class _LeaseCore:
         worker: Optional[_WorkerInfo],
         error: BaseException,
     ) -> None:
-        """One failed attempt: count it against the worker, then route it."""
+        """One failed attempt: count it against the worker, then route it.
+        Only remote workers are quarantined: a local one's failures are
+        its task's."""
         if worker is not None:
             worker.failures += 1
             if (
                 worker.status == "active"
+                and not worker.local
                 and worker.failures >= self.worker_max_failures
             ):
                 worker.status = "quarantined"
@@ -652,8 +718,7 @@ class _LeaseCore:
         if error is not None:
             self._charge(task, holder, error)
             return
-        # Clean shutdown mid-lease: requeue without an attempt charge,
-        # mirroring innocent pool-sibling requeues.
+        # Clean shutdown mid-lease: requeue without an attempt charge.
         task.attempts -= 1
         self._requeue(task)
 
@@ -669,6 +734,7 @@ class _LeaseCore:
         except OSError:
             pass
         self._release_worker_leases(worker, reason, charge=True)
+        self._evict(worker.id)
 
     def _expire_leases(self, now: float) -> None:
         expired = [
@@ -691,11 +757,13 @@ class _LeaseCore:
                 TaskTimeoutError(
                     f"lease on task {lease.task.label} ({task_id}) held by "
                     f"worker {lease.worker_id} exceeded its "
-                    f"{self.lease_timeout_s:g}s deadline",
+                    f"{lease.timeout_s:g}s deadline",
                     task=task_id,
-                    timeout_s=self.lease_timeout_s,
+                    timeout_s=lease.timeout_s,
                 ),
             )
+            # A hung local worker cannot be cancelled, only killed.
+            self._evict(lease.worker_id)
 
     def _scan_heartbeats(self, now: float) -> None:
         grace = self.heartbeat_s * self.heartbeat_grace
@@ -714,14 +782,16 @@ class _LeaseCore:
 # ----------------------------------------------------------------------
 
 class FleetCoordinator(_LeaseCore):
-    """Leases a supervised run's tasks to ``repro worker`` processes.
+    """Leases a supervised run's tasks to remote and local workers.
 
     Its task source is the supervisor's run queue: retries come back
     through the shared retry core with their backoff ``ready_at``
     stamped, and a result lands through the supervisor's idempotent,
     fingerprint-keyed commit (so a late result from an expired lease
-    still counts if it arrives first).  Workers are told ``done`` once
-    every task has landed or been quarantined.
+    still counts if it arrives first).  Remote workers are told ``done``
+    once every task has landed or been quarantined.
+    Without ``remote`` only its ``local_workers`` dial it, on loopback.
+    A local lease lasts the run's ``task_timeout`` (or forever).
     """
 
     def __init__(
@@ -729,10 +799,12 @@ class FleetCoordinator(_LeaseCore):
         supervisor: "RunSupervisor",
         tasks: List["_Task"],
         state: "_RunState",
+        local_workers: int = 0,
+        remote: bool = True,
     ):
         config = supervisor.config
         super().__init__(
-            config.fleet or "",
+            config.fleet if remote else "127.0.0.1:0",
             lease_timeout_s=config.lease_timeout_s,
             heartbeat_s=config.heartbeat_s,
             heartbeat_grace=config.heartbeat_grace,
@@ -740,13 +812,24 @@ class FleetCoordinator(_LeaseCore):
             run_fp=state.metrics.run_fingerprint,
             reap_s=config.poll_interval_s,
             linger_s=3.0,
+            local_workers=local_workers,
         )
         self.supervisor = supervisor
         self.state = state
         self.config = config
+        #: Grace for a first remote worker (none without a remote fleet).
+        self._wait_s = config.fleet_wait_s if remote else 0.0
+        self.local_timeout_s = config.task_timeout
+        if not remote:  # keep local workers out of --verbose stderr
+            self._log_level = logging.DEBUG
         self._tasks: Dict[str, "_Task"] = {t.fingerprint: t for t in tasks}
         self._order = [t.fingerprint for t in tasks]
-        self._queue: List["_Task"] = list(tasks)
+        #: The supervisor's run queue, where its retry core puts retries.
+        self._queue = state.queue
+        self._queue.extend(tasks)
+        #: Respawned local workers (BENCH ``pool_rebuilds``), bounded.
+        self.respawns = 0
+        self._respawn_budget = len(tasks) * (config.max_retries + 1)
 
     def write_discovery(self, bound: str) -> None:
         """Drop ``fleet.json`` into the run dir so workers find the port."""
@@ -770,17 +853,9 @@ class FleetCoordinator(_LeaseCore):
     # ------------------------------------------------------------------
     # Task source (all callers hold the lock)
     # ------------------------------------------------------------------
-    def _drain_retries(self) -> None:
-        """Pull backoff-stamped retries the shared core queued for us."""
-        while self.state.queue:
-            task = self.state.queue.pop(0)
-            if task.fingerprint in self._tasks:
-                self._queue.append(task)
-
     def _next_task(self) -> Any:
-        self._drain_retries()
         now = time.monotonic()
-        self._queue = [
+        self._queue[:] = [
             t for t in self._queue if not self.state.committed(t)
         ]
         ready = [t for t in self._queue if t.ready_at <= now]
@@ -795,7 +870,6 @@ class FleetCoordinator(_LeaseCore):
             return {"kind": "idle", "wait_s": round(min(wait, 1.0), 3)}
         task = ready[0]
         self._queue.remove(task)
-        task.started_at = now
         self.state.record(task).status = "running"
         return task.fingerprint, task
 
@@ -819,17 +893,24 @@ class FleetCoordinator(_LeaseCore):
     def _is_open(self, task: "_Task") -> bool:
         return not self.state.committed(task)
 
-    def _settle(self, task: "_Task", values: Any, group_metrics: Any) -> bool:
-        group_metrics.executed = "fleet"
+    def _settle(self, task: "_Task", values: Any, group_metrics: Any,
+                worker: _WorkerInfo) -> bool:
+        if not worker.local:
+            group_metrics.executed = "fleet"
         if not self.supervisor._commit(task, values, group_metrics, self.state):
             return False
-        if self.state.metrics.mode == "serial":
-            self.state.metrics.mode = "fleet"
+        metrics = self.state.metrics
+        if not worker.local or metrics.mode == "serial":
+            metrics.mode = "process" if worker.local else "fleet"
+        self._wake.set()
         return True
 
     def _fail(self, task: "_Task", error: BaseException) -> None:
         task.last_error = error
+        if isinstance(error, TaskTimeoutError):
+            task.timeouts += 1
         self.supervisor._handle_failure(task, self.state)
+        self._wake.set()
 
     def _requeue(self, task: "_Task") -> None:
         self.state.record(task).status = "pending"
@@ -843,30 +924,48 @@ class FleetCoordinator(_LeaseCore):
         ]
 
     # ------------------------------------------------------------------
+    # Local workers (supervisor thread only)
+    # ------------------------------------------------------------------
+    def _tend_local(self, doomed: set) -> None:
+        """Kill the doomed local workers, reap exited ones, respawn each."""
+        for worker_id, process in list(self._local.items()):
+            if worker_id in doomed:
+                process.kill()
+                process.join(timeout=5.0)
+            if process.is_alive():
+                continue
+            del self._local[worker_id]
+            if self.respawns < self._respawn_budget:
+                self.respawns += 1
+                self._spawn_local()
+
+    # ------------------------------------------------------------------
     def poll(self) -> List["_Task"]:
         """Drive the run to completion or fall back; supervisor thread.
 
         Returns the tasks the fleet could not finish (empty on full
-        completion) for the supervisor's in-process execution paths.
+        completion) for the supervisor's serial path.
         """
         while True:
+            self._wake.clear()
             with self._lock:
                 if self._error is not None:
                     raise self._error
-                self._drain_retries()
                 leftovers = self._unlanded()
                 if not leftovers:
                     return []
+                doomed, self._doomed = self._doomed, set()
                 if (
                     not self._leases
+                    and not self._local
                     and self.workers_connected() == 0
-                    and time.monotonic() - self._last_activity
-                    > self.config.fleet_wait_s
+                    and time.monotonic() - self._last_activity > self._wait_s
                 ):
                     # Nobody to lease to and nothing in flight for a
-                    # whole grace window (first worker still starting,
-                    # or a reconnect after a death): degrade to the
-                    # in-process paths with whatever is left.
+                    # whole grace window (first remote worker still
+                    # starting, or a reconnect after a death), and no
+                    # local worker left: degrade to the serial path.
+                    self._queue.clear()
                     for task in leftovers:
                         self.state.record(task).status = "pending"
                     _log.warning(
@@ -877,40 +976,63 @@ class FleetCoordinator(_LeaseCore):
                         },
                     )
                     return leftovers
-            time.sleep(self.config.poll_interval_s)
+            self._tend_local(doomed)
+            self._wake.wait(self.config.poll_interval_s)
+
+
+def _local_worker_main(address: str, worker_id: str) -> None:
+    """Entry point of a forked local worker.
+
+    The fork copied the parent's signal handlers and signal wakeup fd
+    (asyncio's self-pipe under ``repro serve``).  Left in place, a
+    SIGTERM or SIGINT to this worker would write into the shared pipe,
+    and the parent's loop would act as if it had been signalled.
+    """
+    import signal
+
+    with contextlib.suppress(ValueError, OSError):
+        signal.set_wakeup_fd(-1)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        with contextlib.suppress(ValueError, OSError):
+            signal.signal(signum, signal.SIG_DFL)
+    _log.setLevel(max(_log.getEffectiveLevel(), logging.WARNING))
+    with contextlib.suppress(FleetTransportError):
+        run_worker(address, worker_id=worker_id)
 
 
 def execute_fleet(
     supervisor: "RunSupervisor",
     tasks: List["_Task"],
     state: "_RunState",
+    local_workers: int = 0,
+    remote: bool = True,
 ) -> List["_Task"]:
-    """Run ``tasks`` on the fleet; return what must run in-process.
+    """Run ``tasks`` on the fleet; return what must run serially.
 
-    Every degradation path funnels here: unleasable work (no extractor,
-    or an unpicklable one), a transport that cannot bind, zero workers
-    within the grace window, or a mid-run loss of every worker.  The
-    caller treats the returned tasks exactly like a fleet-less run.
+    ``remote`` leases to ``--fleet`` workers, beside up to
+    ``local_workers`` forked local ones.  Every degradation path funnels
+    here: unleasable work (no extractor, or an unpicklable one), a
+    transport that cannot bind, zero workers within the grace window,
+    or a mid-run loss of every worker.  The caller treats the returned
+    tasks exactly like a fleet-less run.
     """
     import pickle
 
-    extract = state.extract
-    if extract is None:
-        _log.warning(
-            "fleet: raw-outcome sweeps are not leasable; running in-process"
-        )
-        return tasks
     try:
-        pickle.dumps(extract)
-        for task in tasks:
-            pickle.dumps(task.members[0][1].fault_plan)
+        pickle.dumps((state.extract, [t.members[0][1].fault_plan for t in tasks]))
+        leasable = state.extract is not None
     except Exception:
+        leasable = False
+    if not leasable:
         _log.warning(
-            "fleet: unpicklable extractor or fault plan; running in-process"
+            "fleet: raw outcomes, or an unpicklable extractor or fault "
+            "plan, are not leasable; running in-process"
         )
         return tasks
 
-    coordinator = FleetCoordinator(supervisor, tasks, state)
+    coordinator = FleetCoordinator(
+        supervisor, tasks, state, min(local_workers, len(tasks)), remote
+    )
     try:
         bound = coordinator.start()
     except FleetTransportError as exc:
@@ -920,7 +1042,8 @@ def execute_fleet(
         )
         return tasks
     try:
-        coordinator.write_discovery(bound)
+        if remote:
+            coordinator.write_discovery(bound)
         leftovers = coordinator.poll()
     finally:
         coordinator.close()
@@ -928,7 +1051,8 @@ def execute_fleet(
         state.metrics.leases_expired += coordinator.leases_expired
         state.metrics.worker_deaths += coordinator.worker_deaths
         state.metrics.reassignments += coordinator.reassignments
-    if not coordinator._ever_connected:
+        state.metrics.pool_rebuilds += coordinator.respawns
+    if remote and not coordinator._ever_connected:
         # Pay the grace wait once per supervisor, not once per run of a
         # multi-run experiment.
         supervisor._fleet_unattended = True
@@ -1147,7 +1271,8 @@ class ServiceFleet(_LeaseCore):
     def _is_open(self, task: _ServiceTask) -> bool:
         return not (task.cancelled or task.done.is_set())
 
-    def _settle(self, task: _ServiceTask, values: Any, group_metrics: Any) -> bool:
+    def _settle(self, task: _ServiceTask, values: Any, group_metrics: Any,
+                worker: _WorkerInfo) -> bool:
         task.complete(values[0])
         return True
 
@@ -1215,6 +1340,8 @@ def _connect(
         try:
             sock = socket.create_connection((host, port), timeout=5.0)
             sock.settimeout(15.0)
+            # ``result`` then ``request``: no Nagle wait for a delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return _WorkerSession(sock)
         except OSError as exc:
             last = exc

@@ -84,7 +84,8 @@ class SweepMetrics:
 
     groups: List[GroupMetrics] = field(default_factory=list)
     wall_s: float = 0.0
-    #: "serial", "process" (the run supervisor's pool) or "fleet".
+    #: "serial", "process" (the run supervisor's local workers) or
+    #: "fleet" (at least one result from a ``--fleet`` worker).
     mode: str = "serial"
     workers: int = 1
     #: Solver backend the run was requested under (repro.grid.backends
@@ -100,6 +101,8 @@ class SweepMetrics:
     #: the perf trajectory also tracks robustness overhead).
     retries: int = 0
     quarantined: int = 0
+    #: Local workers respawned after a crash or a kill (the name is
+    #: kept from the process pool they replaced).
     pool_rebuilds: int = 0
     timeouts: int = 0
     resumed: int = 0

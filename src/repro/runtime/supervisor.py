@@ -17,10 +17,10 @@ and the design-space explorer can be supervised without code changes:
   carrying a :class:`repro.errors.QuarantinedTopologyError`), and the
   final :class:`RunReport` names the quarantined fingerprints.
 
-* In process mode, worker crashes (``BrokenProcessPool``) and hung
-  workers (``task_timeout`` deadlines) are detected; the pool is
-  killed and rebuilt transparently, the victim task is charged an
-  attempt, and innocent in-flight tasks are requeued for free.
+* In process mode, tasks are leased to local worker processes through
+  the fleet's lease core (:func:`repro.runtime.fleet.execute_fleet`):
+  a crashed or hung (``task_timeout``) worker alone is killed and
+  respawned, and its task is charged an attempt.
 
 Task state machine::
 
@@ -41,7 +41,6 @@ import hashlib
 import json
 import logging
 import pathlib
-import pickle
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -50,7 +49,6 @@ from repro.errors import (
     QuarantinedTopologyError,
     ReproError,
     ResumeMismatchError,
-    TaskTimeoutError,
 )
 from repro.obs.logs import get_logger
 from repro.obs.trace import get_tracer
@@ -62,14 +60,8 @@ from repro.runtime.engine import (
     SweepResult,
     _close_run,
     _open_run,
-    _run_group_remote,
 )
-from repro.runtime.fingerprint import (
-    _plan_description,  # noqa: F401  (re-exported for compatibility)
-    _stable_repr,  # noqa: F401
-    run_fingerprint,
-    task_fingerprint,
-)
+from repro.runtime.fingerprint import run_fingerprint, task_fingerprint
 from repro.runtime.journal import (
     RunJournal,
     atomic_write_text,
@@ -97,12 +89,6 @@ __all__ = [
 #: additive, so v2 readers keep working.
 REPORT_SCHEMA = 3
 
-#: Seconds a pool teardown waits for the executor's manager thread
-#: after terminating the workers (it normally exits within
-#: milliseconds).
-POOL_JOIN_TIMEOUT_S = 5.0
-
-
 #: Module logger (JSON-line records via repro.obs.logs).
 _log = get_logger(__name__)
 
@@ -123,8 +109,8 @@ class SupervisorConfig:
     #: ``max_retries + 1`` attempts before quarantine).
     max_retries: int = 2
     #: Per-task wall-clock deadline in seconds; None disables deadline
-    #: monitoring.  Enforcement requires process mode (a hung in-process
-    #: solve cannot be interrupted).
+    #: monitoring.  It is a local worker's lease length: enforcement
+    #: requires process mode (a hung in-process solve cannot be killed).
     task_timeout: Optional[float] = None
     #: Abort the run on the first task failure instead of retrying.
     fail_fast: bool = False
@@ -136,8 +122,8 @@ class SupervisorConfig:
     #: With ``resume``: truncate the journal at its first corrupted
     #: record (logged) instead of refusing with ResumeMismatchError.
     salvage: bool = False
-    #: Process fan-out width.  A run uses a pool when it has a deadline
-    #: to enforce, or more than one task and ``workers > 1``.
+    #: Local workers a run may fork.  A run uses them when it has a
+    #: deadline to enforce, or more than one task and ``workers > 1``.
     workers: int = 1
     #: Coordinator bind address ("host:port") for the distributed sweep
     #: fleet; None keeps everything in-process.  With an address set,
@@ -145,24 +131,24 @@ class SupervisorConfig:
     #: run degrades transparently to the in-process path when no worker
     #: ever connects (or the transport cannot be brought up).
     fleet: Optional[str] = None
-    #: Per-lease deadline; an expired lease is reassigned (the frozen
-    #: worker's late result is dropped by the idempotent commit).
+    #: Per-lease deadline of a remote worker; an expired lease is
+    #: reassigned (a late result is dropped by the idempotent commit).
     lease_timeout_s: float = 60.0
-    #: How long the coordinator waits for a first worker before falling
-    #: back to the in-process execution path.
+    #: How long the coordinator waits for a first remote worker before
+    #: falling back to the in-process execution path.
     fleet_wait_s: float = 10.0
     #: Worker heartbeat period; a worker silent for
     #: ``heartbeat_grace * heartbeat_s`` is declared dead.
     heartbeat_s: float = 2.0
     heartbeat_grace: float = 4.0
-    #: Failed attempts a single worker may accumulate before the
+    #: Failed attempts a single remote worker may accumulate before the
     #: coordinator stops leasing to it (its own quarantine).
     worker_max_failures: int = 3
     #: Exponential backoff: base * 2**(attempt-1), capped, jittered.
     backoff_base_s: float = 0.25
     backoff_cap_s: float = 8.0
     backoff_jitter: float = 0.25
-    #: Future-wait granularity (also bounds deadline-check latency).
+    #: Lease-expiry scan period (bounds deadline-check latency).
     poll_interval_s: float = 0.05
     #: Print the one-line run summary to stderr after each run.
     verbose: bool = False
@@ -267,7 +253,7 @@ class RunReport:
             f"{len(self.tasks)} task(s) done "
             f"({len(self.resumed)} resumed, {len(self.retried)} retried, "
             f"{len(self.quarantined)} quarantined, "
-            f"{self.pool_rebuilds} pool rebuild(s){fleet}) "
+            f"{self.pool_rebuilds} worker respawn(s){fleet}) "
             f"in {self.wall_s:.2f}s"
         )
 
@@ -290,7 +276,6 @@ class _Task:
     attempts: int = 0
     timeouts: int = 0
     ready_at: float = 0.0
-    started_at: float = 0.0
     wall_s: float = 0.0
     last_error: Optional[BaseException] = None
 
@@ -299,9 +284,9 @@ class _Task:
 class _RunState:
     """Shared mutable state of one supervised run.
 
-    Every execution backend — serial, process pool, and the distributed
-    fleet coordinator — routes its outcomes through the same commit /
-    retry / quarantine core by mutating one of these.  ``queue`` holds
+    Both execution paths — serial, and the fleet coordinator with its
+    remote and local workers — route their outcomes through the same
+    commit / retry / quarantine core by mutating one of these.  ``queue`` holds
     tasks awaiting (re-)execution; ``_handle_failure`` pushes retries
     back onto it with their backoff ``ready_at`` stamped.
     """
@@ -321,30 +306,6 @@ class _RunState:
     def committed(self, task: _Task) -> bool:
         """True once the task's result landed (idempotence guard)."""
         return self.records[task.fingerprint].status in ("done", "resumed")
-
-
-def _pool_worker_init() -> None:
-    """Detach inherited signal plumbing in pool worker processes.
-
-    Forked workers inherit the parent's Python signal handlers *and*
-    its signal wakeup fd — asyncio's self-pipe when the parent runs an
-    event loop (``repro serve``).  Without this reset, terminating a
-    worker (``_kill_pool``, deadline teardown) makes the *worker's*
-    inherited C handler write the signal number into the shared pipe,
-    which the parent's loop then dispatches as if the parent itself had
-    been signalled — a clean pool shutdown would drain the service.
-    """
-    import signal
-
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, signal.SIG_DFL)
-        except (ValueError, OSError):  # pragma: no cover
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -449,31 +410,29 @@ class RunSupervisor:
         failures are retried/quarantined rather than raised (unless
         ``fail_fast``) and the result carries a :class:`RunReport`.
         """
-        frame = _open_run(points, self.workers)
-        metrics = frame.metrics
-        run_fp = metrics.run_fingerprint
-        tasks = [
-            _Task(
-                fingerprint=fingerprint,
-                label=self.engine._key_label(key),
-                key=key,
-                members=members,
-            )
-            for fingerprint, (key, members) in zip(
-                frame.task_fingerprints, frame.groups.items()
-            )
-        ]
-        values: List[Any] = [None] * len(frame.points)
-        records: Dict[str, TaskRecord] = {
-            task.fingerprint: TaskRecord(
-                fingerprint=task.fingerprint,
-                label=task.label,
-                n_points=len(task.members),
-            )
-            for task in tasks
-        }
-
-        with frame.sweep_span(supervised=True) as sweep_span:
+        with _open_run(points, self.workers, supervised=True) as frame:
+            metrics = frame.metrics
+            run_fp = metrics.run_fingerprint
+            tasks = [
+                _Task(
+                    fingerprint=fingerprint,
+                    label=self.engine._key_label(key),
+                    key=key,
+                    members=members,
+                )
+                for fingerprint, (key, members) in zip(
+                    frame.task_fingerprints, frame.groups.items()
+                )
+            ]
+            values: List[Any] = [None] * len(frame.points)
+            records: Dict[str, TaskRecord] = {
+                task.fingerprint: TaskRecord(
+                    fingerprint=task.fingerprint,
+                    label=task.label,
+                    n_points=len(task.members),
+                )
+                for task in tasks
+            }
             journal, journaled = self._open_journal(run_fp, tasks, len(values))
             state = _RunState(
                 values=values,
@@ -484,27 +443,23 @@ class RunSupervisor:
             )
             pending = self._restore(tasks, journaled, state)
 
-            if (
-                pending
-                and self.config.fleet is not None
-                and not self._fleet_unattended
-            ):
-                # Distributed path; returns whatever it could not place
-                # on workers (everything, when the transport is down or
-                # no worker ever connected) for the in-process paths.
+            # Local workers pay for a deadline to enforce or for tasks to
+            # spread (each re-builds and re-factorises what it runs).
+            spread = self.workers > 1 and len(pending) > 1
+            local = self.workers if spread or self.config.task_timeout else 0
+            remote = self.config.fleet is not None and not self._fleet_unattended
+            if pending and (local or remote):
+                # Leased path; returns whatever its workers could not
+                # finish (everything, when the transport is down or no
+                # worker ever connected) for the serial path.
                 from repro.runtime.fleet import execute_fleet
 
-                pending = execute_fleet(self, pending, state)
+                pending = execute_fleet(self, pending, state, local, remote)
             if pending:
-                if self._use_processes(pending, extract):
-                    if metrics.mode == "serial":
-                        metrics.mode = "process"
-                    self._execute_process(pending, state)
-                else:
-                    self._execute_serial(pending, state)
-            sweep_span.set(mode=metrics.mode, resumed=metrics.resumed)
+                self._execute_serial(pending, state)
+            frame.span.set(mode=metrics.mode, resumed=metrics.resumed)
 
-        # Stable first-appearance ordering: pool, fleet and resumed tasks
+        # Stable first-appearance ordering: worker and resumed tasks
         # land out of order.
         order = {task.label: i for i, task in enumerate(tasks)}
         metrics.groups.sort(key=lambda g: order.get(g.key, len(order)))
@@ -699,8 +654,8 @@ class RunSupervisor:
         )
 
     # ------------------------------------------------------------------
-    # Failure bookkeeping shared by every execution path (serial,
-    # process pool, distributed fleet)
+    # Failure bookkeeping shared by both execution paths (serial, and
+    # the fleet's remote and local workers)
     # ------------------------------------------------------------------
     def _backoff_delay(self, attempts: int, fingerprint: str = "") -> float:
         """Exponential backoff with *deterministic* jitter.
@@ -859,194 +814,3 @@ class RunSupervisor:
             # the same objects and does the bookkeeping.
             group_values = [state.values[index] for index, _ in task.members]
             self._commit(task, group_values, group_metrics, state)
-
-    # ------------------------------------------------------------------
-    # Process execution (crash + deadline monitoring)
-    # ------------------------------------------------------------------
-    def _use_processes(
-        self, tasks: List[_Task], extract: Optional[Callable]
-    ) -> bool:
-        """Whether a pool pays: a deadline to enforce, or tasks to spread.
-
-        A pool re-builds and re-factorises every topology it runs, so a
-        single task without a deadline stays in-process on the cached
-        engine.  Raw outcomes (no ``extract``), extractors and fault
-        plans that do not pickle never leave the process either.
-        """
-        if extract is None:
-            return False
-        spread = self.workers > 1 and len(tasks) > 1
-        if self.config.task_timeout is None and not spread:
-            return False
-        try:
-            pickle.dumps(extract)
-            for task in tasks:
-                pickle.dumps(task.members[0][1].fault_plan)
-        except Exception:
-            return False
-        return True
-
-    def _new_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_pool_worker_init
-        )
-
-    @staticmethod
-    def _kill_pool(pool) -> None:
-        """Tear a pool down hard, terminating hung workers.
-
-        The executor's manager thread is joined here, within
-        :data:`POOL_JOIN_TIMEOUT_S`, rather than left for the
-        interpreter's exit hook to join.
-        """
-        manager = getattr(pool, "_executor_manager_thread", None)
-        try:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
-        except Exception:
-            pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        if manager is not None:
-            manager.join(timeout=POOL_JOIN_TIMEOUT_S)
-
-    def _rebuild_pool(self, pool, metrics: SweepMetrics):
-        self._kill_pool(pool)
-        metrics.pool_rebuilds += 1
-        return self._new_pool()
-
-    def _execute_process(self, tasks: List[_Task], state: _RunState) -> None:
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        config = self.config
-        extract = state.extract
-        metrics = state.metrics
-        records = state.records
-        queue = state.queue
-        queue.extend(tasks)
-        inflight: Dict[Any, Tuple[_Task, Optional[float]]] = {}
-        tracer = get_tracer()
-        trace_ctx = tracer.worker_context()
-        pool = self._new_pool()
-        try:
-            while queue or inflight:
-                now = time.monotonic()
-                # Launch every ready task while worker capacity remains.
-                for task in [t for t in queue if t.ready_at <= now]:
-                    if len(inflight) >= self.workers:
-                        break
-                    queue.remove(task)
-                    records[task.fingerprint].status = "running"
-                    task.attempts += 1
-                    task.started_at = time.monotonic()
-                    plan = task.members[0][1].fault_plan
-                    try:
-                        future = pool.submit(
-                            _run_group_remote,
-                            task.key[0],
-                            plan,
-                            tuple(point for _, point in task.members),
-                            task.key[2],
-                            extract,
-                            task.label,
-                            trace_ctx,
-                            task.key[3],
-                        )
-                    except Exception:
-                        # Pool already broken before the submit landed:
-                        # not the task's fault, rebuild and requeue free.
-                        task.attempts -= 1
-                        queue.append(task)
-                        pool = self._rebuild_pool(pool, metrics)
-                        break
-                    deadline = (
-                        None
-                        if config.task_timeout is None
-                        else task.started_at + config.task_timeout
-                    )
-                    inflight[future] = (task, deadline)
-
-                if not inflight:
-                    if not queue:
-                        break
-                    # Everything queued is backing off: sleep until the
-                    # earliest ready_at (bounded for responsiveness).
-                    wake = min(t.ready_at for t in queue)
-                    time.sleep(
-                        max(0.0, min(wake - time.monotonic(), 0.2))
-                    )
-                    continue
-
-                done, _ = wait(
-                    set(inflight),
-                    timeout=config.poll_interval_s,
-                    return_when=FIRST_COMPLETED,
-                )
-                broken = False
-                for future in done:
-                    task, _deadline = inflight.pop(future)
-                    task.wall_s += time.monotonic() - task.started_at
-                    try:
-                        group_values, group_metrics, spans = future.result()
-                        tracer.adopt(spans)
-                    except BrokenProcessPool as exc:
-                        # Worker crash: the task on the crashed worker is
-                        # charged an attempt; the pool must be rebuilt.
-                        task.last_error = exc
-                        broken = True
-                        self._handle_failure(task, state)
-                    except Exception as exc:
-                        task.last_error = exc
-                        self._handle_failure(task, state)
-                    else:
-                        self._commit(task, group_values, group_metrics, state)
-                if broken:
-                    # Innocent in-flight siblings are requeued for free.
-                    for future, (task, _d) in list(inflight.items()):
-                        task.wall_s += time.monotonic() - task.started_at
-                        task.attempts -= 1
-                        task.ready_at = 0.0
-                        records[task.fingerprint].status = "pending"
-                        queue.append(task)
-                    inflight.clear()
-                    pool = self._rebuild_pool(pool, metrics)
-                    continue
-
-                # Deadline scan: a hung worker cannot be cancelled, so an
-                # expired task forces a pool kill; victims sharing the
-                # pool are requeued without an attempt charge.
-                now = time.monotonic()
-                expired = {
-                    future
-                    for future, (_t, deadline) in inflight.items()
-                    if deadline is not None and now > deadline
-                }
-                expired = {f for f in expired if not f.done()}
-                if expired:
-                    for future, (task, _d) in list(inflight.items()):
-                        task.wall_s += time.monotonic() - task.started_at
-                        if future in expired:
-                            task.timeouts += 1
-                            metrics.timeouts += 1
-                            task.last_error = TaskTimeoutError(
-                                f"task {task.label} ({task.fingerprint}) "
-                                f"exceeded its {config.task_timeout:g}s "
-                                "deadline",
-                                task=task.fingerprint,
-                                timeout_s=config.task_timeout,
-                            )
-                            self._handle_failure(task, state)
-                        else:
-                            task.attempts -= 1
-                            task.ready_at = 0.0
-                            records[task.fingerprint].status = "pending"
-                            queue.append(task)
-                    inflight.clear()
-                    pool = self._rebuild_pool(pool, metrics)
-        finally:
-            self._kill_pool(pool)

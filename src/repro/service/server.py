@@ -160,7 +160,7 @@ def extract_summary(outcome) -> Dict[str, Any]:
     """The service's sweep extractor: one JSON-serialisable summary.
 
     Module-level (hence picklable) so supervised process-mode runs can
-    ship it to pool workers; values are plain floats, so a JSON round
+    ship it to local workers; values are plain floats, so a JSON round
     trip through the wire is bit-exact — a cached service answer equals
     a direct engine run to the last ulp.
     """

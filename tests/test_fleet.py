@@ -234,6 +234,9 @@ class TestFleetEndToEnd:
         serial = RunSupervisor().run(points, extract=_fleet_extract)
         assert fleet.values == serial.values
         assert fleet.metrics.leases_expired >= 1
+        # An expired lease is a timeout of its task.
+        assert fleet.metrics.timeouts >= 1
+        assert fleet.report.n_timeouts == fleet.metrics.timeouts
         assert not fleet.report.quarantined
 
     def test_dropped_result_reassigns_lease(self, tmp_path, monkeypatch):

@@ -308,6 +308,33 @@ class TestWireProtocol:
         again.send({"kind": "goodbye"})
         again.close()
 
+    def test_reset_connection_is_a_lost_worker(self, owner):
+        # A SIGKILLed worker with unread bytes resets its connection; the
+        # handler must mourn it like any lost connection, not die on the
+        # ConnectionResetError.
+        import struct
+
+        raised = []
+        hook = threading.excepthook
+        threading.excepthook = lambda args: raised.append(args.exc_type)
+        try:
+            fleet = owner()
+            raw = _RawWorker(fleet.address)
+            assert raw.hello("w-reset")["kind"] == "welcome"
+            record = fleet.core._workers["w-reset"]
+            raw.sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            raw.close()
+            _wait_until(lambda: record.status == "dead")
+            _wait_until(lambda: not any(
+                t.name.startswith("fleet-conn") and t.is_alive()
+                for t in fleet.core._threads
+            ))
+        finally:
+            threading.excepthook = hook
+        assert raised == []
+
     def test_quarantined_worker_is_told_done(self, owner):
         fleet = owner(worker_max_failures=1)
         raw = _RawWorker(fleet.address)

@@ -131,7 +131,7 @@ class TestBatchedMatchesSequential:
         assert engine.cache_info()["misses"] == 1
 
     def test_strict_batch_error_captured_per_point(self):
-        """A singular batch falls back per point with typed errors."""
+        """A singular batch gives each point a typed error."""
         spec = PDNSpec.regular(2, grid_nodes=TEST_GRID)
         points = [
             SweepPoint(spec=spec, fault_plan=severed_layer_plan, resilient=False)
@@ -141,6 +141,28 @@ class TestBatchedMatchesSequential:
         assert not outcome.survived
         with pytest.raises(Exception):
             outcome.unwrap()
+
+    def test_strict_singular_batch_is_solved_once(self):
+        """A per-point retry would reuse the batch's factorisation, so a
+        strict batch that raised SingularCircuitError is not retried."""
+        from repro.errors import SingularCircuitError
+
+        spec = PDNSpec.regular(2, grid_nodes=TEST_GRID)
+        points = [
+            SweepPoint(
+                spec=spec,
+                layer_activities=(1.0, activity),
+                fault_plan=severed_layer_plan,
+                resilient=False,
+            )
+            for activity in (1.0, 0.5, 0.0)
+        ]
+        run = SweepEngine().run(points)
+        assert all(isinstance(o.error, SingularCircuitError) for o in run.values)
+        (group,) = run.metrics.groups
+        assert group.n_solve_calls == 1
+        assert not group.sequential_fallback
+        assert group.escalations == {"failed": 3}
 
 
 class TestStructureCache:

@@ -72,6 +72,31 @@ def _hang_once_extract(outcome, marker=None):
     return outcome.unwrap().max_ir_drop()
 
 
+def _signal_plumbing(outcome):
+    """What a worker inherited: SIGTERM/SIGINT at SIG_DFL, and its
+    signal wakeup fd (-1 when detached)."""
+    import signal
+
+    return (
+        signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+        signal.getsignal(signal.SIGINT) == signal.SIG_DFL,
+        signal.set_wakeup_fd(-1),
+    )
+
+
+def _child_pids():
+    """Pids whose parent is this process (zombies included)."""
+    children = set()
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == os.getpid():
+            children.add(int(stat.parent.name))
+    return children
+
+
 def _fail_tagged_extract(outcome):
     if outcome.point.tag == "poison":
         raise ValueError("injected extractor failure")
@@ -312,18 +337,18 @@ class TestProcessRecovery:
         assert isinstance(result.values[0], float)
         assert result.report.tasks[0].timeouts >= 1
 
-    def test_deadline_kill_leaves_no_manager_thread(self, tmp_path):
+    def test_deadline_kill_leaves_no_child_or_fleet_thread(self, tmp_path):
         import threading
-        from concurrent.futures.process import _ExecutorManagerThread
         from functools import partial
 
-        def managers():
+        def fleet_threads():
             return {
                 t for t in threading.enumerate()
-                if isinstance(t, _ExecutorManagerThread) and t.is_alive()
+                if t.name.startswith("fleet-") and t.is_alive()
             }
 
-        before = managers()
+        children_before = _child_pids()
+        threads_before = fleet_threads()
         marker = tmp_path / "hang-once"
         marker.write_text("armed")
         sup = RunSupervisor(
@@ -337,8 +362,56 @@ class TestProcessRecovery:
         )
         assert result.metrics.timeouts >= 1
         assert result.metrics.pool_rebuilds >= 1
-        # Both pools (the killed one and the last one) were joined.
-        assert managers() - before == set()
+        # The killed worker, its replacement and the core's threads are
+        # all gone once the run returns.
+        assert _child_pids() - children_before == set()
+        assert fleet_threads() - threads_before == set()
+
+    def test_hung_worker_is_respawned_while_its_sibling_lands(self, tmp_path):
+        from functools import partial
+
+        marker = tmp_path / "hang-once"
+        marker.write_text("armed")
+        sup = RunSupervisor(
+            config=SupervisorConfig(
+                workers=2, task_timeout=2.0, backoff_base_s=0.0
+            )
+        )
+        result = sup.run(
+            _points(n_groups=2, per_group=1),
+            extract=partial(_hang_once_extract, marker=str(marker)),
+        )
+        assert not marker.exists()  # one task really hung
+        assert result.metrics.mode == "process"
+        assert result.metrics.pool_rebuilds == 1
+        assert all(isinstance(v, float) for v in result.values)
+        hung, sibling = sorted(result.report.tasks, key=lambda t: -t.timeouts)
+        assert (hung.timeouts, hung.attempts) == (1, 2)
+        assert (sibling.timeouts, sibling.attempts) == (0, 1)
+
+    def test_local_worker_starts_with_default_signal_plumbing(self):
+        import signal
+        import socket
+
+        reader, writer = socket.socketpair()
+        writer.setblocking(False)
+        previous_fd = signal.set_wakeup_fd(writer.fileno())
+        previous = {
+            signum: signal.signal(signum, lambda *_: None)
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        try:
+            result = RunSupervisor(
+                config=SupervisorConfig(workers=2)
+            ).run(_points(n_groups=2, per_group=1), extract=_signal_plumbing)
+        finally:
+            signal.set_wakeup_fd(previous_fd)
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+            reader.close()
+            writer.close()
+        assert result.metrics.mode == "process"
+        assert result.values == [(True, True, -1)] * 2
 
     def test_process_values_match_serial(self):
         points = _points(n_groups=3)
@@ -361,7 +434,8 @@ def _mixed_points():
 
 
 class TestProcessFanOut:
-    """The supervisor's pool is the package's only process fan-out."""
+    """The supervisor's local workers are the package's only process
+    fan-out."""
 
     @pytest.mark.parametrize(
         "workers, n_tasks, task_timeout, mode",
@@ -429,8 +503,8 @@ class TestMetricsSchemaParity:
         return keys
 
     def test_serial_and_process_emit_same_schema(self):
-        """The plain engine, the supervisor's serial path and its process
-        pool emit the exact same stage-metrics schema."""
+        """The plain engine, the supervisor's serial path and its local
+        workers emit the exact same stage-metrics schema."""
         points = _points(n_groups=2)
         plain = SweepEngine().run(points, extract=_ir_extract)
         serial = RunSupervisor().run(points, extract=_ir_extract)
