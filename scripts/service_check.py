@@ -1,19 +1,20 @@
 #!/usr/bin/env python
 """End-to-end robustness proof for the exploration service.
 
-Boots a real ``repro serve`` subprocess (supervised, process-mode solve
-workers) and drives it through the failure modes the service claims to
-survive:
+Boots a real ``repro serve`` subprocess (two local solver workers,
+forked once for the replica's life) and drives it through the failure
+modes the service claims to survive:
 
 1. **Mixed burst** — concurrent duplicate queries (must coalesce to one
    solve and then hit the cache), novel specs (each solved once) and one
    poisoned spec (NaN activities -> a *typed* solve-error response, not
    a hung or dead server).  Cache hit/miss counts are asserted through
    the metrics endpoint, not inferred from timing.
-2. **Worker kill** — a solver child process is SIGKILLed mid-request;
-   the query must still come back answered (the supervisor respawns its
-   worker and retries, or the breaker serves a degraded answer) and the
-   server must stay healthy.
+2. **Worker kill** — once a solver child holds the lease of a heavy
+   query, *every* child of the server is SIGKILLed; the query must still
+   come back answered (the replica respawns its workers and retries the
+   lease, or the breaker serves a degraded answer), the server must stay
+   healthy, and its child count must return to ``--workers``.
 3. **Clean shutdown** — a drain-shutdown is requested while a query is
    in flight; the in-flight query must receive its full answer and the
    server process must exit 0.
@@ -53,6 +54,8 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 GRID_NODES = 16
+#: The server's local solver workers (``--workers``).
+WORKERS = 2
 KILL_GRID_NODES = 30
 BURST_DUPLICATES = 6
 NOVEL_LAYERS = (2, 3, 4)
@@ -82,7 +85,7 @@ def spec_payload(n_layers: int, grid_nodes: int = GRID_NODES) -> dict:
 
 
 def start_server(work: pathlib.Path) -> subprocess.Popen:
-    """Launch ``repro serve`` with supervised process-mode solve workers."""
+    """Launch ``repro serve`` with local solver workers."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
@@ -93,8 +96,8 @@ def start_server(work: pathlib.Path) -> subprocess.Popen:
             "--max-queue", "32",
             "--breaker-threshold", "3",
             "--breaker-cooldown", "5",
-            # Supervision: local workers (SIGKILL-able children) + retry.
-            "--workers", "2",
+            # Local solver workers (SIGKILL-able children) + retry.
+            "--workers", str(WORKERS),
             "--task-timeout", "120",
             "--max-retries", "2",
         ],
@@ -205,7 +208,7 @@ def check_mixed_burst(address: str, burst: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Proof 2: SIGKILL a solver child mid-request
+# Proof 2: SIGKILL every solver child mid-request
 # ----------------------------------------------------------------------
 
 def _child_pids(parent_pid: int) -> list:
@@ -224,6 +227,26 @@ def _child_pids(parent_pid: int) -> list:
     return children
 
 
+def _leased(address: str) -> int:
+    """Misses the server's fleet holds out on its workers right now."""
+    from repro.service.client import ServiceClient
+
+    with ServiceClient(address) as client:
+        return client.metrics()["counters"]["fleet"]["leased"]
+
+
+def wait_for_workers(server: subprocess.Popen, timeout_s: float = 10.0) -> None:
+    """The server must have exactly ``WORKERS`` children, within a while."""
+    deadline = time.monotonic() + timeout_s
+    while len(_child_pids(server.pid)) != WORKERS:
+        if time.monotonic() > deadline:
+            fail(
+                f"server has {len(_child_pids(server.pid))} child "
+                f"process(es), expected {WORKERS}"
+            )
+        time.sleep(0.1)
+
+
 def check_worker_kill(address: str, server: subprocess.Popen) -> None:
     from repro.service.client import ServiceClient
 
@@ -231,29 +254,30 @@ def check_worker_kill(address: str, server: subprocess.Popen) -> None:
     heavy = spec_payload(6, grid_nodes=KILL_GRID_NODES)
     with ThreadPoolExecutor(max_workers=1) as pool:
         inflight = pool.submit(one_query, address, heavy)
-        # Wait for a solver child to appear under the server, then KILL it.
-        killed = None
+        # The workers idle before the request too: wait until one holds
+        # the heavy query's lease, then KILL every child of the server.
+        killed = []
         deadline = time.monotonic() + 60.0
-        while killed is None and time.monotonic() < deadline:
+        while not killed and time.monotonic() < deadline:
             if inflight.done():
-                break  # solve finished before a child showed up
-            for pid in _child_pids(server.pid):
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    killed = pid
-                    break
-                except (ProcessLookupError, PermissionError):
-                    continue
+                break  # solve finished before its lease was seen
+            if _leased(address):
+                for pid in _child_pids(server.pid):
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                        killed.append(pid)
+                    except (ProcessLookupError, PermissionError):
+                        continue
             time.sleep(0.02)
         response = inflight.result(timeout=300.0)
 
-    if killed is None:
+    if not killed:
         log(
-            "warning: no solver child observed to kill "
+            "warning: no leased solve observed to kill "
             "(solve finished first); answer path still verified"
         )
     else:
-        log(f"SIGKILLed solver child {killed} mid-request")
+        log(f"SIGKILLed every solver child {killed} mid-request")
     status = response.get("status")
     if not (status == "ok" or response.get("degraded")):
         fail(
@@ -266,9 +290,11 @@ def check_worker_kill(address: str, server: subprocess.Popen) -> None:
         fail(f"server unhealthy after worker kill: {health}")
     if server.poll() is not None:
         fail("server process died after worker kill")
+    wait_for_workers(server)
     log(
         f"worker-kill ok: query answered (status={status}, "
-        f"degraded={bool(response.get('degraded'))}), server healthy"
+        f"degraded={bool(response.get('degraded'))}), server healthy, "
+        f"{WORKERS} workers again"
     )
 
 
@@ -471,6 +497,7 @@ def main(argv=None) -> int:
     try:
         address = wait_for_address(work)
         log(f"server up at {address} (pid {server.pid})")
+        wait_for_workers(server)
         check_mixed_burst(address, args.burst)
         check_worker_kill(address, server)
         check_clean_shutdown(address, server)

@@ -30,7 +30,6 @@ from repro.config.stackups import (
     StackConfig,
     TSVTopology,
     TSV_TOPOLOGIES,
-    default_processor,
     dense_tsv,
     few_tsv,
     sparse_tsv,
@@ -58,7 +57,6 @@ __all__ = [
     "StackConfig",
     "TSVTopology",
     "TSV_TOPOLOGIES",
-    "default_processor",
     "dense_tsv",
     "few_tsv",
     "sparse_tsv",

@@ -222,8 +222,3 @@ class StackConfig:
     def stack_supply_voltage(self) -> float:
         """Off-chip supply for the voltage-stacked arrangement (V)."""
         return self.n_layers * self.processor.vdd
-
-
-def default_processor() -> ProcessorSpec:
-    """The paper's 16-core, 7.6 W, 44.12 mm^2 example layer."""
-    return ProcessorSpec()

@@ -3,12 +3,13 @@
 ``serve`` runs the resilient query front-end of
 :mod:`repro.service.server` until SIGINT/SIGTERM (clean drain); several
 ``serve`` processes sharing one ``--cache-dir`` form an HA replica set,
-and ``--fleet HOST:PORT`` additionally fans cache misses out to
-``repro worker`` processes.  ``query`` is the matching one-shot client:
-it builds a :class:`~repro.runtime.PDNSpec` from flags, submits it with
-replica failover (and ``--retries`` shed-retries), and renders the
-response envelope — including typed shed/deadline/degraded outcomes —
-as a one-line table.  ``cache`` inspects and maintains a cache
+``--workers N``/``--task-timeout`` lease cache misses to local worker
+processes forked once per replica, and ``--fleet HOST:PORT`` lets
+``repro worker`` processes lease them too.  ``query`` is the matching
+one-shot client: it builds a :class:`~repro.runtime.PDNSpec` from
+flags, submits it with replica failover (and ``--retries``
+shed-retries), and renders the response envelope — including typed
+shed/deadline/degraded outcomes — as a one-line table.  ``cache`` inspects and maintains a cache
 directory offline (``stats | verify | invalidate``).  See
 docs/SERVICE.md for the wire protocol and HA semantics.
 """
@@ -131,12 +132,6 @@ class ServeExperiment(Experiment):
             "(default 6)",
         )
         parser.add_argument(
-            "--solve-workers",
-            type=typed_int("--solve-workers", minimum=1),
-            default=1, metavar="N",
-            help="queue-draining solver workers (default 1)",
-        )
-        parser.add_argument(
             "--slo-latency",
             type=typed_float("--slo-latency", minimum=0.0, exclusive=True),
             default=None, metavar="SECONDS",
@@ -159,37 +154,42 @@ class ServeExperiment(Experiment):
 
     @classmethod
     def config_from_args(cls, args) -> ExperimentConfig:
-        config = super().config_from_args(args)
+        # A replica answers queries; it runs no sweep to journal.
+        if args.run_dir or args.resume or args.resume_salvage:
+            raise ReproError(
+                "serve takes no --run-dir, --resume or --resume-salvage"
+            )
+        # Only leased misses are retried: without workers or a fleet none is.
+        leases = (args.workers or 1) > 1 or args.task_timeout or args.fleet
+        if (args.max_retries is not None or args.fail_fast) and not leases:
+            raise ReproError(
+                "serve takes --max-retries or --fail-fast only with "
+                "--workers N>1, --task-timeout or --fleet"
+            )
+        config = ExperimentConfig()
         for key in (
             "bind", "cache_dir", "cache_max_mb", "cache_ttl", "max_queue",
             "deadline", "breaker_threshold", "breaker_cooldown",
-            "coarse_grid", "solve_workers", "slo_latency", "flight_recorder",
+            "coarse_grid", "slo_latency", "flight_recorder",
             "replica_id",
         ):
             config.options[key] = getattr(args, key)
+        # The shared fan-out flags configure the replica's one fleet.
+        for key in ("workers", "task_timeout", "fleet", "lease_timeout",
+                    "fleet_wait"):
+            if getattr(args, key) is not None:
+                config.options[key] = getattr(args, key)
+        max_retries = 2 if args.max_retries is None else args.max_retries
+        config.options["max_attempts"] = 1 if args.fail_fast else max_retries + 1
         return config
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         import asyncio
         import signal
-        from dataclasses import replace
 
         from repro.service.server import ExplorationService, ServiceConfig
 
         config = config or ExperimentConfig()
-        # The common --fleet/--lease-timeout/--fleet-wait flags land in
-        # the supervision config, but for `serve` the fleet belongs to
-        # the *service* (a persistent ServiceFleet), not to any one
-        # per-query supervised run — pull it out and strip it so a
-        # supervised miss never spins up a one-run coordinator.
-        supervision = config.option("supervision")
-        fleet = None
-        lease_timeout_s, fleet_wait_s = 60.0, 10.0
-        if supervision is not None and getattr(supervision, "fleet", None):
-            fleet = supervision.fleet
-            lease_timeout_s = supervision.lease_timeout_s
-            fleet_wait_s = supervision.fleet_wait_s
-            supervision = replace(supervision, fleet=None)
         service_config = ServiceConfig(
             bind=str(config.option("bind", "127.0.0.1:0")),
             cache_dir=str(config.option("cache_dir", "service-cache")),
@@ -200,11 +200,12 @@ class ServeExperiment(Experiment):
             breaker_threshold=int(config.option("breaker_threshold", 5)),
             breaker_cooldown_s=float(config.option("breaker_cooldown", 10.0)),
             coarse_grid=int(config.option("coarse_grid", 6)),
-            solve_workers=int(config.option("solve_workers", 1)),
-            supervision=supervision,
-            fleet=fleet,
-            lease_timeout_s=lease_timeout_s,
-            fleet_wait_s=fleet_wait_s,
+            workers=int(config.option("workers", 1)),
+            task_timeout_s=config.option("task_timeout"),
+            max_attempts=int(config.option("max_attempts", 3)),
+            fleet=config.option("fleet"),
+            lease_timeout_s=float(config.option("lease_timeout", 60.0)),
+            fleet_wait_s=float(config.option("fleet_wait", 10.0)),
             slo_latency_s=config.option("slo_latency"),
             flight_recorder=int(config.option("flight_recorder", 256)),
             replica_id=config.option("replica_id"),
@@ -223,7 +224,8 @@ class ServeExperiment(Experiment):
                 except (NotImplementedError, RuntimeError):
                     pass  # platform without loop signal handlers
             fleet_note = (
-                f", fleet on {service.fleet_address}" if service.fleet else ""
+                f", fleet on {service.fleet_address}"
+                if service.fleet_address else ""
             )
             print(
                 f"exploration service listening on {address} as "

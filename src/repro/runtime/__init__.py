@@ -11,7 +11,6 @@ from repro.runtime.metrics import (
     BENCH_SCHEMA,
     GroupMetrics,
     SweepMetrics,
-    maybe_write_bench_json,
     write_bench_json,
 )
 from repro.runtime.engine import (
@@ -56,7 +55,6 @@ __all__ = [
     "GroupMetrics",
     "SweepMetrics",
     "write_bench_json",
-    "maybe_write_bench_json",
     "BENCH_SCHEMA",
     "BENCH_DIR_ENV",
     "group_points",

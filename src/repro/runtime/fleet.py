@@ -7,7 +7,8 @@ over a deliberately small newline-delimited-JSON TCP protocol:
 worker sends    coordinator replies
 ==============  =====================================================
 ``hello``       ``welcome`` (run fingerprint, heartbeat period)
-``request``     ``lease`` (a task), ``idle`` (retry later), or
+``request``     ``lease`` (a task), ``idle`` (retry after ``wait_s``;
+                sent once a request was held ~1 s with no work), or
                 ``done`` (no more work / worker quarantined — exit)
 ``result``      *nothing* (fire-and-forget)
 ``failure``     *nothing*
@@ -27,25 +28,27 @@ message loss.
 
 The coordinator side is written once, in ``_LeaseCore``: transport,
 worker registry, lease table, lease expiry, heartbeat scan, worker
-death and quarantine.  Two owners plug a task source into it:
+death and quarantine, and *local* workers: children the owner forks to
+run :func:`run_worker` over loopback (``--workers N``,
+``--task-timeout``).  A local worker whose lease expires or whose
+connection drops is SIGKILLed and respawned; only remote workers are
+quarantined.  Two owners plug a task source into it:
 
 - :class:`FleetCoordinator` leases one supervised run's tasks to
-  ``repro worker`` processes (``--fleet HOST:PORT``) and to *local*
-  workers, children the supervisor forks to run :func:`run_worker`
-  over loopback (``--workers N``, ``--task-timeout``).  A local worker
-  whose lease expires or whose connection drops is SIGKILLed and
-  respawned; only remote workers are quarantined.
-  :func:`execute_fleet` returns whatever it could not finish, so the
-  supervisor's serial path (and thus every CLI subcommand) degrades
-  transparently when no worker ever connects, every worker dies, or
-  the transport cannot even bind.  Failures flow into the supervisor's
-  retry/backoff/quarantine core — a worker death or an expired lease
-  charges the task one attempt — and results land through its
-  fingerprint-keyed journal commit.  Workers are told ``done`` (local
-  ones are killed) when the run ends.
-- :class:`ServiceFleet` leases ``repro serve --fleet`` cache misses
-  from an open-ended queue, with its own ``max_attempts`` per query,
-  and tells workers ``done`` only at :meth:`ServiceFleet.close`.
+  ``repro worker`` processes (``--fleet HOST:PORT``) and to local
+  workers forked for that run.  :func:`execute_fleet` returns whatever
+  it could not finish, so the supervisor's serial path (and thus every
+  CLI subcommand) degrades transparently when no worker ever connects,
+  every worker dies, or the transport cannot even bind.  Failures flow
+  into the supervisor's retry/backoff/quarantine core — a worker death
+  or an expired lease charges the task one attempt — and results land
+  through its fingerprint-keyed journal commit.  Workers are told
+  ``done`` (local ones are killed) when the run ends.
+- :class:`ServiceFleet` leases ``repro serve`` cache misses from an
+  open-ended queue, with its own ``max_attempts`` per query, to remote
+  workers (``--fleet``) and to local workers forked once for the
+  replica's life; it tells workers ``done`` only at
+  :meth:`ServiceFleet.close`.
 
 See docs/DISTRIBUTED.md for the lease lifecycle and failure matrix.
 """
@@ -102,6 +105,17 @@ PROTOCOL_VERSION = 2
 
 #: Name of the discovery file a coordinator writes into its run dir.
 FLEET_FILE = "fleet.json"
+
+#: Worker heartbeat period; a worker silent for ``HEARTBEAT_GRACE``
+#: periods is declared dead.
+HEARTBEAT_S = 2.0
+HEARTBEAT_GRACE = 4.0
+#: The run coordinator's lease-expiry scan and poll period (bounds
+#: deadline-check latency).
+POLL_INTERVAL_S = 0.05
+#: Longest a core holds an idle worker's ``request`` for work to arrive
+#: before it replies ``idle``.
+IDLE_HOLD_S = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +224,8 @@ class _LeaseCore:
     the service:
 
     - ``_next_task()``: the next ``(task_id, task)`` to lease, or an
-      ``idle``/``done`` reply when there is none;
+      ``idle``/``done`` reply when there is none (an ``idle`` one may
+      carry ``wait_s``, the longest the core should hold the request);
     - ``_payload(task)``: the lease's 8-tuple payload;
     - ``_unleased_task(task_id)``: the task a ``result``/``failure``
       names when its sender holds no lease on it (None drops the reply);
@@ -224,11 +239,15 @@ class _LeaseCore:
 
     Tasks carry ``label``, ``attempts`` and ``wall_s``.  Every piece of
     shared state is mutated under one re-entrant lock, and one reaper
-    thread drives lease expiry and the heartbeat scan.  An exception
-    escaping an owner hook on any core thread (``fail_fast`` aborts,
-    journal I/O errors) is stashed in ``_error`` and stops the core;
-    :meth:`FleetCoordinator.poll` re-raises it on the supervisor's
-    thread.
+    thread drives lease expiry and the heartbeat scan.  A local worker
+    whose lease expires or whose connection drops is killed and
+    replaced at once, by whichever thread finds out; the reaper reaps
+    the dead.  An idle worker's ``request`` waits on ``_work``, a
+    condition of that lock, notified whenever a task is queued or the
+    core stops.  An exception escaping an owner hook on any core thread
+    (``fail_fast`` aborts, journal I/O errors) is stashed in ``_error``
+    and stops the core; :meth:`FleetCoordinator.poll` re-raises it on
+    the supervisor's thread.
     """
 
     #: Names the owner in log lines and errors.
@@ -241,18 +260,15 @@ class _LeaseCore:
         bind: str,
         *,
         lease_timeout_s: float,
-        heartbeat_s: float,
-        heartbeat_grace: float,
         worker_max_failures: int,
         run_fp: str,
         reap_s: float,
         linger_s: float,
         local_workers: int = 0,
+        local_timeout_s: Optional[float] = None,
     ):
         self.bind_address = bind
         self.lease_timeout_s = lease_timeout_s
-        self.heartbeat_s = heartbeat_s
-        self.heartbeat_grace = heartbeat_grace
         self.worker_max_failures = worker_max_failures
         self._run_fp = run_fp
         self._reap_s = reap_s
@@ -263,6 +279,7 @@ class _LeaseCore:
         #: left; their next grant counts as a reassignment.
         self._lost: set = set()
         self._lock = threading.RLock()
+        self._work = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._error: Optional[BaseException] = None
         self._server: Optional[socket.socket] = None
@@ -272,15 +289,19 @@ class _LeaseCore:
         self._ever_connected = False
         self._last_activity = time.monotonic()
         self._trace_ctx = get_tracer().worker_context()
-        #: Local worker processes by id.  Only the owner's thread forks,
-        #: kills or reaps them; core threads name victims in ``_doomed``.
+        #: Live local worker processes by id.
         self._local: Dict[str, Any] = {}
-        self._n_local = local_workers
+        self.local_workers = local_workers
+        #: Local workers forked so far, and those respawned (bounded by
+        #: ``_respawn_budget``; None: no bound).
         self._spawned = 0
-        self._doomed: set = set()
+        self.respawns = 0
+        self._respawn_budget: Optional[int] = None
+        #: Killed local workers not yet reaped.
+        self._dying: List[Any] = []
         self._wake = threading.Event()
         #: Lease length for local workers (None: no deadline).
-        self.local_timeout_s: Optional[float] = None
+        self.local_timeout_s = local_timeout_s
         self.address: Optional[str] = None
         # Counters (the run report and the service metrics read them).
         self.tasks_done = 0
@@ -309,7 +330,7 @@ class _LeaseCore:
         self._server = server
         self.address = f"{server.getsockname()[0]}:{server.getsockname()[1]}"
         self._last_activity = time.monotonic()
-        for _ in range(self._n_local):  # fork before any core thread
+        for _ in range(self.local_workers):  # fork before any core thread
             self._spawn_local()
         for name, target in (
             ("fleet-accept", self._accept_loop),
@@ -332,9 +353,11 @@ class _LeaseCore:
         self._stop.set()
         with self._lock:
             self._shutdown()
+            self._work.notify_all()
+            local = list(self._local.values()) + self._dying
         # Local workers hold no lease now: kill them rather than wait out
-        # their idle sleep.
-        for process in self._local.values():
+        # their idle request.
+        for process in local:
             process.kill()
             process.join(timeout=5.0)
         # Every request is now answered ``done``: give attached remote workers
@@ -380,6 +403,22 @@ class _LeaseCore:
             _log.warning("fleet: cannot fork a local worker",
                          extra={"error": str(exc)})
 
+    def _respawn(self) -> None:
+        """Fork a replacement local worker, within the budget (lock held)."""
+        budget = self._respawn_budget
+        if not self._stop.is_set() and (budget is None or self.respawns < budget):
+            self.respawns += 1
+            self._spawn_local()
+
+    def _tend_local(self) -> None:
+        """Reap killed local workers, and replace any that died before
+        the core could mourn them (reaper thread, lock held)."""
+        self._dying = [p for p in self._dying if p.is_alive()]
+        for worker_id, process in list(self._local.items()):
+            if not process.is_alive():
+                del self._local[worker_id]
+                self._respawn()
+
     def _shutdown(self) -> None:
         """Hook: settle unfinished work at :meth:`close` (lock held)."""
 
@@ -389,13 +428,17 @@ class _LeaseCore:
             if self._error is None:
                 self._error = exc
             self._stop.set()
+            self._work.notify_all()
         self._wake.set()
 
     def _evict(self, worker_id: str) -> None:
-        """Name a local worker the core gave up on for its owner to kill."""
-        if worker_id in self._local:
-            self._doomed.add(worker_id)
-            self._wake.set()
+        """Kill a local worker the core gave up on, and fork its
+        replacement (lock held): a hung solve cannot be cancelled."""
+        process = self._local.pop(worker_id, None)
+        if process is not None:
+            process.kill()
+            self._dying.append(process)
+            self._respawn()
 
     def workers_connected(self) -> int:
         """Remote workers attached and leasable."""
@@ -444,6 +487,7 @@ class _LeaseCore:
                 except Exception as exc:
                     self._abort(exc)
                     return
+                self._tend_local()
 
     def _serve_connection(self, conn: socket.socket, peer: str) -> None:
         worker: Optional[_WorkerInfo] = None
@@ -549,7 +593,7 @@ class _LeaseCore:
                     "kind": "welcome",
                     "protocol": PROTOCOL_VERSION,
                     "run_fingerprint": self._run_fp,
-                    "heartbeat_s": self.heartbeat_s,
+                    "heartbeat_s": HEARTBEAT_S,
                 }, True
             if worker is None:
                 # Anything before hello is a protocol violation.
@@ -578,21 +622,31 @@ class _LeaseCore:
     # Lease management (all callers hold the lock)
     # ------------------------------------------------------------------
     def _grant(self, worker: _WorkerInfo) -> Dict[str, Any]:
-        if self._stop.is_set() or not worker.leasable():
-            return {"kind": "done"}
-        picked = self._next_task()
-        if isinstance(picked, dict):
-            return picked  # an idle or done reply
+        # An idle request is held until a task is queued (or the core
+        # stops), so a new task never waits out an idle worker's sleep.
+        held_until = time.monotonic() + IDLE_HOLD_S
+        while True:
+            if self._stop.is_set() or not worker.leasable():
+                return {"kind": "done"}
+            picked = self._next_task()
+            if not isinstance(picked, dict):
+                break
+            if picked["kind"] != "idle":
+                return picked  # done
+            hold_s = held_until - time.monotonic()
+            if hold_s <= 0:
+                return {"kind": "idle", "wait_s": 0}  # the hold was the wait
+            self._work.wait(min(hold_s, picked.get("wait_s", hold_s)))
         task_id, task = picked
         if task_id in self._lost:
             self._lost.discard(task_id)
             self.reassignments += 1
         task.attempts += 1
-        timeout_s = self.local_timeout_s if worker.local else self.lease_timeout_s
+        timeout_s = self._lease_s(task, worker)
         self._leases[task_id] = _Lease(
             task=task,
             worker_id=worker.id,
-            deadline=time.monotonic() + (timeout_s or float("inf")),
+            deadline=time.monotonic() + (float("inf") if timeout_s is None else timeout_s),
             timeout_s=timeout_s,
         )
         _log.log(self._log_level, f"{self._name}: leased task",
@@ -611,6 +665,10 @@ class _LeaseCore:
             "lease_timeout_s": timeout_s,
             "payload": self._payload(task),
         }
+
+    def _lease_s(self, task: Any, worker: _WorkerInfo) -> Optional[float]:
+        """The length of a lease on ``task`` to ``worker`` (None: forever)."""
+        return self.local_timeout_s if worker.local else self.lease_timeout_s
 
     def _unleased_task(self, task_id: str) -> Any:
         """Hook: the task a reply names without a lease (None: drop)."""
@@ -687,6 +745,7 @@ class _LeaseCore:
                     extra={"worker": worker.id, "failures": worker.failures},
                 )
         self._fail(task, error)
+        self._work.notify_all()
 
     def _release_worker_leases(
         self, worker: _WorkerInfo, reason: str, charge: bool = False
@@ -721,6 +780,7 @@ class _LeaseCore:
         # Clean shutdown mid-lease: requeue without an attempt charge.
         task.attempts -= 1
         self._requeue(task)
+        self._work.notify_all()
 
     def _declare_dead(self, worker: _WorkerInfo, reason: str) -> None:
         worker.status = "dead"
@@ -766,7 +826,7 @@ class _LeaseCore:
             self._evict(lease.worker_id)
 
     def _scan_heartbeats(self, now: float) -> None:
-        grace = self.heartbeat_s * self.heartbeat_grace
+        grace = HEARTBEAT_S * HEARTBEAT_GRACE
         for worker in list(self._workers.values()):
             if worker.status != "active":
                 continue
@@ -806,20 +866,18 @@ class FleetCoordinator(_LeaseCore):
         super().__init__(
             config.fleet if remote else "127.0.0.1:0",
             lease_timeout_s=config.lease_timeout_s,
-            heartbeat_s=config.heartbeat_s,
-            heartbeat_grace=config.heartbeat_grace,
             worker_max_failures=config.worker_max_failures,
             run_fp=state.metrics.run_fingerprint,
-            reap_s=config.poll_interval_s,
+            reap_s=POLL_INTERVAL_S,
             linger_s=3.0,
             local_workers=local_workers,
+            local_timeout_s=config.task_timeout,
         )
         self.supervisor = supervisor
         self.state = state
         self.config = config
         #: Grace for a first remote worker (none without a remote fleet).
         self._wait_s = config.fleet_wait_s if remote else 0.0
-        self.local_timeout_s = config.task_timeout
         if not remote:  # keep local workers out of --verbose stderr
             self._log_level = logging.DEBUG
         self._tasks: Dict[str, "_Task"] = {t.fingerprint: t for t in tasks}
@@ -827,8 +885,7 @@ class FleetCoordinator(_LeaseCore):
         #: The supervisor's run queue, where its retry core puts retries.
         self._queue = state.queue
         self._queue.extend(tasks)
-        #: Respawned local workers (BENCH ``pool_rebuilds``), bounded.
-        self.respawns = 0
+        # Respawns are BENCH ``pool_rebuilds``: one per task attempt.
         self._respawn_budget = len(tasks) * (config.max_retries + 1)
 
     def write_discovery(self, bound: str) -> None:
@@ -924,22 +981,6 @@ class FleetCoordinator(_LeaseCore):
         ]
 
     # ------------------------------------------------------------------
-    # Local workers (supervisor thread only)
-    # ------------------------------------------------------------------
-    def _tend_local(self, doomed: set) -> None:
-        """Kill the doomed local workers, reap exited ones, respawn each."""
-        for worker_id, process in list(self._local.items()):
-            if worker_id in doomed:
-                process.kill()
-                process.join(timeout=5.0)
-            if process.is_alive():
-                continue
-            del self._local[worker_id]
-            if self.respawns < self._respawn_budget:
-                self.respawns += 1
-                self._spawn_local()
-
-    # ------------------------------------------------------------------
     def poll(self) -> List["_Task"]:
         """Drive the run to completion or fall back; supervisor thread.
 
@@ -954,7 +995,6 @@ class FleetCoordinator(_LeaseCore):
                 leftovers = self._unlanded()
                 if not leftovers:
                     return []
-                doomed, self._doomed = self._doomed, set()
                 if (
                     not self._leases
                     and not self._local
@@ -976,8 +1016,7 @@ class FleetCoordinator(_LeaseCore):
                         },
                     )
                     return leftovers
-            self._tend_local(doomed)
-            self._wake.wait(self.config.poll_interval_s)
+            self._wake.wait(POLL_INTERVAL_S)
 
 
 def _local_worker_main(address: str, worker_id: str) -> None:
@@ -986,7 +1025,10 @@ def _local_worker_main(address: str, worker_id: str) -> None:
     The fork copied the parent's signal handlers and signal wakeup fd
     (asyncio's self-pipe under ``repro serve``).  Left in place, a
     SIGTERM or SIGINT to this worker would write into the shared pipe,
-    and the parent's loop would act as if it had been signalled.
+    and the parent's loop would act as if it had been signalled.  Its
+    coordinator is its parent, so a lost connection that does not come
+    back within a second means the parent is gone: the worker exits
+    instead of outliving it by a remote worker's reconnect patience.
     """
     import signal
 
@@ -997,7 +1039,7 @@ def _local_worker_main(address: str, worker_id: str) -> None:
             signal.signal(signum, signal.SIG_DFL)
     _log.setLevel(max(_log.getEffectiveLevel(), logging.WARNING))
     with contextlib.suppress(FleetTransportError):
-        run_worker(address, worker_id=worker_id)
+        run_worker(address, worker_id=worker_id, patience_s=1.0)
 
 
 def execute_fleet(
@@ -1080,6 +1122,8 @@ class _ServiceTask:
     #: forwarded to whichever worker leases this task so its spans
     #: attach under the query's span tree, not the fleet's startup.
     trace_ctx: Optional[Dict[str, Any]] = None
+    #: The query's deadline on the monotonic clock (None: unbounded).
+    deadline: Optional[float] = None
     attempts: int = 0
     wall_s: float = 0.0
     enqueued_at: float = field(default_factory=time.monotonic)
@@ -1100,7 +1144,7 @@ class _ServiceTask:
 
 
 class ServiceFleet(_LeaseCore):
-    """A long-lived lease coordinator for ``repro serve --fleet``.
+    """A replica's long-lived lease coordinator for ``repro serve``.
 
     Its task source is an open-ended queue of cache misses: queries
     arrive forever, so :meth:`solve` blocks one server thread until a
@@ -1109,10 +1153,18 @@ class ServiceFleet(_LeaseCore):
     ``done`` only at :meth:`close`.  A stock ``repro worker`` attaches
     to either owner without knowing which.
 
+    ``local_workers`` children are forked once, in :meth:`start`, and
+    live as long as the fleet; any that die or are killed are
+    respawned.  A local lease lasts ``local_timeout_s`` or the
+    query's remaining deadline, whichever is shorter, and a local
+    worker whose lease expires or whose query is abandoned at its
+    deadline is SIGKILLed, because a hung solve cannot be cancelled.
+
     A reply from a worker that no longer holds the lease is dropped; the
     *caller* (the service's solver worker) owns idempotency, which it
-    gets free from the fingerprint-keyed cache write.  When no worker is
-    attached for longer than ``wait_s``, queued solves fail with
+    gets free from the fingerprint-keyed cache write.  With no worker,
+    local or remote, attached (said hello and not since lost) for
+    longer than ``wait_s``, queued solves fail with
     :class:`~repro.errors.FleetTransportError`; the server catches that
     and solves locally, so a fleet-less ``--fleet`` server degrades to
     a plain one instead of hanging.
@@ -1125,21 +1177,21 @@ class ServiceFleet(_LeaseCore):
         bind: str,
         extract: Any,
         lease_timeout_s: float = 60.0,
-        heartbeat_s: float = 2.0,
-        heartbeat_grace: float = 4.0,
         max_attempts: int = 3,
         wait_s: float = 10.0,
         worker_max_failures: int = 3,
+        local_workers: int = 0,
+        local_timeout_s: Optional[float] = None,
     ):
         super().__init__(
             bind,
             lease_timeout_s=lease_timeout_s,
-            heartbeat_s=heartbeat_s,
-            heartbeat_grace=heartbeat_grace,
             worker_max_failures=worker_max_failures,
             run_fp=f"service-{os.getpid()}",
             reap_s=0.25,
             linger_s=1.0,
+            local_workers=local_workers,
+            local_timeout_s=local_timeout_s,
         )
         self._extract = extract
         self.max_attempts = max(1, int(max_attempts))
@@ -1188,6 +1240,9 @@ class ServiceFleet(_LeaseCore):
             raise FleetTransportError(
                 "service fleet is not running", address=self.address
             )
+        deadline = (
+            None if timeout_s is None else time.monotonic() + timeout_s
+        )
         with self._lock:
             self._seq += 1
             task = _ServiceTask(
@@ -1197,11 +1252,10 @@ class ServiceFleet(_LeaseCore):
                 solver=solver,
                 label=label or f"query-{self._seq}",
                 trace_ctx=trace_ctx,
+                deadline=deadline,
             )
             self._queue.append(task)
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
+            self._work.notify_all()
         try:
             while not task.done.wait(0.05):
                 now = time.monotonic()
@@ -1213,9 +1267,10 @@ class ServiceFleet(_LeaseCore):
                         timeout_s=timeout_s,
                     )
                 with self._lock:
+                    # A local worker that dies before its hello is none.
                     starved = (
                         task.id not in self._leases
-                        and self.workers_connected() == 0
+                        and not any(w.leasable() for w in self._workers.values())
                         and now - max(
                             task.enqueued_at, self._last_activity
                         ) > self.wait_s
@@ -1239,12 +1294,15 @@ class ServiceFleet(_LeaseCore):
         return task.value
 
     def _abandon(self, task: _ServiceTask) -> None:
-        """Stop tracking a task whose caller gave up (late results drop)."""
+        """Stop tracking a task whose caller gave up (late results drop);
+        a local worker still solving it is killed."""
         with self._lock:
             task.cancelled = True
             if task in self._queue:
                 self._queue.remove(task)
-            self._leases.pop(task.id, None)
+            lease = self._leases.pop(task.id, None)
+            if lease is not None:
+                self._evict(lease.worker_id)
             self._lost.discard(task.id)
 
     # ------------------------------------------------------------------
@@ -1252,9 +1310,16 @@ class ServiceFleet(_LeaseCore):
     # ------------------------------------------------------------------
     def _next_task(self) -> Any:
         if not self._queue:
-            return {"kind": "idle", "wait_s": 0.25}
+            return {"kind": "idle"}
         task = self._queue.pop(0)
         return task.id, task
+
+    def _lease_s(self, task: _ServiceTask, worker: _WorkerInfo) -> Optional[float]:
+        timeout_s = super()._lease_s(task, worker)
+        if worker.local and task.deadline is not None:
+            remaining = max(0.0, task.deadline - time.monotonic())
+            timeout_s = remaining if timeout_s is None else min(timeout_s, remaining)
+        return timeout_s
 
     def _payload(self, task: _ServiceTask) -> str:
         return encode_payload((
@@ -1277,7 +1342,8 @@ class ServiceFleet(_LeaseCore):
         return True
 
     def _fail(self, task: _ServiceTask, error: BaseException) -> None:
-        if task.attempts >= self.max_attempts:
+        out_of_time = task.deadline is not None and time.monotonic() >= task.deadline
+        if task.attempts >= self.max_attempts or out_of_time:
             self.task_failures += 1
             self._lost.discard(task.id)
             task.fail(error)
@@ -1431,7 +1497,7 @@ def run_worker(
                 args=(
                     session,
                     worker_id,
-                    float(welcome.get("heartbeat_s", 2.0) or 2.0),
+                    float(welcome.get("heartbeat_s") or HEARTBEAT_S),
                     stop_heartbeat,
                     chaos,
                 ),
@@ -1469,7 +1535,7 @@ def run_worker(
                         "reconnects": reconnects,
                     }
                 if kind == "idle":
-                    time.sleep(float(reply.get("wait_s", 0.25) or 0.25))
+                    time.sleep(float(reply.get("wait_s") or 0))
                     continue
                 if kind != "lease":
                     raise FleetTransportError(

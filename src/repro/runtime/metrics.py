@@ -232,14 +232,3 @@ def write_bench_json(
     path = directory / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def maybe_write_bench_json(name: Optional[str], payload: Dict) -> Optional[pathlib.Path]:
-    """Write a BENCH file when a name is given; do nothing for ``None``.
-
-    ``REPRO_BENCH_DIR`` only picks the directory (see
-    :func:`write_bench_json`); it does not turn writing on.
-    """
-    if name is None:
-        return None
-    return write_bench_json(name, payload)

@@ -103,7 +103,10 @@ _log = get_logger(__name__)
 
 @dataclass
 class SupervisorConfig:
-    """Knobs of the supervised run lifecycle (all CLI-settable)."""
+    """Knobs of the supervised run lifecycle.
+
+    The CLI sets all but the backoff fields and ``worker_max_failures``.
+    """
 
     #: Retries per task after its first attempt (so a task gets
     #: ``max_retries + 1`` attempts before quarantine).
@@ -137,10 +140,6 @@ class SupervisorConfig:
     #: How long the coordinator waits for a first remote worker before
     #: falling back to the in-process execution path.
     fleet_wait_s: float = 10.0
-    #: Worker heartbeat period; a worker silent for
-    #: ``heartbeat_grace * heartbeat_s`` is declared dead.
-    heartbeat_s: float = 2.0
-    heartbeat_grace: float = 4.0
     #: Failed attempts a single remote worker may accumulate before the
     #: coordinator stops leasing to it (its own quarantine).
     worker_max_failures: int = 3
@@ -148,8 +147,6 @@ class SupervisorConfig:
     backoff_base_s: float = 0.25
     backoff_cap_s: float = 8.0
     backoff_jitter: float = 0.25
-    #: Lease-expiry scan period (bounds deadline-check latency).
-    poll_interval_s: float = 0.05
     #: Print the one-line run summary to stderr after each run.
     verbose: bool = False
 
@@ -364,39 +361,6 @@ class RunSupervisor:
     def clear_cache(self, specs: Optional[Iterable[PDNSpec]] = None) -> None:
         self.engine.clear_cache(specs)
 
-    def deadline_scoped(self, remaining_s: float) -> "RunSupervisor":
-        """A supervisor for one deadline-bounded run over the same engine.
-
-        The exploration service (:mod:`repro.service`) threads each
-        query's remaining deadline budget into the supervisor's
-        task-timeout machinery through this hook: the clone shares the
-        engine (so structure-cache reuse survives) but clamps
-        ``task_timeout`` to ``remaining_s`` — an already-tighter
-        configured timeout wins.  In process mode that makes the
-        deadline *enforced* (the hung worker is killed), not just
-        observed.  Journaling and resume are disabled on the clone: a
-        per-query run is request-scoped, not a checkpointed sweep.
-        """
-        remaining_s = max(0.001, float(remaining_s))
-        timeout = self.config.task_timeout
-        clamped = remaining_s if timeout is None else min(timeout, remaining_s)
-        config = replace(
-            self.config,
-            task_timeout=clamped,
-            run_dir=None,
-            resume=False,
-            salvage=False,
-            verbose=False,
-            # A per-query clone must never spin up its own one-run fleet
-            # coordinator: the service fans misses out through its own
-            # persistent ServiceFleet instead.
-            fleet=None,
-        )
-        clone = RunSupervisor(engine=self.engine, config=config)
-        # Share report history so service callers see per-query reports.
-        clone.reports = self.reports
-        return clone
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -410,6 +374,13 @@ class RunSupervisor:
         failures are retried/quarantined rather than raised (unless
         ``fail_fast``) and the result carries a :class:`RunReport`.
         """
+        if self.config.verbose:
+            # --verbose promises INFO lines (the fleet's address, the run
+            # summary) on stderr whatever the configured log level, from
+            # this run's first line on.
+            root = logging.getLogger("repro")
+            if root.level > logging.INFO:
+                root.setLevel(logging.INFO)
         with _open_run(points, self.workers, supervised=True) as frame:
             metrics = frame.metrics
             run_fp = metrics.run_fingerprint
@@ -497,11 +468,6 @@ class RunSupervisor:
                 path, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
             )
         if self.config.verbose:
-            # --verbose promises the summary on stderr regardless of the
-            # configured log level, so lift the logger floor to INFO.
-            root = logging.getLogger("repro")
-            if root.level > logging.INFO:
-                root.setLevel(logging.INFO)
             _log.info(
                 report.summary(),
                 extra={

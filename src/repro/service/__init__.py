@@ -19,13 +19,11 @@ from repro.service.cache import (
     CACHE_SCHEMA,
     CacheEntry,
     ResultCache,
-    payload_checksum,
     query_fingerprint,
 )
 from repro.service.client import (
     ServiceClient,
     connect_any,
-    discover_address,
     discover_addresses,
     robust_query,
 )
@@ -59,11 +57,9 @@ __all__ = [
     "CACHE_SCHEMA",
     "CacheEntry",
     "ResultCache",
-    "payload_checksum",
     "query_fingerprint",
     "ServiceClient",
     "connect_any",
-    "discover_address",
     "discover_addresses",
     "robust_query",
     "EPOCH_ENV",

@@ -12,9 +12,9 @@ Each admitted query carries a :class:`Deadline`.  Deadlines are
 monotonic-clock absolute instants, so they survive queueing: a query
 that spent its whole budget waiting is *expired on pop* and answered
 with a typed timeout without ever touching the solve backend, and a
-query that starts solving hands its **remaining** budget to the
-supervisor's task-timeout machinery
-(:meth:`repro.runtime.supervisor.RunSupervisor.deadline_scoped`).
+query that starts solving on the replica's local workers leases its
+miss for at most its **remaining** budget
+(:class:`repro.runtime.fleet.ServiceFleet`).
 """
 
 from __future__ import annotations

@@ -74,7 +74,6 @@ __all__ = [
     "CACHE_SCHEMA",
     "CacheEntry",
     "ResultCache",
-    "payload_checksum",
     "query_fingerprint",
 ]
 
@@ -130,15 +129,6 @@ def _canonical_json(payload: Dict[str, Any]) -> bytes:
 
 def _checksum(canonical: bytes) -> str:
     return hashlib.sha256(canonical).hexdigest()[:16]
-
-
-def payload_checksum(payload: Dict[str, Any]) -> str:
-    """Integrity checksum of one entry's payload (16 hex chars).
-
-    Over the canonical (sorted-keys) JSON text, so the check is stable
-    across dict ordering and a JSON round trip through the wire.
-    """
-    return _checksum(_canonical_json(payload))
 
 
 @dataclass

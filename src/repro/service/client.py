@@ -37,7 +37,6 @@ from repro.service.admission import Deadline
 __all__ = [
     "ServiceClient",
     "connect_any",
-    "discover_address",
     "discover_addresses",
     "robust_query",
 ]
@@ -87,16 +86,6 @@ def discover_addresses(
             path=str(path),
         )
     return path, addresses
-
-
-def discover_address(cache_dir: Union[str, pathlib.Path]) -> str:
-    """The first discovered replica address (pre-HA compatible helper).
-
-    Lets clients find a port-0 server: ``repro serve --bind 127.0.0.1:0
-    --cache-dir D`` publishes its ephemeral port into ``D/service.json``.
-    """
-    _, addresses = discover_addresses(cache_dir)
-    return addresses[0]
 
 
 def connect_any(

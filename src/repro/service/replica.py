@@ -39,6 +39,7 @@ import json
 import os
 import pathlib
 import time
+import weakref
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -90,6 +91,27 @@ def _pid_alive(pid: Optional[int]) -> bool:
 # Cross-replica flight claims
 # ----------------------------------------------------------------------
 
+#: Claims this process holds.  A forked child closes its copies of their
+#: fds (``flock`` belongs to the open file description, so a child left
+#: holding one would keep the claim alive after this process died).
+_HELD: "weakref.WeakSet[FlightClaim]" = weakref.WeakSet()
+
+
+def _drop_inherited_claims() -> None:
+    for claim in list(_HELD):
+        claim._released = True
+        if claim._fd >= 0:
+            try:
+                os.close(claim._fd)
+            except OSError:  # pragma: no cover
+                pass
+    _HELD.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_inherited_claims)
+
+
 class FlightClaim:
     """Exclusive right to solve one fingerprint, held via ``flock``.
 
@@ -102,12 +124,14 @@ class FlightClaim:
         self.path = path
         self._fd = fd
         self._released = False
+        _HELD.add(self)
 
     def release(self) -> None:
         """Unlink the lock file, then drop the flock (close the fd)."""
         if self._released:
             return
         self._released = True
+        _HELD.discard(self)
         try:
             self.path.unlink()
         except OSError:

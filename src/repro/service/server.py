@@ -19,10 +19,10 @@ cache and a ladder of robustness primitives:
    response (:class:`repro.errors.ServiceOverloadError`); memory never
    grows with offered load.
 4. **Deadlines** — per-request budgets expire queries in the queue and
-   propagate into the supervisor's task-timeout machinery mid-solve
-   (:meth:`~repro.runtime.RunSupervisor.deadline_scoped`); an overrun
-   returns a typed 504-style response while the orphaned solve still
-   populates the cache on completion, so the client's retry hits.
+   bound a miss's lease on the replica's local workers mid-solve (a
+   worker still solving at the deadline is killed); an overrun returns
+   a typed 504-style response, while an in-process solve that overruns
+   still populates the cache on completion, so the client's retry hits.
 5. **Circuit breaker** — K consecutive solve failures open the breaker;
    while open, queries are answered from stale cache entries or a
    coarse-grid solve, flagged ``degraded: true``, and one probe per
@@ -159,8 +159,8 @@ def _response_fields(response) -> Tuple[Any, ...]:
 def extract_summary(outcome) -> Dict[str, Any]:
     """The service's sweep extractor: one JSON-serialisable summary.
 
-    Module-level (hence picklable) so supervised process-mode runs can
-    ship it to local workers; values are plain floats, so a JSON round
+    Module-level (hence picklable) so a lease can ship it to a worker
+    process; values are plain floats, so a JSON round
     trip through the wire is bit-exact — a cached service answer equals
     a direct engine run to the last ulp.
     """
@@ -247,8 +247,6 @@ class ServiceConfig:
     cache_ttl_s: Optional[float] = None
     #: Bounded admission queue length (full = typed 429 shed).
     max_queue: int = 64
-    #: Concurrent solver workers draining the queue.
-    solve_workers: int = 1
     #: Default per-request deadline when a query does not set one.
     default_deadline_s: Optional[float] = None
     #: Consecutive solve failures that open the breaker.
@@ -258,15 +256,23 @@ class ServiceConfig:
     #: Grid resolution of breaker-open degraded answers (skipped when
     #: the query is already at or below it).
     coarse_grid: int = 6
-    #: Optional :class:`repro.runtime.SupervisorConfig`: run each miss
-    #: under a RunSupervisor (retry/quarantine; process mode enforces
-    #: deadlines by killing hung workers).  None = plain engine.
-    supervision: Optional[Any] = None
+    #: Misses solved at once.  With ``workers > 1`` or ``task_timeout_s``,
+    #: as many local solver processes (at least one) are forked for the
+    #: replica's life and leased each miss with a deadline to enforce
+    #: (``task_timeout_s`` or the query's); other misses solve on this
+    #: process's engine, which keeps each topology's factorisation.
+    workers: int = 1
+    #: Longest lease of a miss on a local worker (the query's remaining
+    #: deadline caps it); an expired lease kills and respawns the worker.
+    task_timeout_s: Optional[float] = None
+    #: Leases a leased miss may use before its last typed error is answered.
+    max_attempts: int = 3
     #: Basename of the BENCH counters file written at shutdown into
     #: ``cache_dir`` (None disables).
     bench_name: Optional[str] = "service"
-    #: ``HOST:PORT`` to bind a :class:`repro.runtime.fleet.ServiceFleet`
-    #: on: cache misses fan out to attached ``repro worker`` processes,
+    #: ``HOST:PORT`` to bind the replica's
+    #: :class:`repro.runtime.fleet.ServiceFleet` on: cache misses fan out
+    #: to attached ``repro worker`` processes beside any local workers,
     #: degrading to the local executor when none is connected.
     fleet: Optional[str] = None
     #: Per-miss fleet lease deadline (expired leases re-lease).
@@ -297,25 +303,17 @@ class ServiceConfig:
 # ----------------------------------------------------------------------
 
 class QueryExecutor:
-    """Runs cache misses on a shared engine (optionally supervised).
+    """Runs cache misses on a shared engine, in this process.
 
-    One lock serializes solves: the engine's structure cache and the
-    supervisor are not reentrant, and concurrency for the service comes
-    from cache hits and coalescing, not parallel factorisations.  A
-    supervised executor threads each query's remaining deadline into
-    the supervisor's task-timeout machinery via
-    :meth:`~repro.runtime.RunSupervisor.deadline_scoped`.
+    One lock serializes solves: the engine's structure cache is not
+    reentrant, and concurrency for the service comes from cache hits
+    and coalescing, not parallel factorisations.
     """
 
-    def __init__(self, engine: Any = None, supervision: Any = None):
-        from repro.runtime import RunSupervisor, SweepEngine
+    def __init__(self, engine: Any = None):
+        from repro.runtime import SweepEngine
 
         self.engine = engine or SweepEngine()
-        self._supervisor = (
-            RunSupervisor(engine=self.engine, config=supervision)
-            if supervision is not None
-            else None
-        )
         self._lock = threading.Lock()
 
     def solve(
@@ -330,32 +328,7 @@ class QueryExecutor:
         point = SweepPoint(spec=spec, layer_activities=activities)
         with self._lock:
             deadline.check()
-            if self._supervisor is None:
-                result = self.engine.run([point], extract=extract_summary)
-                return result.values[0]
-            remaining = deadline.remaining_s()
-            supervisor = (
-                self._supervisor
-                if remaining is None
-                else self._supervisor.deadline_scoped(remaining)
-            )
-            result = supervisor.run([point], extract=extract_summary)
-        value = result.values[0]
-        if value is not None:
-            return value
-        # Quarantined: surface the recorded error as a typed failure.
-        record = result.report.tasks[0]
-        if record.timeouts:
-            raise DeadlineExceededError(
-                f"solve exceeded the remaining deadline budget "
-                f"({record.error})",
-                task=record.fingerprint,
-                timeout_s=deadline.budget_s,
-            )
-        raise ReproError(
-            f"solve quarantined after {record.attempts} attempt(s): "
-            f"{record.error or 'unknown error'}"
-        )
+            return self.engine.run([point], extract=extract_summary).values[0]
 
 
 # ----------------------------------------------------------------------
@@ -525,9 +498,7 @@ class ExplorationService:
             cooldown_s=self.config.breaker_cooldown_s,
         )
         if solve_fn is None:
-            self._executor = QueryExecutor(
-                engine=engine, supervision=self.config.supervision
-            )
+            self._executor = QueryExecutor(engine=engine)
             solve_fn = self._executor.solve
         else:
             self._executor = None
@@ -625,15 +596,21 @@ class ExplorationService:
         host, port = parse_address(self.config.bind)
         self.cache.open()
         self.flights.open()
-        if self.config.fleet:
+        config = self.config
+        local = config.workers > 1 or config.task_timeout_s is not None
+        if config.fleet or local:
+            # Forked before the service socket exists: they do not inherit it.
             fleet = ServiceFleet(
-                self.config.fleet,
+                config.fleet or "127.0.0.1:0",
                 extract=extract_summary,
-                lease_timeout_s=self.config.lease_timeout_s,
-                wait_s=self.config.fleet_wait_s,
+                lease_timeout_s=config.lease_timeout_s,
+                max_attempts=config.max_attempts,
+                wait_s=config.fleet_wait_s,
+                local_workers=max(1, config.workers) if local else 0,
+                local_timeout_s=config.task_timeout_s,
             )
             try:
-                self.fleet_address = fleet.start()
+                address = fleet.start()
             except FleetTransportError as exc:
                 _log.warning(
                     "service fleet unavailable; solving locally",
@@ -641,12 +618,14 @@ class ExplorationService:
                 )
             else:
                 self.fleet = fleet
+                if config.fleet:  # only a --fleet address is published
+                    self.fleet_address = address
         loop = asyncio.get_running_loop()
         self._server = await loop.create_server(lambda: _Connection(self), host, port)
         sock = self._server.sockets[0].getsockname()
         self.address = f"{sock[0]}:{sock[1]}"
         self._started_at = time.monotonic()
-        for i in range(max(1, int(self.config.solve_workers))):
+        for i in range(max(1, int(self.config.workers))):
             self._workers.append(
                 asyncio.create_task(self._solver_worker(), name=f"solver-{i}")
             )
@@ -674,7 +653,7 @@ class ExplorationService:
             replica_id=self.replica_id,
             address=self.address,
             epoch=self.epoch,
-            fleet=self.fleet_address if self.fleet else None,
+            fleet=self.fleet_address,
             protocol=SERVICE_PROTOCOL,
         )
 
@@ -1369,8 +1348,9 @@ class ExplorationService:
             await asyncio.sleep(0.05)
 
     def _run_backend(self, item: _WorkItem) -> Dict[str, Any]:
-        """One miss's solve: fleet fan-out when workers are attached,
-        the local executor otherwise (and on fleet transport trouble).
+        """One miss's solve: the fleet when a remote worker is attached or
+        local workers can enforce a deadline, the local executor (whose
+        engine keeps factorisations) otherwise and on fleet trouble.
 
         Runs on a ``to_thread`` worker; ``asyncio.to_thread`` copied the
         solver task's contextvars, so spans opened here chain under the
@@ -1379,7 +1359,10 @@ class ExplorationService:
         """
         tracer = get_tracer()
         fleet = self.fleet
-        if fleet is not None and fleet.workers_connected() > 0:
+        bounded = self.config.task_timeout_s is not None or item.deadline.expires_at is not None
+        if fleet is not None and (
+            fleet.workers_connected() > 0 or fleet.local_workers and bounded
+        ):
             try:
                 with tracer.span(
                     "service.fleet", fingerprint=item.fingerprint

@@ -281,6 +281,29 @@ class TestFleetEndToEnd:
         assert len(fleet.metrics.groups) == 2
 
 
+class TestVerbose:
+    def test_info_lines_are_logged_from_the_first_run(self, caplog, tmp_path):
+        # Each supervisor's only run is its first: both must log the
+        # fleet's address at INFO under a WARNING-level logger.
+        import logging
+
+        root = logging.getLogger("repro")
+        level = root.level
+        root.setLevel(logging.WARNING)
+        root.addHandler(caplog.handler)
+        try:
+            for name in ("a", "b"):
+                caplog.clear()
+                supervisor = RunSupervisor(config=_fleet_config(
+                    tmp_path / name, fleet_wait_s=0, verbose=True
+                ))
+                supervisor.run(_points(n_groups=1), extract=_fleet_extract)
+                assert "fleet listening" in caplog.messages
+        finally:
+            root.removeHandler(caplog.handler)
+            root.setLevel(level)
+
+
 class TestFleetDegradation:
     def test_no_workers_falls_back_in_process(self, tmp_path):
         points = _points(n_groups=2)

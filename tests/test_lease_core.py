@@ -36,7 +36,9 @@ from repro.runtime import (
 )
 from repro.runtime.chaos import CHAOS_ENV
 from repro.runtime.engine import _run_group_remote
+from repro.runtime import fleet as fleet_module
 from repro.runtime.fleet import (
+    IDLE_HOLD_S,
     PROTOCOL_VERSION,
     FleetCoordinator,
     ServiceFleet,
@@ -372,6 +374,10 @@ def _direct(spec: PDNSpec):
     )
 
 
+def _exit_at_once(address: str, worker_id: str) -> None:
+    """A local worker's entry that leaves before its hello."""
+
+
 def _worker_thread(address: str) -> threading.Thread:
     thread = threading.Thread(
         target=run_worker,
@@ -381,6 +387,62 @@ def _worker_thread(address: str) -> threading.Thread:
     )
     thread.start()
     return thread
+
+
+class TestIdleHold:
+    def test_held_request_is_answered_when_a_task_is_queued(self):
+        fleet = ServiceFleet(
+            "127.0.0.1:0", extract=extract_summary, wait_s=30.0
+        )
+        raw = _RawWorker(fleet.start())
+        answers = []
+        solver = threading.Thread(
+            target=lambda: answers.append(fleet.solve(_spec(), timeout_s=30.0)),
+            daemon=True,
+        )
+        try:
+            assert raw.hello("held")["kind"] == "welcome"
+            raw.send({"kind": "request"})
+            time.sleep(0.2)  # queued after the request arrived idle
+            solver.start()
+            lease = raw.recv()
+            assert lease["kind"] == "lease"
+            raw.result_for(lease)
+            solver.join(timeout=30.0)
+        finally:
+            raw.close()
+            fleet.close()
+        assert answers == [_direct(_spec())]
+
+    def test_request_without_work_is_held_then_told_to_ask_again(self):
+        fleet = ServiceFleet(
+            "127.0.0.1:0", extract=extract_summary, wait_s=30.0
+        )
+        raw = _RawWorker(fleet.start())
+        try:
+            assert raw.hello("idle")["kind"] == "welcome"
+            started = time.monotonic()
+            reply = raw.request()
+            held_s = time.monotonic() - started
+        finally:
+            raw.close()
+            fleet.close()
+        assert reply == {"kind": "idle", "wait_s": 0}
+        assert held_s >= IDLE_HOLD_S * 0.9
+
+    def test_close_releases_a_held_request(self):
+        fleet = ServiceFleet(
+            "127.0.0.1:0", extract=extract_summary, wait_s=30.0
+        )
+        raw = _RawWorker(fleet.start())
+        try:
+            assert raw.hello("held")["kind"] == "welcome"
+            raw.send({"kind": "request"})
+            time.sleep(0.2)
+            fleet.close()
+            assert raw.recv() == {"kind": "done"}
+        finally:
+            raw.close()
 
 
 class TestServiceLeaseFailures:
@@ -455,6 +517,65 @@ class TestServiceLeaseFailures:
         assert isinstance(outcome[0], TaskTimeoutError)
         assert counters["task_failures"] == 1
         assert counters["leases_expired"] == 1
+
+    def test_zero_length_lease_expires_at_once(self):
+        # A lease granted with no time left is spent, not unbounded.
+        fleet = ServiceFleet(
+            "127.0.0.1:0", extract=extract_summary, lease_timeout_s=0.0,
+            max_attempts=1, wait_s=20.0,
+        )
+        address = fleet.start()
+        outcome = []
+
+        def solve():
+            try:
+                fleet.solve(_spec(), timeout_s=30.0)
+            except ReproError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=solve, daemon=True)
+        caller.start()
+        raw = _RawWorker(address)
+        try:
+            assert raw.hello("held")["kind"] == "welcome"
+            _wait_until(lambda: fleet.counters()["queue_depth"] == 1)
+            lease = raw.request()
+            assert lease["lease_timeout_s"] == 0.0
+            caller.join(timeout=10.0)
+            counters = fleet.counters()
+        finally:
+            raw.close()
+            fleet.close()
+        assert [type(exc) for exc in outcome] == [TaskTimeoutError]
+        assert counters["leases_expired"] == 1
+
+    def test_local_workers_dying_before_hello_fall_back(self, monkeypatch):
+        # Children that exit before their hello are respawned forever: a
+        # solve with no deadline must fall back, not wait on them.
+        monkeypatch.setattr(fleet_module, "_local_worker_main", _exit_at_once)
+        fleet = ServiceFleet(
+            "127.0.0.1:0", extract=extract_summary, wait_s=0.5,
+            local_workers=1,
+        )
+        fleet.start()
+        outcome = []
+
+        def solve():
+            try:
+                fleet.solve(_spec())
+            except FleetTransportError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=solve, daemon=True)
+        caller.start()
+        try:
+            caller.join(timeout=10.0)
+            fell_back = list(outcome)  # before close() fails the task
+        finally:
+            fleet.close()
+        assert len(fell_back) == 1
+        assert "no fleet worker attached" in str(fell_back[0])
+        assert fleet.respawns >= 1
 
     def test_late_result_after_deadline_abandon_is_dropped(self):
         fleet = ServiceFleet(

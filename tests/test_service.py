@@ -559,6 +559,48 @@ class TestDeadlineFlag:
         assert "--activities" in capsys.readouterr().err
 
 
+class TestServeFlags:
+    def _options(self, *flags):
+        from repro.cli import build_parser
+        from repro.core.experiments.service import ServeExperiment
+
+        args = build_parser().parse_args(["serve", *flags])
+        return ServeExperiment.config_from_args(args).options
+
+    def test_fan_out_flags_configure_the_replica(self):
+        options = self._options(
+            "--workers", "2", "--task-timeout", "5", "--max-retries", "4",
+            "--fleet", ":0", "--fleet-wait", "0",
+        )
+        assert (options["workers"], options["task_timeout"]) == (2, 5.0)
+        assert (options["fleet"], options["fleet_wait"]) == (":0", 0.0)
+        assert options["max_attempts"] == 5
+        assert "supervision" not in options
+        assert self._options()["max_attempts"] == 3
+        assert self._options("--workers", "2", "--fail-fast")[
+            "max_attempts"
+        ] == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--run-dir", "d"],
+            ["--resume", "d"],
+            ["--resume-salvage"],
+            # Retries are the leased misses'; none is leased here.
+            ["--max-retries", "1"],
+            ["--workers", "1", "--fail-fast"],
+        ],
+    )
+    def test_journal_flags_are_one_line_exit_2(self, flags, capsys):
+        from repro.cli import main
+
+        assert main(["serve", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ReproError" in err
+        assert "Traceback" not in err
+
+
 class TestErrors:
     def test_overload_error_fields(self):
         error = ServiceOverloadError(

@@ -168,6 +168,33 @@ class TestReplicaCacheSharing:
         ReplicaFlights(tmp_path).open()
         assert not litter.exists()
 
+    def test_forked_child_does_not_keep_a_claim_alive(self, tmp_path):
+        """``flock`` belongs to the open file description, so a child
+        forked while a claim is held would keep it after the replica's
+        own fd closed (as its SIGKILL closes it) and stall every peer."""
+        holder = ReplicaFlights(tmp_path).open()
+        peer = ReplicaFlights(tmp_path).open()
+        claim = holder.try_claim("fp1")
+        ready_r, ready_w = os.pipe()
+        hold_r, hold_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports in, then waits to be let go
+            os.write(ready_w, b"1")
+            os.read(hold_r, 1)
+            os._exit(0)
+        try:
+            os.read(ready_r, 1)
+            os.close(claim._fd)
+            claim._released = True
+            taken = peer.try_claim("fp1")
+            assert taken is not None
+            taken.release()
+        finally:
+            os.write(hold_w, b"1")
+            os.waitpid(pid, 0)
+            for fd in (ready_r, ready_w, hold_r, hold_w):
+                os.close(fd)
+
 
 # ----------------------------------------------------------------------
 # version-aware cache coherence
