@@ -875,8 +875,9 @@ class AssembledCircuit:
         tolerance keep the un-pruned multi-RHS answer (clean
         diagnostics); every failing column then climbs the full
         per-point escalation ladder — refinement, pruning, LGMRES,
-        lstsq — exactly as :meth:`solve` would, so results match the
-        point-by-point path bit for bit.
+        lstsq — exactly as :meth:`solve` would.  A clean column of a
+        multi-column batch may differ from a one-column solve in its
+        last bits (see :meth:`repro.pdn.builder.BasePDN3D.solve_batch`).
         """
         z = np.column_stack([self._rhs(c, v) for c, v in resolved])
 

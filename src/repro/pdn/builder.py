@@ -304,8 +304,10 @@ class BasePDN3D:
         :meth:`solve`).  The PDN is assembled and factorised once; all
         load vectors are stacked into a dense RHS matrix and solved by a
         single batched :meth:`repro.grid.solver.AssembledCircuit.solve`
-        call.  Results match point-by-point :meth:`solve` calls exactly
-        and are returned in input order.
+        call, in input order.  A batch of one is bit-identical to
+        :meth:`solve`; a larger batch's columns may differ from it in the
+        last bits, amplified by the system's conditioning (over 108 V-S
+        designs: up to 8.9e-11 of max |x|, most under 1e-17).
         """
         if resilient is None:
             resilient = self.faulted

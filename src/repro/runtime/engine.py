@@ -16,8 +16,9 @@ for, at sweep scope:
    :meth:`repro.grid.solver.AssembledCircuit.solve` call.
 
 The engine runs serially.  Process fan-out (with crash recovery and
-deadlines) is :class:`repro.runtime.supervisor.RunSupervisor`'s job: its
-workers run the same groups through :func:`_run_group_remote`.
+deadlines) is :class:`repro.runtime.supervisor.RunSupervisor`'s job; its
+serial path and every fleet worker, on an engine kept for the worker's
+life, run groups through the same :meth:`SweepEngine.run_group`.
 
 Every stage is instrumented (:mod:`repro.runtime.metrics`); pass
 ``bench_name`` to emit a machine-readable ``BENCH_<name>.json``.
@@ -31,7 +32,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from repro.errors import ContractViolationError, ReproError, SingularCircuitError
 from repro.grid.backends import default_backend_name, resolve_backend
-from repro.obs.trace import activate_worker_context, get_tracer
+from repro.obs.trace import get_tracer
 from repro.runtime.fingerprint import run_fingerprint, task_fingerprint
 from repro.runtime.metrics import (
     GroupMetrics,
@@ -45,6 +46,7 @@ __all__ = [
     "SweepOutcome",
     "SweepResult",
     "SweepEngine",
+    "group_label",
     "group_points",
 ]
 
@@ -171,6 +173,21 @@ def group_points(
     return groups
 
 
+def group_label(key: GroupKey) -> str:
+    """A group's human-readable label: the spec's label, suffixed
+    ``+faults`` under a fault plan, ``/resilient`` on the resilient
+    path and ``@<backend>`` for any backend but ``lu``."""
+    spec, plan_key, resilient, solver = key
+    label = spec.label()
+    if plan_key is not None:
+        label += "+faults"
+    if resilient:
+        label += "/resilient"
+    if solver != "lu":
+        label += f"@{solver}"
+    return label
+
+
 def _build_group(
     spec: PDNSpec, plan: Any, solver: Optional[str], metrics: GroupMetrics
 ):
@@ -292,44 +309,12 @@ def _execute_group(
     return values
 
 
-def _run_group_remote(
-    spec: PDNSpec,
-    plan: Any,
-    points: Tuple[SweepPoint, ...],
-    resilient: bool,
-    extract: Callable[[SweepOutcome], Any],
-    key_label: str,
-    trace_ctx: Optional[Dict[str, Any]] = None,
-    solver: Optional[str] = None,
-) -> Tuple[List[Any], GroupMetrics, List[Any]]:
-    """Worker-process entry point: build, solve and extract one group.
-
-    ``trace_ctx`` (from :meth:`Tracer.worker_context`) re-arms tracing in
-    the worker with the coordinator's trace id and parent span, so the
-    returned spans slot into the parent's tree on :meth:`Tracer.adopt`.
-    ``solver`` is the coordinator's backend choice; workers honour it so
-    a distributed run solves with one backend fleet-wide.
-    """
-    tracing = activate_worker_context(trace_ctx)
-    tracer = get_tracer()
-    metrics = GroupMetrics(
-        key=key_label, executed="remote", backend=solver or "lu"
-    )
-    with tracer.span(
-        "group", key=key_label, n_points=len(points), executed="remote"
-    ):
-        pdn, report = _build_group(spec, plan, solver, metrics)
-        values = _execute_group(pdn, points, resilient, extract, report, metrics)
-    spans = tracer.drain() if tracing else []
-    return values, metrics, spans
-
-
 @dataclass
 class _RunFrame:
     """One run's shared prologue: grouping, fingerprint and metrics.
 
     :class:`SweepEngine` and the run supervisor both open a run with
-    :func:`_open_run` and close it with :func:`_close_run`, so their
+    :func:`open_run` and close it with :func:`close_run`, so their
     BENCH payloads and trace files are written by the same code.
     """
 
@@ -343,7 +328,7 @@ class _RunFrame:
 
 
 @contextlib.contextmanager
-def _open_run(
+def open_run(
     points: Iterable[SweepPoint], workers: int = 1, **attributes: Any
 ) -> Iterator[_RunFrame]:
     """Open the run's "sweep" span, group the points and name the run
@@ -366,7 +351,7 @@ def _open_run(
     metrics.wall_s = span.duration_s
 
 
-def _close_run(
+def close_run(
     frame: _RunFrame, cache_info: Dict[str, int], bench_name: Optional[str]
 ) -> None:
     """Stamp cache counters; write BENCH and flush spans."""
@@ -460,28 +445,17 @@ class SweepEngine:
         ``bench_name`` writes the stage metrics to
         ``BENCH_<bench_name>.json`` (see :mod:`repro.runtime.metrics`).
         """
-        with _open_run(points) as frame:
+        with open_run(points) as frame:
             values: List[Any] = [None] * len(frame.points)
             for key, members in frame.groups.items():
                 frame.metrics.groups.append(
-                    self._run_group_local(key, members, extract, values)
+                    self.run_group(key, members, extract, values)
                 )
             frame.span.set(mode=frame.metrics.mode)
-        _close_run(frame, self.cache_info(), bench_name)
+        close_run(frame, self.cache_info(), bench_name)
         return SweepResult(values=values, metrics=frame.metrics)
 
     # ------------------------------------------------------------------
-    def _key_label(self, key: GroupKey) -> str:
-        spec, plan_key, resilient, solver = key
-        label = spec.label()
-        if plan_key is not None:
-            label += "+faults"
-        if resilient:
-            label += "/resilient"
-        if solver != "lu":
-            label += f"@{solver}"
-        return label
-
     def _cacheable(self, key: GroupKey) -> bool:
         # Factory-sampled plans may be stochastic; never reuse them.
         plan_key = key[1]
@@ -518,23 +492,26 @@ class SweepEngine:
             self._factor_entries += entry.factor_entries
         return entry
 
-    def _run_group_local(
+    def run_group(
         self,
         key: GroupKey,
         members: List[Tuple[int, SweepPoint]],
         extract: Optional[Callable[[SweepOutcome], Any]],
         values: List[Any],
+        executed: str = "local",
     ) -> GroupMetrics:
+        """Solve one :func:`group_points` group on its cached (or newly
+        built and factorised) structure, writing each value to ``values``
+        at its input index.  ``executed`` labels the metrics and span."""
         group_metrics = GroupMetrics(
-            key=self._key_label(key),
-            backend=key[3],
+            key=group_label(key), executed=executed, backend=key[3]
         )
         plan = members[0][1].fault_plan
         with get_tracer().span(
             "group",
             key=group_metrics.key,
             n_points=len(members),
-            executed="local",
+            executed=executed,
         ) as group_span:
             entry = self._obtain_structure(key, plan, group_metrics)
             group_span.set(cached=group_metrics.cached)

@@ -76,7 +76,7 @@ from repro.errors import (
 from repro.obs.logs import get_logger
 from repro.obs.trace import activate_worker_context, get_tracer
 from repro.runtime.chaos import ChaosMonkey, ChaosPlan
-from repro.runtime.engine import SweepPoint, _run_group_remote
+from repro.runtime.engine import SweepEngine, SweepPoint, group_points
 from repro.runtime.journal import (
     atomic_write_text,
     decode_payload,
@@ -100,8 +100,10 @@ _log = get_logger(__name__)
 #: Bumped on any wire-format change; hello/welcome carry it and a
 #: mismatched worker is refused instead of mis-parsed.
 #: v2 appended the coordinator's solver-backend name to the lease
-#: payload tuple, so workers factorise with the coordinator's choice.
-PROTOCOL_VERSION = 2
+#: payload tuple, so workers factorise with the coordinator's choice;
+#: v3 cut the payload to ``(points, extract, trace context, solver)``,
+#: which the worker groups itself, and added ``typed`` to ``failure``.
+PROTOCOL_VERSION = 3
 
 #: Name of the discovery file a coordinator writes into its run dir.
 FLEET_FILE = "fleet.json"
@@ -226,14 +228,16 @@ class _LeaseCore:
     - ``_next_task()``: the next ``(task_id, task)`` to lease, or an
       ``idle``/``done`` reply when there is none (an ``idle`` one may
       carry ``wait_s``, the longest the core should hold the request);
-    - ``_payload(task)``: the lease's 8-tuple payload;
+    - ``_payload(task)``: the lease's payload, the pickled
+      ``(points, extract, trace context, solver)``;
     - ``_unleased_task(task_id)``: the task a ``result``/``failure``
       names when its sender holds no lease on it (None drops the reply);
     - ``_is_open(task)``: False once the task has landed or been given
       up, so duplicates and late replies drop;
     - ``_settle(task, values, group_metrics, worker)``: land a result
       (True when it landed, False for a duplicate);
-    - ``_fail(task, error)``: route one charged failure;
+    - ``_fail(task, error, final)``: route one charged failure
+      (``final`` when the worker raised a typed ``ReproError``);
     - ``_requeue(task)``: take a task back without a charge;
     - ``_shutdown()``: what :meth:`close` does with unfinished work.
 
@@ -698,11 +702,13 @@ class _LeaseCore:
         wall_s = message.get("wall_s")
         if isinstance(wall_s, (int, float)):
             task.wall_s += wall_s
+        final = False
         if message.get("kind") == "failure":
             error: BaseException = ReproError(
                 f"{message.get('error_type', 'Error')}: "
                 f"{message.get('error', 'worker-side failure')}"
             )
+            final = bool(message.get("typed"))
         else:
             try:
                 values, group_metrics, spans = decode_payload(
@@ -721,13 +727,14 @@ class _LeaseCore:
                     worker.tasks_done += 1
                     self.tasks_done += 1
                 return
-        self._charge(task, worker, error)
+        self._charge(task, worker, error, final)
 
     def _charge(
         self,
         task: Any,
         worker: Optional[_WorkerInfo],
         error: BaseException,
+        final: bool = False,
     ) -> None:
         """One failed attempt: count it against the worker, then route it.
         Only remote workers are quarantined: a local one's failures are
@@ -744,7 +751,7 @@ class _LeaseCore:
                     f"{self._name}: worker quarantined",
                     extra={"worker": worker.id, "failures": worker.failures},
                 )
-        self._fail(task, error)
+        self._fail(task, error, final)
         self._work.notify_all()
 
     def _release_worker_leases(
@@ -932,12 +939,8 @@ class FleetCoordinator(_LeaseCore):
 
     def _payload(self, task: "_Task") -> str:
         return encode_payload((
-            task.key[0],
-            task.members[0][1].fault_plan,
             tuple(point for _, point in task.members),
-            task.key[2],
             self.state.extract,
-            task.label,
             self._trace_ctx,
             task.key[3],
         ))
@@ -962,7 +965,7 @@ class FleetCoordinator(_LeaseCore):
         self._wake.set()
         return True
 
-    def _fail(self, task: "_Task", error: BaseException) -> None:
+    def _fail(self, task: "_Task", error: BaseException, final: bool = False) -> None:
         task.last_error = error
         if isinstance(error, TaskTimeoutError):
             task.timeouts += 1
@@ -1149,7 +1152,8 @@ class ServiceFleet(_LeaseCore):
     Its task source is an open-ended queue of cache misses: queries
     arrive forever, so :meth:`solve` blocks one server thread until a
     worker returns the answer, the task has failed ``max_attempts``
-    times, or the query's deadline passes, and workers are told
+    times (once, for a typed error), or the query's deadline passes,
+    and workers are told
     ``done`` only at :meth:`close`.  A stock ``repro worker`` attaches
     to either owner without knowing which.
 
@@ -1233,8 +1237,8 @@ class ServiceFleet(_LeaseCore):
         Raises :class:`FleetTransportError` when no worker is attached
         within ``wait_s`` (the server's cue to solve locally instead),
         :class:`~repro.errors.DeadlineExceededError` when ``timeout_s``
-        runs out first, and the task's last typed error once it has
-        failed ``max_attempts`` times.
+        runs out first, and the task's last error once it has failed
+        ``max_attempts`` times or a worker raised a typed one.
         """
         if self._stop.is_set():
             raise FleetTransportError(
@@ -1323,12 +1327,8 @@ class ServiceFleet(_LeaseCore):
 
     def _payload(self, task: _ServiceTask) -> str:
         return encode_payload((
-            task.spec,
-            None,
             (SweepPoint(spec=task.spec, layer_activities=task.activities),),
-            False,
             self._extract,
-            task.label,
             task.trace_ctx if task.trace_ctx is not None else self._trace_ctx,
             task.solver,
         ))
@@ -1341,9 +1341,11 @@ class ServiceFleet(_LeaseCore):
         task.complete(values[0])
         return True
 
-    def _fail(self, task: _ServiceTask, error: BaseException) -> None:
+    def _fail(self, task: _ServiceTask, error: BaseException, final: bool = False) -> None:
+        # A typed error is the query's answer: re-leasing it would only
+        # raise it again.
         out_of_time = task.deadline is not None and time.monotonic() >= task.deadline
-        if task.attempts >= self.max_attempts or out_of_time:
+        if final or task.attempts >= self.max_attempts or out_of_time:
             self.task_failures += 1
             self._lost.discard(task.id)
             task.fail(error)
@@ -1453,6 +1455,9 @@ def run_worker(
 
     Registers, then loops ``request`` → solve → ``result`` until the
     coordinator says ``done`` (clean exit, preceded by ``goodbye``).
+    Each lease runs through :meth:`SweepEngine.run_group` on the
+    worker's one engine, which drops the topology it holds before it
+    builds another.
     Transport trouble triggers reconnects inside a ``patience_s`` window
     per outage; a coordinator that stays unreachable raises
     :class:`repro.errors.FleetTransportError`.  Returns the worker's own
@@ -1468,6 +1473,8 @@ def run_worker(
     failures = 0
     reconnects = -1  # first connect is not a reconnect
     run_fp: Optional[str] = None
+    engine = SweepEngine()
+    held = None  # the group key of the topology the engine holds
 
     while True:
         session = _connect(address, patience_s)
@@ -1546,29 +1553,27 @@ def run_worker(
                 fingerprint = reply["task"]
                 t0 = time.perf_counter()
                 try:
-                    spec, plan, points, resilient, extract, label, ctx, solver = (
-                        decode_payload(reply["payload"])
-                    )
+                    points, extract, ctx, solver = decode_payload(reply["payload"])
+                    ((key, members),) = group_points(points, solver).items()
+                    if key != held:
+                        engine.clear_cache()
+                        held = key
                     tracing = activate_worker_context(ctx)
                     tracer = get_tracer()
                     # Label the TCP hop: one `fleet.task` span per lease,
-                    # re-parenting the solve's `group` span under it so
-                    # the reassembled tree shows coordinator → worker.
+                    # the solve's `group` span under it, so the
+                    # reassembled tree shows coordinator → worker.
                     with tracer.span(
                         "fleet.task",
                         worker=worker_id,
                         task=fingerprint,
                         attempt=int(reply.get("attempt", 1) or 1),
-                    ) as task_span:
-                        if task_span.span_id is not None:
-                            ctx = dict(ctx)
-                            ctx["parent_id"] = task_span.span_id
-                        values, group_metrics, spans = _run_group_remote(
-                            spec, plan, points, resilient, extract, label,
-                            ctx, solver,
+                    ):
+                        values: List[Any] = [None] * len(points)
+                        group_metrics = engine.run_group(
+                            key, members, extract, values, executed="remote"
                         )
-                    if tracing:
-                        spans = list(spans) + tracer.drain()
+                    spans = tracer.drain() if tracing else []
                 except Exception as exc:
                     failures += 1
                     _log.warning(
@@ -1585,6 +1590,7 @@ def run_worker(
                             "task": fingerprint,
                             "error": str(exc),
                             "error_type": type(exc).__name__,
+                            "typed": isinstance(exc, ReproError),
                             "wall_s": round(time.perf_counter() - t0, 6),
                         },
                         copies=chaos.copies("failure"),

@@ -58,8 +58,9 @@ from repro.runtime.engine import (
     SweepOutcome,
     SweepPoint,
     SweepResult,
-    _close_run,
-    _open_run,
+    close_run,
+    group_label,
+    open_run,
 )
 from repro.runtime.fingerprint import run_fingerprint, task_fingerprint
 from repro.runtime.journal import (
@@ -381,13 +382,13 @@ class RunSupervisor:
             root = logging.getLogger("repro")
             if root.level > logging.INFO:
                 root.setLevel(logging.INFO)
-        with _open_run(points, self.workers, supervised=True) as frame:
+        with open_run(points, self.workers, supervised=True) as frame:
             metrics = frame.metrics
             run_fp = metrics.run_fingerprint
             tasks = [
                 _Task(
                     fingerprint=fingerprint,
-                    label=self.engine._key_label(key),
+                    label=group_label(key),
                     key=key,
                     members=members,
                 )
@@ -415,7 +416,8 @@ class RunSupervisor:
             pending = self._restore(tasks, journaled, state)
 
             # Local workers pay for a deadline to enforce or for tasks to
-            # spread (each re-builds and re-factorises what it runs).
+            # spread: forked for this run, each starts with an empty
+            # engine and factorises every task (a topology) it leases.
             spread = self.workers > 1 and len(pending) > 1
             local = self.workers if spread or self.config.task_timeout else 0
             remote = self.config.fleet is not None and not self._fleet_unattended
@@ -444,7 +446,7 @@ class RunSupervisor:
             [r for r in records.values() if r.status == "quarantined"]
         )
         metrics.timeouts = sum(r.timeouts for r in records.values())
-        _close_run(frame, self.cache_info(), bench_name)
+        close_run(frame, self.cache_info(), bench_name)
 
         report = RunReport(
             run_fingerprint=run_fp,
@@ -767,7 +769,7 @@ class RunSupervisor:
             task.attempts += 1
             t0 = time.perf_counter()
             try:
-                group_metrics = self.engine._run_group_local(
+                group_metrics = self.engine.run_group(
                     task.key, task.members, state.extract, state.values
                 )
             except Exception as exc:
@@ -776,7 +778,7 @@ class RunSupervisor:
                 self._handle_failure(task, state)
                 continue
             task.wall_s += time.perf_counter() - t0
-            # _run_group_local already wrote the values; _commit rewrites
+            # run_group already wrote the values; _commit rewrites
             # the same objects and does the bookkeeping.
             group_values = [state.values[index] for index, _ in task.members]
             self._commit(task, group_values, group_metrics, state)

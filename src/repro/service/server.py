@@ -265,7 +265,8 @@ class ServiceConfig:
     #: Longest lease of a miss on a local worker (the query's remaining
     #: deadline caps it); an expired lease kills and respawns the worker.
     task_timeout_s: Optional[float] = None
-    #: Leases a leased miss may use before its last typed error is answered.
+    #: Leases a leased miss may use before its last error is answered
+    #: (a typed error the worker raised is answered at once).
     max_attempts: int = 3
     #: Basename of the BENCH counters file written at shutdown into
     #: ``cache_dir`` (None disables).

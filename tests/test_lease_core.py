@@ -35,7 +35,7 @@ from repro.runtime import (
     SweepPoint,
 )
 from repro.runtime.chaos import CHAOS_ENV
-from repro.runtime.engine import _run_group_remote
+from repro.runtime.engine import group_points
 from repro.runtime import fleet as fleet_module
 from repro.runtime.fleet import (
     IDLE_HOLD_S,
@@ -94,13 +94,16 @@ class _RawWorker:
 
     def result_for(self, lease) -> None:
         """Solve the leased task for real and report it."""
-        values, group_metrics, spans = _run_group_remote(
-            *decode_payload(lease["payload"])
+        points, extract, _, solver = decode_payload(lease["payload"])
+        ((key, members),) = group_points(points, solver).items()
+        values = [None] * len(points)
+        group_metrics = SweepEngine().run_group(
+            key, members, extract, values, executed="remote"
         )
         self.send({
             "kind": "result",
             "task": lease["task"],
-            "payload": encode_payload((values, group_metrics, spans)),
+            "payload": encode_payload((values, group_metrics, [])),
         })
 
     def fail(self, lease, error: str = "boom", **fields) -> None:

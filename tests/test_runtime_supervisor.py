@@ -164,7 +164,7 @@ class TestSerialLifecycle:
         from repro.errors import QuarantinedTopologyError
 
         class Boom(SweepEngine):
-            def _run_group_local(self, key, members, extract, values):
+            def run_group(self, key, members, extract, values, executed="local"):
                 raise ValueError("always broken")
 
         sup = RunSupervisor(

@@ -82,11 +82,9 @@ def serve(tmp_path):
 class _Raw:
     """A bare socket to a replica: bytes out, response lines back."""
 
-    def __init__(self, address: str, rcvbuf: int = 0):
+    def __init__(self, address: str):
         host, port = address.rsplit(":", 1)
         self.sock = socket.socket()
-        if rcvbuf:
-            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
         self.sock.settimeout(30.0)
         self.sock.connect((host, int(port)))
         self.file = self.sock.makefile("rb")
@@ -225,16 +223,21 @@ class TestBackpressure:
     ):
         pad = "p" * 4096  # large answers fill the socket buffers quickly
         handle = serve(lambda spec, activities, deadline: {"pad": pad})
-        raw = _Raw(handle.address, rcvbuf=4096)
+        raw = _Raw(handle.address)
         try:
             line = _line(7.0)
             raw.ask(line)
             raw.ask(line)  # memoised: every copy below is a callback hit
             (transport,) = handle.service._connections
-            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
-                transport.get_extra_info("socket").setsockopt(
-                    socket.SOL_SOCKET, option, 4096
-                )
+            # The replica's send buffer and the client's receive buffer,
+            # shrunk after connecting so that both can be restored.
+            buffers = [
+                (transport.get_extra_info("socket"), socket.SO_SNDBUF),
+                (raw.sock, socket.SO_RCVBUF),
+            ]
+            sizes = [sock.getsockopt(socket.SOL_SOCKET, o) for sock, o in buffers]
+            for sock, option in buffers:
+                sock.setsockopt(socket.SOL_SOCKET, option, 4096)
             count = 5000
             sender = threading.Thread(
                 target=raw.send, args=(line * count,), daemon=True
@@ -253,7 +256,10 @@ class TestBackpressure:
             protocol = transport.get_protocol()
             assert transport.get_write_buffer_size() <= 2 * 65536
             assert len(protocol._buffer) <= 2 * MAX_LINE_BYTES + 2**18
-            # Reading again drains everything, in order and complete.
+            # Reading again drains everything, in order and complete,
+            # through the restored buffers (4 KiB ones take ~5 ms an answer).
+            for (sock, option), size in zip(buffers, sizes):
+                sock.setsockopt(socket.SOL_SOCKET, option, size)
             answers = [raw.read() for _ in range(count)]
             sender.join(timeout=30.0)
         finally:

@@ -8,7 +8,9 @@ to a plain replica's from exactly two forks, two misses out on lease at
 once, a solve hung past its query's deadline answered 504 with its
 worker replaced, and a worker SIGKILLed mid-lease costing a retry, not
 the query.  Without ``task_timeout_s`` only a query with a deadline is
-leased; the rest solve in-process.
+leased; the rest solve in-process.  A worker keeps the last topology it
+factorised for its next lease, and no other; a typed error it raises is
+answered after one lease.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import signal
 import threading
 import time
 
+from repro.obs.trace import get_tracer
 from repro.runtime import PDNSpec, SweepEngine, SweepPoint
 from repro.service import ServiceClient, ServiceConfig, serve_in_background
 from repro.service import server as service_server
@@ -260,3 +263,81 @@ def test_concurrent_misses_on_more_workers_than_cores():
         for spec in specs
     ]
     assert (fleet._spawned, counters["tasks_done"]) == (3, len(specs))
+
+
+def _traced_leases(tmp_path, queries):
+    """Ask a traced ``workers=1, task_timeout_s=120`` replica each
+    ``(spec, activities)`` miss in turn.  Returns one
+    ``(cached, factorized)`` pair per lease: the worker's ``group`` span's
+    ``cached`` flag, and whether a ``factorize`` span ran under it."""
+    tracer = get_tracer()
+    tracer.drain()
+    tracer.enable()
+    try:
+        handle = _replica(
+            tmp_path, "cache", workers=1, task_timeout_s=120.0,
+            trace_flush_s=3600.0,
+        )
+        try:
+            with ServiceClient(handle.address, timeout_s=60.0) as client:
+                for spec, activities in queries:
+                    response = client.query(spec, activities=activities)
+                    assert (response["status"], response["cached"]) == ("ok", False)
+            spans = tracer.drain()
+        finally:
+            handle.stop()
+    finally:
+        tracer.disable()
+        tracer.drain()
+    groups = sorted(
+        (
+            span for span in spans
+            if span.name == "group" and span.attributes["executed"] == "remote"
+        ),
+        key=lambda span: span.start_s,
+    )
+    factorized = {span.parent_id for span in spans if span.name == "factorize"}
+    return [
+        (group.attributes.get("cached"), group.span_id in factorized)
+        for group in groups
+    ]
+
+
+def test_a_repeat_lease_reuses_the_workers_factorisation(tmp_path):
+    spec = PDNSpec.stacked(2, converters_per_core=4, grid_nodes=TEST_GRID)
+    leases = _traced_leases(tmp_path, [(spec, [1.0, 0.5]), (spec, [0.5, 1.0])])
+    assert leases == [(False, True), (True, False)]
+
+
+def test_a_worker_holds_one_topology(tmp_path):
+    a = PDNSpec.regular(2, grid_nodes=TEST_GRID)
+    b = PDNSpec.regular(3, grid_nodes=TEST_GRID)
+    leases = _traced_leases(
+        tmp_path, [(a, [1.0, 0.5]), (b, [1.0, 0.5, 0.25]), (a, [0.5, 1.0])]
+    )
+    assert leases == [(False, True)] * 3
+
+
+def test_a_typed_worker_error_is_leased_once(tmp_path):
+    handle = _replica(tmp_path, "cache", workers=1, task_timeout_s=120.0)
+    fleet = handle.service.fleet
+    leased = []
+    lease_s = fleet._lease_s
+
+    def spy(task, worker):
+        leased.append(task.id)
+        return lease_s(task, worker)
+
+    fleet._lease_s = spy
+    try:
+        with ServiceClient(handle.address, timeout_s=60.0) as client:
+            response = client.query(
+                PDNSpec.regular(2, grid_nodes=TEST_GRID),
+                activities=[float("nan")] * 2,
+            )
+    finally:
+        handle.stop()
+    assert (response["status"], response["code"]) == ("solve-error", 500)
+    assert "NaN" in response["error"]
+    assert len(leased) == 1
+    assert fleet.task_failures == 1
