@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Deterministic chaos proof for the fleet's lease core, from both owners.
+"""Deterministic chaos proof for the fleet's lease core, from both callers.
 
 Legs 1-3 run the same grid-10 sweep three ways and demand bit-identical
 values (relative difference <= 1e-12) throughout:
@@ -8,8 +8,8 @@ values (relative difference <= 1e-12) throughout:
 2. **Fleet under chaos** — a coordinator (``--fleet``) plus four worker
    processes with seeded ``REPRO_CHAOS`` fault plans: two workers are
    SIGKILLed mid-task (after solving, before reporting), one freezes
-   past its lease deadline (its thawed, late result must be dropped by
-   the idempotent commit), one duplicates a result message.  The run
+   past its lease deadline (its thawed, late result must be dropped,
+   since it no longer holds the lease), one duplicates a result message.  The run
    must still complete every task, record >= 2 worker deaths, >= 1
    expired lease and >= 1 reassignment, and match the baseline.
 3. **Journal tear + salvage** — the chaos run's journal is torn
@@ -17,12 +17,12 @@ values (relative difference <= 1e-12) throughout:
    salvage must truncate to the intact prefix, restore it bit-for-bit
    and re-run only the rest.
 
-Leg 4 drives the same lease core through its other owner:
+Leg 4 drives the same lease core through its other caller:
 
-4. **Service fleet under SIGKILL** — a ``ServiceFleet`` (the coordinator
-   behind ``repro serve --fleet``) with two ``repro worker`` processes,
-   one under a ``kill_on_task`` plan that SIGKILLs it before it reports
-   its first lease.  Every query must equal a direct engine run
+4. **Service fleet under SIGKILL** — a ``Fleet`` fed through
+   ``Fleet.solve``, as behind ``repro serve --fleet``, with two ``repro
+   worker`` processes, one under a ``kill_on_task`` plan that SIGKILLs
+   it before it reports its first lease.  Every query must equal a direct engine run
    exactly, with >= 1 worker death and no failed query.
 
 Every fault position derives from one fixed seed, so failures replay
@@ -349,12 +349,12 @@ def orchestrate(work_dir: pathlib.Path, seed: int) -> int:
 
 
 def service_leg() -> int:
-    """Leg 4: a ServiceFleet loses a worker to SIGKILL mid-lease."""
+    """Leg 4: a replica's Fleet loses a worker to SIGKILL mid-lease."""
     import threading
 
     from repro.runtime import PDNSpec, SweepEngine, SweepPoint
     from repro.runtime.chaos import ChaosPlan
-    from repro.runtime.fleet import ServiceFleet
+    from repro.runtime.fleet import Fleet
     from repro.service.server import extract_summary
 
     print("== 4. service fleet under SIGKILL ==", flush=True)
@@ -366,9 +366,8 @@ def service_leg() -> int:
                         grid_nodes=GRID_NODES)
         for n_layers in range(2, 2 + N_GROUPS // 2)
     ]
-    fleet = ServiceFleet(
-        "127.0.0.1:0", extract=extract_summary,
-        lease_timeout_s=LEASE_TIMEOUT_S, wait_s=60.0,
+    fleet = Fleet(
+        "127.0.0.1:0", lease_timeout_s=LEASE_TIMEOUT_S, wait_s=60.0
     )
     address = fleet.start()
     answers = [None] * len(specs)
@@ -376,7 +375,9 @@ def service_leg() -> int:
 
     def query(index):
         try:
-            answers[index] = fleet.solve(specs[index], timeout_s=300.0)
+            answers[index] = fleet.solve(
+                specs[index], extract=extract_summary, timeout_s=300.0
+            )
         except Exception as exc:  # reported below, never swallowed
             errors.append(f"{type(exc).__name__}: {exc}")
 

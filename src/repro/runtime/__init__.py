@@ -28,7 +28,7 @@ from repro.runtime.journal import (
 )
 from repro.runtime.chaos import ChaosMonkey, ChaosPlan
 from repro.runtime.fleet import (
-    FleetCoordinator,
+    Fleet,
     PROTOCOL_VERSION,
     parse_address,
     run_worker,
@@ -64,7 +64,7 @@ __all__ = [
     "clean_stale_tmp",
     "ChaosMonkey",
     "ChaosPlan",
-    "FleetCoordinator",
+    "Fleet",
     "PROTOCOL_VERSION",
     "parse_address",
     "run_worker",

@@ -17,10 +17,13 @@ and the design-space explorer can be supervised without code changes:
   carrying a :class:`repro.errors.QuarantinedTopologyError`), and the
   final :class:`RunReport` names the quarantined fingerprints.
 
-* In process mode, tasks are leased to local worker processes through
-  the fleet's lease core (:func:`repro.runtime.fleet.execute_fleet`):
-  a crashed or hung (``task_timeout``) worker alone is killed and
-  respawned, and its task is charged an attempt.
+* A run that needs processes (a ``task_timeout``, or more than one
+  task and ``workers > 1``) or has a ``fleet`` address opens a
+  :class:`repro.runtime.fleet.Fleet` for its lifetime and submits its
+  ready tasks to it; commits, journaling, backoff, quarantine and
+  ``fail_fast`` stay on the supervisor's thread.  A crashed or hung
+  (``task_timeout``) local worker alone is killed and respawned, and
+  its task is charged an attempt.
 
 Task state machine::
 
@@ -41,14 +44,18 @@ import hashlib
 import json
 import logging
 import pathlib
+import pickle
+import queue
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import (
+    FleetTransportError,
     QuarantinedTopologyError,
     ReproError,
     ResumeMismatchError,
+    TaskTimeoutError,
 )
 from repro.obs.logs import get_logger
 from repro.obs.trace import get_tracer
@@ -63,6 +70,7 @@ from repro.runtime.engine import (
     open_run,
 )
 from repro.runtime.fingerprint import run_fingerprint, task_fingerprint
+from repro.runtime.fleet import FLEET_FILE, PROTOCOL_VERSION, Fleet, FleetTask
 from repro.runtime.journal import (
     RunJournal,
     atomic_write_text,
@@ -135,8 +143,8 @@ class SupervisorConfig:
     #: run degrades transparently to the in-process path when no worker
     #: ever connects (or the transport cannot be brought up).
     fleet: Optional[str] = None
-    #: Per-lease deadline of a remote worker; an expired lease is
-    #: reassigned (a late result is dropped by the idempotent commit).
+    #: Per-lease deadline of a remote worker; an expired lease charges
+    #: its task an attempt (and the worker's late result is dropped).
     lease_timeout_s: float = 60.0
     #: How long the coordinator waits for a first remote worker before
     #: falling back to the in-process execution path.
@@ -282,9 +290,9 @@ class _Task:
 class _RunState:
     """Shared mutable state of one supervised run.
 
-    Both execution paths — serial, and the fleet coordinator with its
-    remote and local workers — route their outcomes through the same
-    commit / retry / quarantine core by mutating one of these.  ``queue`` holds
+    Both execution paths — serial, and leased to a fleet's remote and
+    local workers — route their outcomes through the same commit /
+    retry / quarantine core by mutating one of these.  ``queue`` holds
     tasks awaiting (re-)execution; ``_handle_failure`` pushes retries
     back onto it with their backoff ``ready_at`` stamped.
     """
@@ -295,7 +303,7 @@ class _RunState:
     journal: Optional[RunJournal]
     extract: Optional[Callable[[SweepOutcome], Any]]
     queue: List[_Task] = field(default_factory=list)
-    #: Per-worker accounting dicts filled in by the fleet coordinator.
+    #: Per-worker accounting dicts filled in by the run's fleet.
     fleet_workers: List[Dict[str, Any]] = field(default_factory=list)
 
     def record(self, task: _Task) -> TaskRecord:
@@ -425,9 +433,7 @@ class RunSupervisor:
                 # Leased path; returns whatever its workers could not
                 # finish (everything, when the transport is down or no
                 # worker ever connected) for the serial path.
-                from repro.runtime.fleet import execute_fleet
-
-                pending = execute_fleet(self, pending, state, local, remote)
+                pending = self._execute_leased(pending, state, local, remote)
             if pending:
                 self._execute_serial(pending, state)
             frame.span.set(mode=metrics.mode, resumed=metrics.resumed)
@@ -623,7 +629,7 @@ class RunSupervisor:
 
     # ------------------------------------------------------------------
     # Failure bookkeeping shared by both execution paths (serial, and
-    # the fleet's remote and local workers)
+    # leased to the fleet's remote and local workers)
     # ------------------------------------------------------------------
     def _backoff_delay(self, attempts: int, fingerprint: str = "") -> float:
         """Exponential backoff with *deterministic* jitter.
@@ -680,10 +686,9 @@ class RunSupervisor:
     ) -> bool:
         """Land one finished task's values; idempotent by fingerprint.
 
-        At-least-once backends (the fleet reassigns expired leases, so a
-        frozen worker's late result can race its replacement's) call
-        this for every delivery; only the first per fingerprint commits.
-        Returns True when the commit landed, False for a duplicate.
+        Only the first delivery per fingerprint commits (the fleet
+        already drops a reply whose sender lost the lease).  Returns
+        True when the commit landed, False for a duplicate.
         """
         if state.committed(task):
             return False
@@ -753,6 +758,165 @@ class RunSupervisor:
             task.attempts, task.fingerprint
         )
         state.queue.append(task)
+
+    # ------------------------------------------------------------------
+    # Leased execution
+    # ------------------------------------------------------------------
+    def _execute_leased(
+        self, tasks: List[_Task], state: _RunState, local: int, remote: bool
+    ) -> List[_Task]:
+        """Lease ``tasks`` on a fleet opened for this run; return what
+        must run serially.
+
+        ``remote`` binds ``--fleet`` for ``repro worker`` processes,
+        beside up to ``local`` forked local ones.  Every degradation
+        path funnels here: unleasable work (no extractor, or an
+        unpicklable one), a transport that cannot bind, and tasks no
+        worker could take within the wait (zero workers within the
+        grace window, or a mid-run loss of every worker).
+        """
+        try:
+            pickle.dumps((state.extract, [t.members[0][1].fault_plan for t in tasks]))
+            leasable = state.extract is not None
+        except Exception:
+            leasable = False
+        if not leasable:
+            _log.warning(
+                "fleet: raw outcomes, or an unpicklable extractor or fault "
+                "plan, are not leasable; running in-process"
+            )
+            return tasks
+        config = self.config
+        metrics = state.metrics
+        run_fp = metrics.run_fingerprint
+        fleet = Fleet(
+            config.fleet if remote else "127.0.0.1:0",
+            run_fp=run_fp,
+            lease_timeout_s=config.lease_timeout_s,
+            # Local children are alive or gone; only remote ones get a grace.
+            wait_s=config.fleet_wait_s if remote else 0.0,
+            worker_max_failures=config.worker_max_failures,
+            local_workers=min(local, len(tasks)),
+            local_timeout_s=config.task_timeout,
+        )
+        try:
+            address = fleet.start()
+        except FleetTransportError as exc:
+            _log.warning(
+                "fleet: transport unavailable; running in-process",
+                extra={"error": str(exc)},
+            )
+            return tasks
+        finished: "queue.Queue[FleetTask]" = queue.Queue()
+        trace_ctx = get_tracer().worker_context()
+        by_id = {task.fingerprint: task for task in tasks}
+        leases = {
+            task.fingerprint: FleetTask(
+                id=task.fingerprint,
+                label=task.label,
+                points=tuple(point for _, point in task.members),
+                extract=state.extract,
+                solver=task.key[3],
+                trace_ctx=trace_ctx,
+                outbox=finished,
+            )
+            for task in tasks
+        }
+        waiting = state.queue
+        waiting.extend(tasks)
+        leftovers: List[_Task] = []
+        out = 0
+        # An aborted run (fail_fast, a journal error) lands nothing more,
+        # so it does not wait for its workers to read ``done``.
+        aborted = True
+        try:
+            if remote:
+                self._publish_fleet(address, run_fp)
+            # Once a task finds no worker, nothing more is submitted.
+            while out or (waiting and not leftovers):
+                now = time.monotonic()
+                ready = [] if leftovers else [t for t in waiting if t.ready_at <= now]
+                for task in ready:
+                    waiting.remove(task)
+                    task.attempts += 1
+                    state.record(task).status = "running"
+                    fleet.submit(leases[task.fingerprint], task.attempts)
+                out += len(ready)
+                backoff = min((t.ready_at for t in waiting), default=None)
+                try:
+                    lease = finished.get(timeout=(
+                        None if backoff is None or leftovers
+                        else max(0.0, backoff - now)
+                    ))
+                except queue.Empty:
+                    continue
+                out -= 1
+                task = by_id[lease.id]
+                task.wall_s += lease.wall_s
+                if lease.error is None:
+                    if not lease.local:
+                        lease.group_metrics.executed = "fleet"
+                    landed = self._commit(task, lease.values, lease.group_metrics, state)
+                    if landed and (not lease.local or metrics.mode == "serial"):
+                        metrics.mode = "process" if lease.local else "fleet"
+                elif isinstance(lease.error, FleetTransportError):
+                    task.attempts -= 1  # no worker took it
+                    leftovers.append(task)
+                else:
+                    task.last_error = lease.error
+                    if isinstance(lease.error, TaskTimeoutError):
+                        task.timeouts += 1
+                    self._handle_failure(task, state)
+            aborted = False
+        finally:
+            fleet.close(linger=not aborted)
+            state.fleet_workers.extend(fleet.accounting())
+            metrics.leases_expired += fleet.leases_expired
+            metrics.worker_deaths += fleet.worker_deaths
+            metrics.reassignments += fleet.reassignments
+            metrics.pool_rebuilds += fleet.respawns
+        leftovers += waiting
+        waiting.clear()
+        for task in leftovers:
+            state.record(task).status = "pending"
+        if leftovers:
+            _log.warning(
+                "fleet: degrading to in-process execution",
+                extra={
+                    "leftover_tasks": len(leftovers),
+                    "ever_connected": fleet.ever_connected,
+                },
+            )
+        if remote and not fleet.ever_connected:
+            # Pay the grace wait once per supervisor, not once per run of
+            # a multi-run experiment.
+            self._fleet_unattended = True
+            _log.warning(
+                "fleet: no worker attached; later runs of this supervisor "
+                "run in-process"
+            )
+        return leftovers
+
+    def _publish_fleet(self, address: str, run_fp: str) -> None:
+        """Log the fleet's address and drop ``fleet.json`` into the run
+        dir, so workers find a port-0 coordinator."""
+        _log.info("fleet listening",
+                  extra={"address": address, "run_fingerprint": run_fp})
+        if self.config.run_dir is None:
+            return
+        atomic_write_text(
+            pathlib.Path(self.config.run_dir) / FLEET_FILE,
+            json.dumps(
+                {
+                    "address": address,
+                    "run_fingerprint": run_fp,
+                    "protocol": PROTOCOL_VERSION,
+                },
+                sort_keys=True,
+            )
+            + "\n",
+            durable=False,
+        )
 
     # ------------------------------------------------------------------
     # Serial execution

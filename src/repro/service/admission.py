@@ -14,7 +14,7 @@ that spent its whole budget waiting is *expired on pop* and answered
 with a typed timeout without ever touching the solve backend, and a
 query that starts solving on the replica's local workers leases its
 miss for at most its **remaining** budget
-(:class:`repro.runtime.fleet.ServiceFleet`).
+(:class:`repro.runtime.fleet.Fleet`).
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ from repro.obs.export import flush_spans
 from repro.obs.logs import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.trace import TRACE_DIR_ENV, get_tracer
-from repro.runtime.fleet import ServiceFleet, parse_address
+from repro.runtime.fleet import Fleet, parse_address
 from repro.runtime.journal import atomic_write_text
 from repro.runtime.metrics import BENCH_SCHEMA, write_bench_json
 from repro.runtime.spec import ARRANGEMENTS, PDNSpec
@@ -272,7 +272,7 @@ class ServiceConfig:
     #: ``cache_dir`` (None disables).
     bench_name: Optional[str] = "service"
     #: ``HOST:PORT`` to bind the replica's
-    #: :class:`repro.runtime.fleet.ServiceFleet` on: cache misses fan out
+    #: :class:`repro.runtime.fleet.Fleet` on: cache misses fan out
     #: to attached ``repro worker`` processes beside any local workers,
     #: degrading to the local executor when none is connected.
     fleet: Optional[str] = None
@@ -491,7 +491,7 @@ class ExplorationService:
             epoch=self.epoch,
         )
         self.flights = ReplicaFlights(self.cache.directory)
-        self.fleet: Optional[ServiceFleet] = None
+        self.fleet: Optional[Fleet] = None
         self.fleet_address: Optional[str] = None
         self.admission = AdmissionQueue(max_queue=self.config.max_queue)
         self.breaker = CircuitBreaker(
@@ -601,11 +601,9 @@ class ExplorationService:
         local = config.workers > 1 or config.task_timeout_s is not None
         if config.fleet or local:
             # Forked before the service socket exists: they do not inherit it.
-            fleet = ServiceFleet(
+            fleet = Fleet(
                 config.fleet or "127.0.0.1:0",
-                extract=extract_summary,
                 lease_timeout_s=config.lease_timeout_s,
-                max_attempts=config.max_attempts,
                 wait_s=config.fleet_wait_s,
                 local_workers=max(1, config.workers) if local else 0,
                 local_timeout_s=config.task_timeout_s,
@@ -1371,7 +1369,9 @@ class ExplorationService:
                     result = fleet.solve(
                         item.spec,
                         item.activities,
+                        extract=extract_summary,
                         timeout_s=item.deadline.remaining_s(),
+                        max_attempts=self.config.max_attempts,
                         solver=item.solver,
                         label=item.fingerprint,
                         trace_ctx=tracer.worker_context(),

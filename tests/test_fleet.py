@@ -215,8 +215,8 @@ class TestFleetEndToEnd:
         self, tmp_path, monkeypatch
     ):
         # The single worker freezes past the lease deadline on its first
-        # task; its late result commits (at-least-once), counters record
-        # the expiry, and values still match a serial run.
+        # task; its late result is dropped and the task's retry lands,
+        # counters record the expiry, and values still match a serial run.
         monkeypatch.setenv(
             CHAOS_ENV, ChaosPlan(freeze_on_task=0, freeze_s=1.2).to_env()
         )
@@ -320,16 +320,16 @@ class TestFleetDegradation:
     def test_grace_wait_is_paid_once_per_supervisor(self, tmp_path, monkeypatch):
         # A multi-run experiment (headline makes 16 runs) must not wait
         # out fleet_wait_s in every run when no worker ever attaches.
-        from repro.runtime.fleet import FleetCoordinator
+        from repro.runtime.fleet import Fleet
 
         waits = []
-        poll = FleetCoordinator.poll
+        start = Fleet.start
 
-        def counting_poll(coordinator):
-            waits.append(coordinator)
-            return poll(coordinator)
+        def counting_start(fleet):
+            waits.append(fleet)
+            return start(fleet)
 
-        monkeypatch.setattr(FleetCoordinator, "poll", counting_poll)
+        monkeypatch.setattr(Fleet, "start", counting_start)
         supervisor = RunSupervisor(
             config=_fleet_config(tmp_path / "run", fleet_wait_s=0.5)
         )

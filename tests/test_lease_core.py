@@ -1,10 +1,11 @@
-"""The fleet's one lease core, driven through both of its owners.
+"""The fleet's one lease core, driven by both of its callers.
 
-Wire-protocol tests talk raw newline-JSON to a run coordinator (inside a
-real supervised run) and to a :class:`ServiceFleet`, so every path is
-checked once per owner.  The service-side lease-failure tests use an
-in-thread :func:`run_worker` under a ``REPRO_CHAOS`` drop/dup plan, or a
-raw-socket fake worker where a fault must be placed exactly.
+Wire-protocol tests talk raw newline-JSON to the :class:`Fleet` of a
+real supervised run and to a replica-style :class:`Fleet` fed through
+:meth:`Fleet.solve`, so every path is checked once per caller.  The
+service-side lease-failure tests use an in-thread :func:`run_worker`
+under a ``REPRO_CHAOS`` drop/dup plan, or a raw-socket fake worker where
+a fault must be placed exactly.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from repro.runtime import fleet as fleet_module
 from repro.runtime.fleet import (
     IDLE_HOLD_S,
     PROTOCOL_VERSION,
-    FleetCoordinator,
-    ServiceFleet,
+    Fleet,
     run_worker,
 )
 from repro.runtime.journal import decode_payload, encode_payload
@@ -121,21 +121,21 @@ class _RawWorker:
 
 
 # ----------------------------------------------------------------------
-# The two owners behind one harness interface
+# The two callers behind one harness interface
 # ----------------------------------------------------------------------
 
 class _RunOwner:
-    """A supervised ``--fleet`` run; its coordinator is the core."""
+    """A supervised ``--fleet`` run; the fleet it opens is the core."""
 
     def __init__(self, monkeypatch, tmp_path, worker_max_failures: int = 3):
         captured = []
-        start = FleetCoordinator.start
+        start = Fleet.start
 
-        def capture(coordinator):
-            captured.append(coordinator)
-            return start(coordinator)
+        def capture(fleet):
+            captured.append(fleet)
+            return start(fleet)
 
-        monkeypatch.setattr(FleetCoordinator, "start", capture)
+        monkeypatch.setattr(Fleet, "start", capture)
         config = SupervisorConfig(
             run_dir=str(tmp_path),
             fleet="127.0.0.1:0",
@@ -177,12 +177,11 @@ class _RunOwner:
 
 
 class _ServiceOwner:
-    """A :class:`ServiceFleet`; each ``make_work`` queues one query."""
+    """A replica's :class:`Fleet`; each ``make_work`` queues one query."""
 
     def __init__(self, monkeypatch, tmp_path, worker_max_failures: int = 3):
-        self.core = ServiceFleet(
+        self.core = Fleet(
             "127.0.0.1:0",
-            extract=extract_summary,
             lease_timeout_s=30.0,
             wait_s=30.0,
             worker_max_failures=worker_max_failures,
@@ -194,7 +193,7 @@ class _ServiceOwner:
     def make_work(self) -> None:
         solve = threading.Thread(
             target=lambda: self.answers.append(
-                self.core.solve(_spec(), timeout_s=60.0)
+                self.core.solve(_spec(), extract=extract_summary, timeout_s=60.0)
             ),
             daemon=True,
         )
@@ -271,8 +270,8 @@ class TestWireProtocol:
         raw.close()
         _wait_until(lambda: "unparsable message" in log_stream.getvalue())
         # One bad peer costs its own connection, never the core.
-        assert fleet.core._error is None
         assert not fleet.core._stop.is_set()
+        assert all(t.is_alive() for t in fleet.core._threads[:2])
 
     def test_malformed_field_costs_the_field_not_the_core(self, owner):
         fleet = owner()
@@ -284,8 +283,8 @@ class TestWireProtocol:
         raw.fail(lease, wall_s="soon")
         record = fleet.core._workers["w-odd"]
         _wait_until(lambda: record.failures == 1)
-        assert fleet.core._error is None
         assert not fleet.core._stop.is_set()
+        assert all(t.is_alive() for t in fleet.core._threads[:2])
         raw.send({"kind": "goodbye"})
         raw.close()
 
@@ -394,13 +393,13 @@ def _worker_thread(address: str) -> threading.Thread:
 
 class TestIdleHold:
     def test_held_request_is_answered_when_a_task_is_queued(self):
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, wait_s=30.0
-        )
+        fleet = Fleet("127.0.0.1:0", wait_s=30.0)
         raw = _RawWorker(fleet.start())
         answers = []
         solver = threading.Thread(
-            target=lambda: answers.append(fleet.solve(_spec(), timeout_s=30.0)),
+            target=lambda: answers.append(
+                fleet.solve(_spec(), extract=extract_summary, timeout_s=30.0)
+            ),
             daemon=True,
         )
         try:
@@ -418,9 +417,7 @@ class TestIdleHold:
         assert answers == [_direct(_spec())]
 
     def test_request_without_work_is_held_then_told_to_ask_again(self):
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, wait_s=30.0
-        )
+        fleet = Fleet("127.0.0.1:0", wait_s=30.0)
         raw = _RawWorker(fleet.start())
         try:
             assert raw.hello("idle")["kind"] == "welcome"
@@ -434,9 +431,7 @@ class TestIdleHold:
         assert held_s >= IDLE_HOLD_S * 0.9
 
     def test_close_releases_a_held_request(self):
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, wait_s=30.0
-        )
+        fleet = Fleet("127.0.0.1:0", wait_s=30.0)
         raw = _RawWorker(fleet.start())
         try:
             assert raw.hello("held")["kind"] == "welcome"
@@ -453,13 +448,10 @@ class TestServiceLeaseFailures:
         self, monkeypatch
     ):
         monkeypatch.setenv(CHAOS_ENV, ChaosPlan(drop={"result": [0]}).to_env())
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, lease_timeout_s=1.0,
-            wait_s=20.0,
-        )
+        fleet = Fleet("127.0.0.1:0", lease_timeout_s=1.0, wait_s=20.0)
         worker = _worker_thread(fleet.start())
         try:
-            value = fleet.solve(_spec(), timeout_s=60.0)
+            value = fleet.solve(_spec(), extract=extract_summary, timeout_s=60.0)
             counters = fleet.counters()
         finally:
             fleet.close()
@@ -470,12 +462,10 @@ class TestServiceLeaseFailures:
 
     def test_duplicated_result_counts_once(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, ChaosPlan(dup={"result": [0]}).to_env())
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, wait_s=20.0
-        )
+        fleet = Fleet("127.0.0.1:0", wait_s=20.0)
         worker = _worker_thread(fleet.start())
         try:
-            value = fleet.solve(_spec(), timeout_s=60.0)
+            value = fleet.solve(_spec(), extract=extract_summary, timeout_s=60.0)
             # Let the duplicate copy arrive before reading the counters.
             time.sleep(0.3)
             counters = fleet.counters()
@@ -486,16 +476,19 @@ class TestServiceLeaseFailures:
         assert counters["tasks_done"] == 1
 
     def test_max_attempts_exhaustion_raises_the_last_typed_error(self):
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, lease_timeout_s=0.5,
-            max_attempts=2, wait_s=20.0, worker_max_failures=10,
+        fleet = Fleet(
+            "127.0.0.1:0", lease_timeout_s=0.5, wait_s=20.0,
+            worker_max_failures=10,
         )
         address = fleet.start()
         outcome = []
 
         def solve():
             try:
-                fleet.solve(_spec(), timeout_s=60.0)
+                fleet.solve(
+                    _spec(), extract=extract_summary, timeout_s=60.0,
+                    max_attempts=2,
+                )
             except ReproError as exc:
                 outcome.append(exc)
 
@@ -523,16 +516,16 @@ class TestServiceLeaseFailures:
 
     def test_zero_length_lease_expires_at_once(self):
         # A lease granted with no time left is spent, not unbounded.
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, lease_timeout_s=0.0,
-            max_attempts=1, wait_s=20.0,
-        )
+        fleet = Fleet("127.0.0.1:0", lease_timeout_s=0.0, wait_s=20.0)
         address = fleet.start()
         outcome = []
 
         def solve():
             try:
-                fleet.solve(_spec(), timeout_s=30.0)
+                fleet.solve(
+                    _spec(), extract=extract_summary, timeout_s=30.0,
+                    max_attempts=1,
+                )
             except ReproError as exc:
                 outcome.append(exc)
 
@@ -553,19 +546,16 @@ class TestServiceLeaseFailures:
         assert counters["leases_expired"] == 1
 
     def test_local_workers_dying_before_hello_fall_back(self, monkeypatch):
-        # Children that exit before their hello are respawned forever: a
-        # solve with no deadline must fall back, not wait on them.
+        # Children that exit before their hello are no worker: a solve
+        # with no deadline must fall back, not wait on them.
         monkeypatch.setattr(fleet_module, "_local_worker_main", _exit_at_once)
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, wait_s=0.5,
-            local_workers=1,
-        )
+        fleet = Fleet("127.0.0.1:0", wait_s=0.5, local_workers=1)
         fleet.start()
         outcome = []
 
         def solve():
             try:
-                fleet.solve(_spec())
+                fleet.solve(_spec(), extract=extract_summary)
             except FleetTransportError as exc:
                 outcome.append(exc)
 
@@ -580,16 +570,30 @@ class TestServiceLeaseFailures:
         assert "no fleet worker attached" in str(fell_back[0])
         assert fleet.respawns >= 1
 
+    def test_local_workers_dying_before_hello_stop_being_respawned(
+        self, monkeypatch
+    ):
+        # Idle, with nothing queued: a child that keeps exiting before
+        # its hello is replaced a bounded number of times, not forked on
+        # every reaper tick.
+        monkeypatch.setattr(fleet_module, "_local_worker_main", _exit_at_once)
+        fleet = Fleet("127.0.0.1:0", wait_s=0.5, local_workers=1)
+        fleet.start()
+        try:
+            time.sleep(3.0)
+            respawns = fleet.respawns
+        finally:
+            fleet.close()
+        assert 1 <= respawns <= 2
+
     def test_late_result_after_deadline_abandon_is_dropped(self):
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, wait_s=20.0
-        )
+        fleet = Fleet("127.0.0.1:0", wait_s=20.0)
         address = fleet.start()
         outcome = []
 
         def solve():
             try:
-                fleet.solve(_spec(), timeout_s=1.0)
+                fleet.solve(_spec(), extract=extract_summary, timeout_s=1.0)
             except DeadlineExceededError as exc:
                 outcome.append(exc)
 
@@ -607,21 +611,34 @@ class TestServiceLeaseFailures:
             raw.send({"kind": "heartbeat"})
             time.sleep(0.3)
             counters = fleet.counters()
-            record = fleet._workers["slow"]
+            dropped = fleet._workers["slow"].tasks_done
+            # The dropped reply cost nothing: the same worker leases and
+            # answers the next query.
+            answers = []
+            caller = threading.Thread(
+                target=lambda: answers.append(fleet.solve(
+                    _spec(3), extract=extract_summary, timeout_s=30.0
+                )),
+                daemon=True,
+            )
+            caller.start()
+            lease = raw.request()
+            assert lease["kind"] == "lease"
+            raw.result_for(lease)
+            caller.join(timeout=30.0)
         finally:
             raw.close()
             fleet.close()
         assert counters["tasks_done"] == 0
-        assert record.tasks_done == 0
-        assert fleet._error is None
+        assert dropped == 0
+        assert answers == [_direct(_spec(3))]
 
 
 class TestRunCoreErrors:
-    def test_fail_fast_abort_on_the_reaper_reraises_from_poll(self, tmp_path):
-        """A lease expiry under fail_fast raises on the reaper thread; the
-        supervisor's own thread must still see it, promptly: an aborted
-        core neither lingers for its frozen worker nor waits on the
-        handler blocked reading it."""
+    def test_fail_fast_abort_on_a_lease_expiry_raises_from_run(self, tmp_path):
+        """A lease expiry under fail_fast ends the supervised run, on its
+        own thread, promptly: an aborted run neither lingers for its
+        frozen worker nor waits on the handler blocked reading it."""
         started = time.monotonic()
         config = SupervisorConfig(
             run_dir=str(tmp_path),
@@ -661,9 +678,9 @@ class TestRunCoreErrors:
     def test_journal_error_in_a_fleet_commit_reraises_from_run(
         self, tmp_path, monkeypatch
     ):
-        """An OSError from the commit core on a handler thread is the
-        run's error, not a dropped worker connection; the handler
-        releases its worker instead of leaving it leasable."""
+        """An OSError from the journal commit of a leased result is the
+        run's error, not a dropped worker connection; the fleet releases
+        its worker instead of leaving it leasable."""
         started = time.monotonic()
         supervisor = RunSupervisor(config=SupervisorConfig(
             run_dir=str(tmp_path), fleet="127.0.0.1:0", fleet_wait_s=30.0

@@ -424,6 +424,127 @@ class TestProcessRecovery:
             assert a == pytest.approx(b, rel=REL_TOL)
 
 
+class TestLeasedPolicy:
+    """The supervisor's retry, quarantine and commit policy on the
+    fleet's leased path, which only leases."""
+
+    def test_quarantine_on_the_leased_path_matches_serial(self):
+        points = [
+            SweepPoint(spec=_spec(2)),
+            SweepPoint(spec=_spec(3), tag="poison"),
+        ]
+        config = SupervisorConfig(max_retries=1, backoff_base_s=0.0)
+        serial = RunSupervisor(config=config).run(
+            points, extract=_fail_tagged_extract
+        )
+        leased = RunSupervisor(config=config, workers=2).run(
+            points, extract=_fail_tagged_extract
+        )
+        assert leased.metrics.mode == "process"
+        assert leased.values == serial.values
+        (poison,) = leased.report.quarantined
+        assert poison.attempts == config.max_retries + 1
+        assert "injected extractor failure" in poison.error
+        assert leased.report.quarantined_fingerprints() == (
+            serial.report.quarantined_fingerprints()
+        )
+        assert (leased.metrics.retries, leased.metrics.quarantined) == (
+            serial.metrics.retries,
+            serial.metrics.quarantined,
+        )
+
+    def test_late_result_from_an_expired_lease_is_dropped(self, tmp_path):
+        import socket
+        import threading
+
+        from repro.runtime.fleet import FLEET_FILE, PROTOCOL_VERSION
+        from repro.runtime.journal import decode_payload, encode_payload
+
+        class Raw:
+            def __init__(self, address, worker_id):
+                host, port = address.rsplit(":", 1)
+                self.sock = socket.create_connection((host, int(port)), timeout=10.0)
+                self.reader = self.sock.makefile("r", encoding="utf-8")
+                self.send({"kind": "hello", "worker": worker_id,
+                           "protocol": PROTOCOL_VERSION})
+                assert self.recv()["kind"] == "welcome"
+
+            def send(self, message):
+                self.sock.sendall((json.dumps(message) + "\n").encode("utf-8"))
+
+            def recv(self):
+                return json.loads(self.reader.readline())
+
+            def lease(self):
+                while True:
+                    self.send({"kind": "request"})
+                    reply = self.recv()
+                    if reply["kind"] == "lease":
+                        return reply
+
+            def result(self, lease, tamper=False):
+                points, extract, _, solver = decode_payload(lease["payload"])
+                ((key, members),) = group_points(points, solver).items()
+                values = [None] * len(points)
+                metrics = SweepEngine().run_group(key, members, extract, values)
+                if tamper:
+                    values = [-1.0] * len(values)
+                self.send({"kind": "result", "task": lease["task"],
+                           "payload": encode_payload((values, metrics, []))})
+
+            def close(self):
+                self.reader.close()
+                self.sock.close()
+
+        points = [SweepPoint(spec=_spec())]
+        supervisor = RunSupervisor(config=SupervisorConfig(
+            run_dir=str(tmp_path), fleet="127.0.0.1:0", fleet_wait_s=30.0,
+            lease_timeout_s=0.5, backoff_base_s=0.01,
+        ))
+        box = {}
+        runner = threading.Thread(
+            target=lambda: box.update(result=supervisor.run(points, extract=_ir_extract)),
+            daemon=True,
+        )
+        runner.start()
+        fleet_file = tmp_path / FLEET_FILE
+        deadline = time.monotonic() + 10.0
+        while not fleet_file.exists():
+            assert time.monotonic() < deadline, "no fleet.json"
+            time.sleep(0.02)
+        address = json.loads(fleet_file.read_text())["address"]
+        late, prompt = Raw(address, "late"), Raw(address, "prompt")
+        try:
+            first = late.lease()
+            second = prompt.lease()  # granted once the first lease expired
+            assert (first["task"], first["attempt"]) == (second["task"], 1)
+            assert second["attempt"] == 2
+            late.result(first, tamper=True)
+            time.sleep(0.2)
+            prompt.result(second)
+            for raw in (late, prompt):
+                raw.send({"kind": "goodbye"})
+            runner.join(timeout=30.0)
+        finally:
+            late.close()
+            prompt.close()
+        assert not runner.is_alive()
+        result = box["result"]
+        assert result.values == RunSupervisor().run(points, extract=_ir_extract).values
+        assert result.metrics.leases_expired == 1
+        assert result.metrics.reassignments == 1
+        (task,) = result.report.tasks
+        assert (task.status, task.attempts, task.timeouts) == ("done", 2, 1)
+        done = {w["id"]: w["tasks_done"] for w in result.report.workers}
+        assert done == {"late": 0, "prompt": 1}
+        (journal,) = tmp_path.glob("journal-*.jsonl")
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [
+            r["fingerprint"] for r in records
+            if r["kind"] == "task" and r["status"] == "done"
+        ] == [task.fingerprint]
+
+
 def _mixed_points():
     """A regular and a voltage-stacked topology, two points each."""
     specs = [

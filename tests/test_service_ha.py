@@ -32,7 +32,7 @@ import pytest
 
 from repro.errors import FleetTransportError, ServiceUnavailableError
 from repro.runtime import PDNSpec, SweepEngine, SweepPoint
-from repro.runtime.fleet import ServiceFleet, run_worker
+from repro.runtime.fleet import Fleet, run_worker
 from repro.service import (
     ResultCache,
     ServiceClient,
@@ -492,9 +492,7 @@ class TestRetries:
 
 class TestServiceFleet:
     def test_fleet_answer_is_bit_identical_to_the_engine(self):
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, wait_s=20.0
-        )
+        fleet = Fleet("127.0.0.1:0", wait_s=20.0)
         address = fleet.start()
         worker = threading.Thread(
             target=run_worker,
@@ -505,7 +503,7 @@ class TestServiceFleet:
         worker.start()
         try:
             spec = _spec()
-            value = fleet.solve(spec, timeout_s=120.0)
+            value = fleet.solve(spec, extract=extract_summary, timeout_s=120.0)
         finally:
             fleet.close()
         worker.join(timeout=10.0)
@@ -521,13 +519,11 @@ class TestServiceFleet:
         assert fleet.counters()["tasks_done"] == 1
 
     def test_no_worker_starves_to_transport_error(self):
-        fleet = ServiceFleet(
-            "127.0.0.1:0", extract=extract_summary, wait_s=0.2
-        )
+        fleet = Fleet("127.0.0.1:0", wait_s=0.2)
         fleet.start()
         try:
             with pytest.raises(FleetTransportError, match="no fleet worker"):
-                fleet.solve(_spec(), timeout_s=30.0)
+                fleet.solve(_spec(), extract=extract_summary, timeout_s=30.0)
         finally:
             fleet.close()
 

@@ -2,7 +2,7 @@
 deadline.
 
 ``ServiceConfig(workers=2, task_timeout_s=120)`` gives the replica's
-:class:`~repro.runtime.fleet.ServiceFleet` two local children for its
+:class:`~repro.runtime.fleet.Fleet` two local children for its
 whole life.  These tests pin what that promises: answers byte-identical
 to a plain replica's from exactly two forks, two misses out on lease at
 once, a solve hung past its query's deadline answered 504 with its
@@ -225,7 +225,7 @@ def test_concurrent_misses_on_more_workers_than_cores():
     """Nine solves at once on three local workers (more than this suite
     assumes cores): every idle request held on the core's condition
     gets exactly one task, and every answer is the engine's."""
-    from repro.runtime.fleet import ServiceFleet
+    from repro.runtime.fleet import Fleet
 
     specs = [
         PDNSpec.regular(n, grid_nodes=TEST_GRID) for n in (2, 3, 4)
@@ -234,15 +234,14 @@ def test_concurrent_misses_on_more_workers_than_cores():
         for n in (2, 4)
         for c in (2, 4, 8)
     ]
-    fleet = ServiceFleet(
-        "127.0.0.1:0", extract=extract_summary, local_workers=3,
-        local_timeout_s=120.0,
-    )
+    fleet = Fleet("127.0.0.1:0", local_workers=3, local_timeout_s=120.0)
     fleet.start()
     answers = [None] * len(specs)
 
     def solve(index):
-        answers[index] = fleet.solve(specs[index], timeout_s=120.0)
+        answers[index] = fleet.solve(
+            specs[index], extract=extract_summary, timeout_s=120.0
+        )
 
     callers = [
         threading.Thread(target=solve, args=(i,), daemon=True)
