@@ -1,6 +1,6 @@
 """Ablations of the design choices DESIGN.md calls out, plus the
-extension studies (closed-loop control, inductive converters,
-thermally-coupled EM, trace-driven workloads).
+extension studies (inductive converters, thermally-coupled EM,
+trace-driven workloads).
 
 These are not paper figures; they quantify how sensitive the reproduced
 results are to the free modeling choices, and they exercise the
@@ -12,8 +12,7 @@ import numpy as np
 from conftest import BENCH_GRID
 
 from repro.analysis.tables import format_table
-from repro.core.scenarios import build_regular_pdn, build_stacked_pdn, stacked_stack
-from repro.pdn.closedloop import closed_loop_efficiency_gain
+from repro.core.scenarios import build_regular_pdn, build_stacked_pdn
 from repro.workload.imbalance import interleaved_layer_activities
 
 
@@ -50,37 +49,6 @@ def test_grid_resolution_sensitivity(benchmark, record_output):
     # The comparison's sign and rough magnitude are resolution-stable
     # from 12 nodes up.
     assert max(deltas[1:]) - min(deltas[1:]) < 1.0
-
-
-def test_closed_loop_control_extension(benchmark, record_output):
-    """Extension: system-level closed-loop frequency modulation (the
-    paper's future work) recovers open-loop parasitic losses."""
-
-    def evaluate():
-        stack = stacked_stack(8, grid_nodes=12)
-        rows = []
-        for imbalance in (0.1, 0.3, 0.5):
-            gains = closed_loop_efficiency_gain(
-                stack, 8, interleaved_layer_activities(8, imbalance)
-            )
-            rows.append(
-                (
-                    f"{imbalance:.0%}",
-                    gains["open_loop"] * 100,
-                    gains["closed_loop"] * 100,
-                    gains["gain"] * 100,
-                )
-            )
-        return rows
-
-    rows = benchmark.pedantic(evaluate, rounds=1, iterations=1)
-    text = format_table(
-        ["imbalance", "open loop (%)", "closed loop (%)", "gain (pts)"],
-        rows,
-        title="Extension: closed-loop converter control, 8 layers, 8 conv/core",
-    )
-    record_output(text, "extension_closed_loop")
-    assert all(r[3] > 0 for r in rows)
 
 
 def test_sc_vs_inductive_converters(benchmark, record_output):
@@ -212,48 +180,3 @@ def test_gem5_lite_vs_calibrated_workloads(benchmark, record_output):
     eme = {name: e.max_imbalance for name, e in emergent.items()}
     assert min(eme, key=eme.get) == "blackscholes"
     assert max(eme.values()) > 0.6
-
-
-def test_converter_placement_ablation(benchmark, record_output):
-    """Ablation: is the paper's uniform converter placement optimal?
-
-    A greedy placer with full freedom over converter sites barely beats
-    the uniform distribution even with a 100x-thinner on-chip metal —
-    the converter's own 0.6-ohm output impedance, not its location,
-    sets the V-S noise.  The paper's Sec. 3.2 assumption is safe.
-    """
-    from repro.config.stackups import StackConfig
-    from repro.config.technology import OnChipMetal
-    from repro.core.placement import GreedyConverterPlacer
-    from repro.utils.units import from_micro
-
-    def evaluate():
-        rows = []
-        for label, metal in (
-            ("Table-1 metal", None),
-            ("100x thinner metal", OnChipMetal(thickness=from_micro(7.2))),
-        ):
-            kwargs = {"metal": metal} if metal is not None else {}
-            placer = GreedyConverterPlacer(
-                StackConfig(n_layers=2, grid_nodes=12), imbalance=0.5, **kwargs
-            )
-            result = placer.optimise(budget_per_core=4)
-            rows.append(
-                (
-                    label,
-                    result.uniform_ir_drop * 100,
-                    result.ir_drop * 100,
-                    result.improvement * 100,
-                )
-            )
-        return rows
-
-    rows = benchmark.pedantic(evaluate, rounds=1, iterations=1)
-    text = format_table(
-        ["metal stack", "uniform (%Vdd)", "greedy (%Vdd)", "improvement (%)"],
-        rows,
-        title="Ablation: greedy vs uniform converter placement (2 layers, 4 conv/core)",
-    )
-    record_output(text, "ablation_converter_placement")
-    for _, uniform, greedy, _ in rows:
-        assert greedy <= uniform * 1.02  # greedy never materially worse

@@ -43,42 +43,6 @@ def test_noise_profile_distribution(benchmark, record_output):
     assert profiles["same-app"].mean < profiles["mixed"].mean
 
 
-def test_pdn_impedance_profile(benchmark, record_output):
-    """AC extension: PDN impedance vs frequency at the top-layer load."""
-    import numpy as np
-
-    from repro.core.scenarios import build_regular_pdn, build_stacked_pdn
-    from repro.grid.ac import pdn_impedance_profile
-
-    freqs = np.logspace(5, 10, 21)
-
-    def evaluate():
-        reg = build_regular_pdn(2, grid_nodes=10, package_inductor_nodes=True)
-        vs = build_stacked_pdn(
-            2, converters_per_core=8, grid_nodes=10, package_inductor_nodes=True
-        )
-        return (
-            pdn_impedance_profile(reg, frequencies=freqs),
-            pdn_impedance_profile(vs, frequencies=freqs),
-        )
-
-    reg_prof, vs_prof = benchmark.pedantic(evaluate, rounds=1, iterations=1)
-    from repro.analysis.tables import format_table
-
-    rows = [
-        (f"{f / 1e6:.2f}", r * 1e3, v * 1e3)
-        for f, r, v in zip(freqs, reg_prof.magnitude, vs_prof.magnitude)
-    ]
-    text = format_table(
-        ["frequency (MHz)", "regular |Z| (mOhm)", "V-S |Z| (mOhm)"],
-        rows,
-        title="Extension: PDN impedance profile at the top-layer load",
-    )
-    record_output(text, "extension_pdn_impedance")
-    assert np.all(np.isfinite(reg_prof.magnitude))
-    assert reg_prof.magnitude[-1] < reg_prof.magnitude[0]  # decap roll-off
-
-
 def test_frequency_guardbands(benchmark, record_output):
     """Translate the Fig. 6 noise numbers into frequency cost."""
     from repro.core.experiments.fig6 import compute_fig6

@@ -7,8 +7,7 @@ study depends on: a sparse MNA circuit engine, a VoltSpot-style 3D PDN
 model with regular and voltage-stacked topologies, Seeman-style SC
 converter compact models validated against a transient switched-cap
 simulator, Black's-equation EM array lifetimes, McPAT-lite power,
-ArchFP-lite floorplanning, PARSEC-like workload statistics, and a
-HotSpot-lite thermal screen.
+PARSEC-like workload statistics, and a HotSpot-lite thermal screen.
 
 Typical entry points::
 

@@ -9,16 +9,11 @@ from repro.analysis.export import (
     fig6_to_csv,
     fig8_to_csv,
 )
-from repro.analysis.heatmap import ascii_heatmap
-from repro.analysis.linechart import Series, ascii_linechart
 
 __all__ = [
     "format_table",
     "ascii_boxplot",
     "BoxStats",
-    "ascii_heatmap",
-    "Series",
-    "ascii_linechart",
     "export_json",
     "export_series_csv",
     "export_table_csv",

@@ -130,7 +130,6 @@ class PackageModel:
 
     The paper inherits VoltSpot's RLC package; all results in the paper
     are static IR drop, for which only the resistive component matters.
-    Inductance and decap are kept for the transient extension.
     """
 
     #: Total package + board spreading resistance (ohm) from the off-chip
@@ -139,15 +138,9 @@ class PackageModel:
     #: 8-layer Fig. 6 comparison lands on the paper's quoted deltas
     #: (V-S is ~0.75% Vdd above Reg/Dense at 65% imbalance).
     resistance: float = 0.28e-3
-    #: Package loop inductance (H), transient extension only.
-    inductance: float = 18e-12
-    #: On-package decoupling capacitance (F), transient extension only.
-    decap: float = 260e-6
 
     def __post_init__(self) -> None:
         check_nonnegative("resistance", self.resistance)
-        check_nonnegative("inductance", self.inductance)
-        check_nonnegative("decap", self.decap)
 
 
 @dataclass(frozen=True)

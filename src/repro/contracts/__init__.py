@@ -1,4 +1,4 @@
-"""Runtime physics contracts and hardened fixed-point iteration.
+"""Runtime physics contracts.
 
 The correctness firewall between the solvers and the results users
 consume:
@@ -8,9 +8,6 @@ consume:
 * :mod:`repro.contracts.report` — :class:`ContractReport` /
   :class:`ContractCheck`, severity policies and the ``REPRO_CONTRACTS``
   environment switch.
-* :mod:`repro.contracts.fixedpoint` — the shared hardened fixed-point
-  driver (adaptive damping, Anderson acceleration, oscillation and
-  divergence detection, graceful degradation).
 
 See ``docs/CONTRACTS.md`` for the full catalog and semantics.
 """
@@ -22,13 +19,6 @@ from repro.contracts.checks import (
     VOLTAGE_RELATIVE_MARGIN,
     check_em_monotonicity,
     check_pdn_result,
-)
-from repro.contracts.fixedpoint import (
-    FixedPointDivergence,
-    FixedPointResult,
-    absolute_residual,
-    fixed_point,
-    relative_residual,
 )
 from repro.contracts.report import (
     CONTRACTS_ENV,
@@ -52,11 +42,6 @@ __all__ = [
     "PASSIVITY_RELATIVE_TOLERANCE",
     "EFFICIENCY_TOLERANCE",
     "VOLTAGE_RELATIVE_MARGIN",
-    "fixed_point",
-    "FixedPointResult",
-    "FixedPointDivergence",
-    "relative_residual",
-    "absolute_residual",
     "ContractCheck",
     "ContractReport",
     "ContractPolicy",

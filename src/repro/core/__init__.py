@@ -7,9 +7,7 @@ result plus a formatted text rendering used by the benchmark harness.
 """
 
 from repro.core.explorer import DesignPoint, DesignSpaceExplorer, ExplorationResult
-from repro.core.guardband import AlphaPowerModel, fig6_guardbands
 from repro.core.noise_profile import NoiseProfile, NoiseProfiler
-from repro.core.placement import GreedyConverterPlacer, PlacedStackedPDN3D
 from repro.core.report import generate_report
 from repro.core.sensitivity import SensitivityAnalysis, SensitivityEntry
 from repro.core.scenarios import (
@@ -33,10 +31,6 @@ __all__ = [
     "ExplorationResult",
     "NoiseProfile",
     "NoiseProfiler",
-    "AlphaPowerModel",
-    "fig6_guardbands",
-    "GreedyConverterPlacer",
-    "PlacedStackedPDN3D",
     "generate_report",
     "SensitivityAnalysis",
     "SensitivityEntry",

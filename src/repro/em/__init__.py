@@ -22,20 +22,10 @@ from repro.em.array_mttf import (
     lognormal_failure_cdf,
 )
 from repro.em.montecarlo import MonteCarloLifetime, simulate_array_lifetime
-from repro.em.thermal_coupling import (
-    group_temperatures,
-    median_lifetimes_at_temperature,
-    thermally_coupled_lifetime,
-    uniform_temperature_lifetime,
-)
 
 __all__ = [
     "MonteCarloLifetime",
     "simulate_array_lifetime",
-    "group_temperatures",
-    "median_lifetimes_at_temperature",
-    "thermally_coupled_lifetime",
-    "uniform_temperature_lifetime",
     "C4_CROSS_SECTION",
     "TSV_CROSS_SECTION",
     "black_median_lifetime",

@@ -12,7 +12,6 @@ input rails) in series with the converter's output resistance, following
 the compact model of paper Fig. 2.
 """
 
-from repro.grid.ac import ACAnalysis, ImpedanceProfile, pdn_impedance_profile
 from repro.grid.backends import (
     Factorization,
     SolverBackend,
@@ -22,7 +21,6 @@ from repro.grid.backends import (
     resolve_backend,
     set_default_backend,
 )
-from repro.grid.dynamic import Capacitor, Inductor, TransientEngine, TransientTrace
 from repro.grid.netlist import Circuit, ElementRef
 from repro.grid.solution import Solution
 from repro.grid.solver import (
@@ -47,11 +45,4 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "set_default_backend",
-    "Capacitor",
-    "Inductor",
-    "TransientEngine",
-    "TransientTrace",
-    "ACAnalysis",
-    "ImpedanceProfile",
-    "pdn_impedance_profile",
 ]

@@ -6,18 +6,17 @@ into a registry of interchangeable :class:`SolverBackend` objects:
 
 ``lu`` (default)
     SuperLU via ``scipy.sparse.linalg.splu``, full partial pivoting.
-    Handles any nonsingular system, real or complex.  A real matrix
-    that equals its transpose bit for bit *and* has a non-positive
-    diagonal entry (a voltage-source constraint row: the regular 3D
-    PDN's symmetric-indefinite MNA system) is factorised in SuperLU
+    Handles any nonsingular system.  A matrix that equals its
+    transpose bit for bit *and* has a non-positive diagonal entry (a
+    voltage-source constraint row: the regular 3D PDN's
+    symmetric-indefinite MNA system) is factorised in SuperLU
     symmetric mode — ``MMD_AT_PLUS_A`` ordering, pivot threshold still
     1.0 — which stores ~2.8x fewer factor entries than the default
     COLAMD ordering on these grids.  Its solutions therefore differ
     from plain ``splu`` in round-off only, far inside the 1e-9
-    cross-backend tolerance.  Every
-    other system — the unsymmetric V-S matrices (symmetric mode gives
-    them ~1.7x *more* fill), SPD thermal grids (the ``cholesky``
-    backend's domain) and complex AC systems — keeps plain
+    cross-backend tolerance.  Every other system — the unsymmetric V-S
+    matrices (symmetric mode gives them ~1.7x *more* fill) and SPD
+    thermal grids (the ``cholesky`` backend's domain) — keeps plain
     ``splu(matrix)`` and its bit-identical answers.
 ``cholesky``
     For symmetric positive-definite systems (pure conductance networks:
@@ -156,8 +155,6 @@ def spd_screen(matrix) -> Optional[str]:
     """
     if matrix.shape[0] != matrix.shape[1]:
         return "matrix is not square"
-    if np.issubdtype(matrix.dtype, np.complexfloating):
-        return "complex-valued system"
     if matrix.shape[0] == 0:
         return None
     if _has_constraint_row(matrix):
@@ -169,7 +166,7 @@ def spd_screen(matrix) -> Optional[str]:
 
 
 def _has_constraint_row(matrix) -> bool:
-    """Whether a square real matrix has a diagonal entry <= 0."""
+    """Whether a square matrix has a diagonal entry <= 0."""
     return bool(np.any(matrix.diagonal() <= 0))
 
 
@@ -197,14 +194,13 @@ def jacobi_preconditioner(matrix) -> LinearOperator:
 
 
 def _symmetric_indefinite(matrix) -> bool:
-    """A real, exactly symmetric matrix that fails the SPD screen's diagonal test.
+    """An exactly symmetric matrix that fails the SPD screen's diagonal test.
 
     These are the regular PDN's MNA systems: a conductance block
     bordered by zero-diagonal voltage-source constraint rows.
     """
     return (
         matrix.shape[0] == matrix.shape[1]
-        and not np.issubdtype(matrix.dtype, np.complexfloating)
         and _has_constraint_row(matrix)
         and _asymmetry(matrix) == 0.0
     )

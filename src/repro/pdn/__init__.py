@@ -16,20 +16,13 @@ per-conductor C4/TSV current profile consumed by the EM analysis, and
 system power-efficiency bookkeeping.
 """
 
-from repro.pdn.closedloop import (
-    ClosedLoopResult,
-    ClosedLoopSystemSolver,
-    closed_loop_efficiency_gain,
-)
 from repro.pdn.geometry import GridGeometry, distribute_per_core, distribute_uniform
-from repro.pdn.hybrid3d import HybridPDN3D
 from repro.pdn.pads import PadArray, build_pad_array
 from repro.pdn.tsv import TSVArrays, build_tsv_arrays, tsv_topology_report
 from repro.pdn.results import ConductorGroup, PDNResult
 from repro.pdn.regular3d import RegularPDN3D
 from repro.pdn.regular_sc3d import RegularSCPDN3D
 from repro.pdn.stacked3d import StackedPDN3D
-from repro.pdn.transient import TransientPDNAnalysis
 
 __all__ = [
     "GridGeometry",
@@ -45,9 +38,4 @@ __all__ = [
     "RegularPDN3D",
     "RegularSCPDN3D",
     "StackedPDN3D",
-    "HybridPDN3D",
-    "TransientPDNAnalysis",
-    "ClosedLoopResult",
-    "ClosedLoopSystemSolver",
-    "closed_loop_efficiency_gain",
 ]

@@ -36,10 +36,6 @@ BOARD_GND = ("board", "gnd")
 BOARD_VDD = ("board", "vdd")
 PKG_VDD = ("pkg", "vdd")
 PKG_GND = ("pkg", "gnd")
-#: Inductor-side package nodes, present only when the PDN is built with
-#: ``package_inductor_nodes=True`` (transient analysis).
-PKG_VDD_IND = ("pkg", "vdd.ind")
-PKG_GND_IND = ("pkg", "gnd.ind")
 
 
 def add_net_grid(
@@ -122,15 +118,8 @@ class BasePDN3D:
         tsv: Optional[TSVTechnology] = None,
         metal: Optional[OnChipMetal] = None,
         package: Optional[PackageModel] = None,
-        package_inductor_nodes: bool = False,
     ):
         self.stack = stack
-        #: When True the package branch is left open between the
-        #: resistor-side and pad-side nodes; the transient analysis
-        #: closes it with the package inductors.  A plain DC solve of
-        #: such a PDN would be singular — this flag is for
-        #: :class:`repro.pdn.transient.TransientPDNAnalysis` only.
-        self.package_inductor_nodes = package_inductor_nodes
         self.c4 = c4 or default_c4()
         self.tsv = tsv or default_tsv()
         self.metal = metal or default_metal()
@@ -167,12 +156,8 @@ class BasePDN3D:
         circuit = self.circuit
         circuit.add_voltage_source(BOARD_VDD, BOARD_GND, voltage, tag="supply")
         pkg_r = max(self.package.resistance, 1e-9)
-        if self.package_inductor_nodes:
-            circuit.add_resistor(BOARD_VDD, PKG_VDD_IND, pkg_r, tag="pkg.vdd")
-            circuit.add_resistor(PKG_GND_IND, BOARD_GND, pkg_r, tag="pkg.gnd")
-        else:
-            circuit.add_resistor(BOARD_VDD, PKG_VDD, pkg_r, tag="pkg.vdd")
-            circuit.add_resistor(PKG_GND, BOARD_GND, pkg_r, tag="pkg.gnd")
+        circuit.add_resistor(BOARD_VDD, PKG_VDD, pkg_r, tag="pkg.vdd")
+        circuit.add_resistor(PKG_GND, BOARD_GND, pkg_r, tag="pkg.gnd")
 
     def _add_layer_loads(self) -> None:
         """Constant-current loads at every cell of every layer.

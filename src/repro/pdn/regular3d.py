@@ -41,7 +41,6 @@ class RegularPDN3D(BasePDN3D):
         tsv: Optional[TSVTechnology] = None,
         metal: Optional[OnChipMetal] = None,
         package: Optional[PackageModel] = None,
-        package_inductor_nodes: bool = False,
     ):
         super().__init__(
             stack,
@@ -49,7 +48,6 @@ class RegularPDN3D(BasePDN3D):
             tsv=tsv,
             metal=metal,
             package=package,
-            package_inductor_nodes=package_inductor_nodes,
         )
         self.pad_array = build_pad_array(stack, self.c4, self.geometry)
         self.tsv_arrays = build_tsv_arrays(stack, self.tsv, self.geometry)

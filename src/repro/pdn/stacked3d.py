@@ -62,13 +62,8 @@ class StackedPDN3D(BasePDN3D):
         (the Fig. 6 / Fig. 8 sweep variable; paper studies 2-8).
     converter_spec:
         Converter electrical parameters; the compact model derives the
-        stamped ``RSERIES`` and the parasitic shunt from it.
-    converter_fsw:
-        Switching frequency for the stamped compact model: ``None``
-        (nominal, open loop), a scalar (all banks), or a sequence of
-        ``n_layers - 1`` per-rail frequencies (a closed-loop outer loop
-        rebuilds the PDN with modulated per-bank frequencies — see
-        :mod:`repro.pdn.closedloop`).
+        stamped ``RSERIES`` and the parasitic shunt from it at its
+        nominal switching frequency.
     """
 
     def __init__(
@@ -76,12 +71,10 @@ class StackedPDN3D(BasePDN3D):
         stack: StackConfig,
         converters_per_core: int = 8,
         converter_spec: Optional[SCConverterSpec] = None,
-        converter_fsw: Optional[float] = None,
         c4: Optional[C4Technology] = None,
         tsv: Optional[TSVTechnology] = None,
         metal: Optional[OnChipMetal] = None,
         package: Optional[PackageModel] = None,
-        package_inductor_nodes: bool = False,
     ):
         if stack.n_layers < 2:
             raise ValueError("voltage stacking requires at least 2 layers")
@@ -92,21 +85,10 @@ class StackedPDN3D(BasePDN3D):
             tsv=tsv,
             metal=metal,
             package=package,
-            package_inductor_nodes=package_inductor_nodes,
         )
         self.converters_per_core = converters_per_core
         self.converter_spec = converter_spec or default_sc_spec()
         self.compact_model = SCCompactModel(self.converter_spec)
-        if converter_fsw is None or np.isscalar(converter_fsw):
-            self.rail_fsw = [converter_fsw] * (stack.n_layers - 1)
-        else:
-            self.rail_fsw = [float(f) for f in converter_fsw]
-            if len(self.rail_fsw) != stack.n_layers - 1:
-                raise ValueError(
-                    f"converter_fsw must have {stack.n_layers - 1} per-rail "
-                    f"entries, got {len(self.rail_fsw)}"
-                )
-        self.converter_fsw = converter_fsw
         self.pad_array = build_pad_array(stack, self.c4, self.geometry)
         self.tsv_arrays = build_tsv_arrays(stack, self.tsv, self.geometry)
         self._converter_multiplicity: Optional[np.ndarray] = None
@@ -173,12 +155,13 @@ class StackedPDN3D(BasePDN3D):
             )
 
         # SC converter banks regulating every intermediate rail.
-        conv_cells = self._converter_cells()
+        # The paper's uniform per-core distribution.
+        conv_cells = distribute_per_core(self.geometry, self.converters_per_core)
         cj, ci, cm = cells_to_arrays(conv_cells)
         multiplicities = []
+        r_series = self.compact_model.r_series()
+        r_par = self.compact_model.r_par()
         for rail in range(1, n):
-            r_series = self.compact_model.r_series(self.rail_fsw[rail - 1])
-            r_par = self.compact_model.r_par(self.rail_fsw[rail - 1])
             top_ids = self.vdd_ids[rail][cj, ci]      # rail + 1
             bottom_ids = self.gnd_ids[rail - 1][cj, ci]  # rail - 1
             mid_ids = self.vdd_ids[rail - 1][cj, ci]  # rail (output)
@@ -197,15 +180,6 @@ class StackedPDN3D(BasePDN3D):
         self._converter_multiplicity = np.concatenate(multiplicities)
 
         self._add_layer_loads()
-
-    # ------------------------------------------------------------------
-    def _converter_cells(self):
-        """Grid cells (with multiplicities) hosting each rail's bank.
-
-        The base model follows the paper's uniform per-core
-        distribution; placement studies override this hook.
-        """
-        return distribute_per_core(self.geometry, self.converters_per_core)
 
     # ------------------------------------------------------------------
     def _make_result(self, solution) -> PDNResult:

@@ -29,7 +29,7 @@ from repro.utils.validation import check_fraction, check_positive
 class ComponentSpec:
     """One architectural component of a core tile."""
 
-    #: Component name (floorplan block name).
+    #: Component name.
     name: str
     #: Fraction of the core tile's area.
     area_fraction: float

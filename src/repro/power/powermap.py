@@ -1,22 +1,55 @@
 """Power maps: per-grid-cell power for one silicon layer.
 
 The PDN and thermal models consume a ``PowerMap``: a ``g x g`` array of
-watts aligned with the model grid over the die.  Maps are built either
-uniformly (fast, used in sweeps) or by rasterising a floorplan's block
-powers with exact area weighting (used when spatial detail matters).
+watts aligned with the model grid over the die.  Each core's power is
+spread over its square tile of the die with exact area weighting.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from repro.config.stackups import StackConfig
 from repro.errors import ReproError
-from repro.floorplan.blocks import Rect
 from repro.power.mcpat_lite import CorePowerModel
 from repro.utils.validation import check_fraction, check_positive, check_positive_int
+
+
+@dataclass(frozen=True)
+class Rect:
+    """An axis-aligned rectangle (metres); ``(x, y)`` is the lower-left."""
+
+    x: float
+    y: float
+    width: float
+    height: float
+
+    def __post_init__(self) -> None:
+        check_positive("width", self.width)
+        check_positive("height", self.height)
+
+    @property
+    def area(self) -> float:
+        return self.width * self.height
+
+    @property
+    def x2(self) -> float:
+        return self.x + self.width
+
+    @property
+    def y2(self) -> float:
+        return self.y + self.height
+
+    def overlap_area(self, other: "Rect") -> float:
+        """Area of intersection with ``other`` (0 if disjoint)."""
+        dx = min(self.x2, other.x2) - max(self.x, other.x)
+        dy = min(self.y2, other.y2) - max(self.y, other.y)
+        if dx <= 0 or dy <= 0:
+            return 0.0
+        return dx * dy
 
 
 class PowerMap:
@@ -85,36 +118,6 @@ def uniform_power_map(
     return PowerMap(cells, die_side)
 
 
-def rasterize_blocks(
-    block_rects: Mapping[str, Rect],
-    block_powers: Mapping[str, float],
-    die_side: float,
-    grid_nodes: int,
-) -> PowerMap:
-    """Rasterise block powers onto the grid with exact area weighting.
-
-    Each block's power is distributed over grid cells in proportion to
-    the block/cell overlap area, so the map total equals the sum of block
-    powers regardless of resolution.
-    """
-    check_positive("die_side", die_side)
-    check_positive_int("grid_nodes", grid_nodes)
-    cell = die_side / grid_nodes
-    grid = np.zeros((grid_nodes, grid_nodes))
-    for name, power in block_powers.items():
-        if not np.isfinite(power):
-            raise ReproError(f"block {name!r} has NaN/Inf power")
-        if power < 0:
-            raise ValueError(f"block {name!r} has negative power")
-        if name not in block_rects:
-            raise KeyError(f"no rectangle for block {name!r}")
-        rect = block_rects[name]
-        if rect.area <= 0:
-            continue
-        _add_rect_power(grid, rect, power / rect.area, cell)
-    return PowerMap(grid, die_side)
-
-
 def _add_rect_power(grid: np.ndarray, rect: Rect, density: float, cell: float) -> None:
     """Add ``density`` times each cell's overlap area with ``rect`` to ``grid``.
 
@@ -150,9 +153,10 @@ def layer_power_map(
     activity: float = 1.0,
     core_activities: Optional[np.ndarray] = None,
     core_model: Optional[CorePowerModel] = None,
-    floorplanned: bool = False,
 ) -> PowerMap:
     """Power map of one silicon layer of the example processor.
+
+    Each core's power is spread uniformly over its square tile.
 
     Parameters
     ----------
@@ -166,14 +170,7 @@ def layer_power_map(
         out row-major over the core grid.
     core_model:
         Component power model; defaults to the calibrated A9-class model.
-    floorplanned:
-        If True, rasterise component-level block powers through the
-        ArchFP-lite floorplan (slower, spatially detailed).  If False,
-        spread each core's power uniformly over its tile.
     """
-    from repro.floorplan.slicing import floorplan_blocks
-    from repro.floorplan.blocks import Block
-
     processor = stack.processor
     model = core_model or CorePowerModel(processor)
     rows = cols = int(round(np.sqrt(processor.core_count)))
@@ -198,26 +195,8 @@ def layer_power_map(
     g = stack.grid_nodes
     grid = np.zeros((g, g))
     tile = die_side / rows
-    if floorplanned:
-        core_blocks = [
-            Block(c.name, c.area_fraction * processor.core_area)
-            for c in model.components
-        ]
-        rects: Dict[str, Rect] = {}
-        powers: Dict[str, float] = {}
-        for r in range(rows):
-            for c in range(cols):
-                outline = Rect(c * tile, r * tile, tile, tile)
-                placed = floorplan_blocks(core_blocks, outline)
-                comp_power = model.component_powers(core_activities[r * cols + c])
-                for name, rect in placed.items():
-                    key = f"core{r}_{c}.{name}"
-                    rects[key] = rect
-                    powers[key] = comp_power[name]
-        return rasterize_blocks(rects, powers, die_side, g)
-
-    # Uniform-per-core fast path: accumulate each core tile's power over
-    # the cells it covers (grid_nodes need not divide evenly by rows).
+    # Accumulate each core tile's power over the cells it covers
+    # (grid_nodes need not divide evenly by rows).
     cell = die_side / g
     for r in range(rows):
         for c in range(cols):

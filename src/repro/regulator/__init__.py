@@ -4,7 +4,8 @@ The paper implements a 2:1 push-pull SC converter (Fig. 1) in 28 nm
 CMOS, fits Seeman's output-impedance compact model (Fig. 2, Eq. 1-2),
 validates the fit against Spectre transient simulation (Fig. 3), and
 extends the two-load converter into a multi-output ladder for many-layer
-stacks.  This package reproduces each of those pieces:
+stacks (stamped by :class:`repro.pdn.StackedPDN3D`).  This package
+reproduces the converter pieces:
 
 * :mod:`compact` — the RSSL/RFSL/RSERIES/RPAR compact model.
 * :mod:`control` — open-loop and closed-loop frequency modulation.
@@ -14,25 +15,8 @@ stacks.  This package reproduces each of those pieces:
 * :mod:`area` — converter area under different capacitor technologies.
 """
 
-# NOTE: the ladder *topology vectors* function is exported as
-# ``ladder_topology`` because ``repro.regulator.ladder`` is a submodule.
-from repro.regulator.charge_multipliers import (
-    TOPOLOGY_FAMILIES,
-    TopologyVectors,
-    best_family_for_ratio,
-    dickson,
-    ladder as ladder_topology,
-    series_parallel,
-    two_to_one_push_pull,
-)
 from repro.regulator.compact import SCCompactModel, OperatingPoint
 from repro.regulator.control import ClosedLoopControl, ControlPolicy, OpenLoopControl
-from repro.regulator.inductive import (
-    BuckCompactModel,
-    BuckConverterSpec,
-    compare_sc_vs_buck,
-)
-from repro.regulator.ladder import LadderDesign, design_ladder
 from repro.regulator.switchcap_sim import SwitchCapSimulator, TransientResult
 from repro.regulator.area import converter_area, converters_area_overhead
 
@@ -42,18 +26,6 @@ __all__ = [
     "ControlPolicy",
     "OpenLoopControl",
     "ClosedLoopControl",
-    "BuckCompactModel",
-    "BuckConverterSpec",
-    "compare_sc_vs_buck",
-    "LadderDesign",
-    "design_ladder",
-    "TOPOLOGY_FAMILIES",
-    "TopologyVectors",
-    "best_family_for_ratio",
-    "dickson",
-    "ladder_topology",
-    "series_parallel",
-    "two_to_one_push_pull",
     "SwitchCapSimulator",
     "TransientResult",
     "converter_area",

@@ -17,33 +17,10 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.config.converters import SCConverterSpec
-from repro.utils.validation import check_fraction, check_positive
-
-
-@dataclass
-class SettledOperatingPoint:
-    """Self-consistent (frequency, current, voltage) regulation point.
-
-    Produced by :meth:`ControlPolicy.settle` for a constant-*power* load:
-    the drawn current depends on the output voltage, which depends on the
-    commanded frequency, which depends on the current.  ``degraded``
-    marks a best-residual iterate of a non-converged loop.
-    """
-
-    #: Compact-model operating point at the accepted current.
-    operating_point: object
-    #: Accepted load current (A).
-    load_current: float
-    converged: bool
-    degraded: bool = False
-    iterations: int = 0
-    residual_trace: List[float] = field(default_factory=list)
+from repro.utils.validation import check_fraction
 
 
 class ControlPolicy(ABC):
@@ -57,64 +34,6 @@ class ControlPolicy(ABC):
     @abstractmethod
     def name(self) -> str:
         """Human-readable policy name."""
-
-    def settle(
-        self,
-        model,
-        v_top: float,
-        v_bottom: float,
-        load_power: float,
-        tolerance: float = 1e-9,
-        max_iterations: int = 60,
-        on_failure: str = "degrade",
-        anderson_m: int = 0,
-    ) -> SettledOperatingPoint:
-        """Resolve the policy's fixed point for a constant-power load.
-
-        Iterates ``I -> P / V_out(fsw(I), I)`` on the shared hardened
-        driver (:func:`repro.contracts.fixedpoint.fixed_point`), so the
-        returned point is self-consistent: the frequency commanded for
-        the settled current reproduces the output voltage the current
-        was computed from.  ``model`` is a
-        :class:`repro.regulator.compact.SCCompactModel`.
-        """
-        from repro.contracts.fixedpoint import FixedPointDivergence, fixed_point
-
-        check_positive("load_power", load_power)
-        ideal = 0.5 * (v_top + v_bottom)
-        if ideal <= 0:
-            raise ValueError("mid-rail voltage must be positive")
-        ops: List[object] = []
-
-        def step(current_vec: np.ndarray) -> np.ndarray:
-            current = float(current_vec[0])
-            fsw = self.frequency(model.spec, current)
-            op = model.operating_point(v_top, v_bottom, current, fsw=fsw)
-            ops.append(op)
-            if op.output_voltage <= 0.05 * ideal:
-                raise FixedPointDivergence(
-                    f"output collapsed to {op.output_voltage:.3g} V under "
-                    f"{load_power:.3g} W load (unsupportable operating point)"
-                )
-            return np.array([load_power / op.output_voltage])
-
-        fp = fixed_point(
-            step,
-            np.array([load_power / ideal]),
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            anderson_m=anderson_m,
-            on_failure=on_failure,
-        )
-        accepted: Optional[object] = ops[fp.best_iteration - 1] if ops else None
-        return SettledOperatingPoint(
-            operating_point=accepted,
-            load_current=float(fp.x[0]),
-            converged=fp.converged,
-            degraded=fp.degraded,
-            iterations=fp.iterations,
-            residual_trace=list(fp.residual_trace),
-        )
 
 
 @dataclass(frozen=True)

@@ -27,19 +27,9 @@ from repro.workload.imbalance import (
     interleaved_layer_activities,
     layer_powers_from_activities,
 )
-from repro.workload.gem5_lite import (
-    GEM5_WORKLOADS,
-    MicroWorkload,
-    gem5_sample_suite,
-    simulate_activity_windows,
-)
 from repro.workload.sampling import SampleSet, sample_suite, schedule_stack
 
 __all__ = [
-    "GEM5_WORKLOADS",
-    "MicroWorkload",
-    "gem5_sample_suite",
-    "simulate_activity_windows",
     "PARSEC_APPLICATIONS",
     "ApplicationProfile",
     "average_max_imbalance",

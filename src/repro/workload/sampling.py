@@ -91,33 +91,3 @@ def schedule_stack(
         samples = sample_sets[app].dynamic_powers
         dynamics.append(float(samples[gen.integers(len(samples))]))
     return adjacent_imbalances(dynamics)
-
-
-def expected_scheduling_gain(
-    sample_sets: Dict[str, SampleSet],
-    n_layers: int,
-    trials: int = 200,
-    rng: SeedLike = None,
-) -> Dict[str, float]:
-    """Monte-Carlo comparison of same-app vs mixed-app stack scheduling.
-
-    Returns mean worst-pair imbalance for both policies; the gap is the
-    benefit of the paper's same-application scheduling recommendation.
-    """
-    if n_layers < 2:
-        raise ValueError("n_layers must be >= 2")
-    gen = make_rng(rng)
-    names = list(sample_sets)
-    same_app: List[float] = []
-    mixed: List[float] = []
-    for _ in range(trials):
-        app = names[gen.integers(len(names))]
-        same_app.append(
-            float(schedule_stack(sample_sets, [app] * n_layers, gen).max())
-        )
-        apps = [names[gen.integers(len(names))] for _ in range(n_layers)]
-        mixed.append(float(schedule_stack(sample_sets, apps, gen).max()))
-    return {
-        "same_application": float(np.mean(same_app)),
-        "mixed_applications": float(np.mean(mixed)),
-    }

@@ -78,8 +78,6 @@ class TestPackageModel:
     def test_defaults_positive(self):
         pkg = PackageModel()
         assert pkg.resistance > 0
-        assert pkg.inductance > 0
-        assert pkg.decap > 0
 
     def test_rejects_negative_resistance(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
-"""Physics contracts: severity routing, the hardened driver, degradation."""
+"""Physics contracts: severity routing, the PDN checks, roll-ups."""
 
-import numpy as np
 import pytest
 
 from repro.config.stackups import PadAllocation, ProcessorSpec, StackConfig, few_tsv
@@ -9,19 +8,14 @@ from repro.contracts import (
     ContractPolicy,
     ContractReport,
     ContractWarning,
-    FixedPointDivergence,
     check_em_monotonicity,
     check_pdn_result,
     contract_policy,
     enforce,
-    fixed_point,
     policy_from_env,
 )
-from repro.errors import ContractViolationError, ConvergenceError, ReproError
+from repro.errors import ContractViolationError, ReproError
 from repro.faults import FaultPlan
-from repro.pdn.closedloop import ClosedLoopSystemSolver
-from repro.power.thermal_feedback import LeakageThermalLoop, ThermalRunawayError
-from repro.thermal.grid3d import ThermalConfig
 
 from tests.conftest import TEST_GRID
 
@@ -34,116 +28,6 @@ def _stack(n_layers: int) -> StackConfig:
         pads=PadAllocation(power_fraction=0.25),
         grid_nodes=TEST_GRID,
     )
-
-
-# ----------------------------------------------------------------------
-# fixed_point driver
-# ----------------------------------------------------------------------
-class TestFixedPointDriver:
-    def test_converges_on_contraction(self):
-        # g(x) = 0.5 x + 1 has the fixed point x = 2.
-        fp = fixed_point(
-            lambda x: 0.5 * x + 1.0, [0.0], tolerance=1e-12, max_iterations=100
-        )
-        assert fp.converged and not fp.degraded
-        assert fp.x[0] == pytest.approx(2.0, abs=1e-10)
-        assert fp.residual_trace[0] > fp.residual_trace[-1]
-        assert fp.best_iteration == fp.iterations
-
-    def test_plain_picard_is_bit_exact(self):
-        # With d == 1 the accepted iterate is the step output itself,
-        # not x + 1.0 * (g - x) (which rounds differently).
-        outputs = []
-
-        def step(x):
-            g = 0.3 * x + 0.123456789
-            outputs.append(g.copy())
-            return g
-
-        fp = fixed_point(step, [1.0], tolerance=1e-9, max_iterations=50)
-        assert fp.converged
-        assert fp.x[0] == outputs[-1][0]  # bitwise identical
-
-    def test_min_iterations_blocks_first_iterate(self):
-        # Start exactly at the fixed point: residual 0 at k=1, but
-        # min_iterations=2 forces a second evaluation (legacy semantics).
-        fp = fixed_point(
-            lambda x: x.copy(), [3.0], tolerance=1e-9, max_iterations=10,
-            min_iterations=2,
-        )
-        assert fp.converged
-        assert fp.iterations == 2
-
-    def test_oscillation_flagged_without_damping(self):
-        # g(x) = 1 - x flips between 0 and 1 forever.
-        fp = fixed_point(
-            lambda x: 1.0 - x, [0.0], tolerance=1e-6, max_iterations=12,
-            adaptive_damping=False,
-        )
-        assert not fp.converged and fp.degraded
-        assert fp.oscillating
-        assert len(fp.residual_trace) == 12
-
-    def test_damping_resolves_oscillation(self):
-        # With adaptive damping the same map settles onto x = 0.5.
-        fp = fixed_point(
-            lambda x: 1.0 - x, [0.0], tolerance=1e-6, max_iterations=60
-        )
-        assert fp.converged
-        assert fp.x[0] == pytest.approx(0.5, abs=1e-5)
-        assert fp.damping < 1.0
-
-    def test_divergence_detected_from_residual_growth(self):
-        # g(x) = x^2 from x0=2: the relative residual |x - 1| explodes.
-        fp = fixed_point(
-            lambda x: x * x, [2.0], tolerance=1e-9, max_iterations=200,
-            adaptive_damping=False,
-        )
-        assert fp.diverged and fp.degraded
-        assert "residual grew" in fp.reason
-        assert fp.iterations < 200  # aborted early
-
-    def test_step_declared_divergence(self):
-        def step(x):
-            raise FixedPointDivergence("model left its validity range")
-
-        fp = fixed_point(step, [1.0], tolerance=1e-9, max_iterations=10)
-        assert fp.diverged and fp.degraded and not fp.converged
-        assert fp.reason == "model left its validity range"
-
-    def test_on_failure_raise_carries_diagnostics(self):
-        with pytest.raises(ConvergenceError) as excinfo:
-            fixed_point(
-                lambda x: 1.0 - x, [0.0], tolerance=1e-6, max_iterations=5,
-                adaptive_damping=False, on_failure="raise",
-            )
-        diagnostics = excinfo.value.diagnostics
-        assert diagnostics.degraded and diagnostics.oscillating
-
-    def test_anderson_accelerates_stiff_linear_map(self):
-        # A slow contraction (rate 0.95): Anderson solves the secant
-        # system exactly for affine maps, far fewer iterations.
-        def step(x):
-            return 0.95 * x + 1.0
-
-        plain = fixed_point(step, [0.0], tolerance=1e-10, max_iterations=500)
-        accelerated = fixed_point(
-            step, [0.0], tolerance=1e-10, max_iterations=500, anderson_m=2
-        )
-        assert plain.converged and accelerated.converged
-        assert accelerated.x[0] == pytest.approx(20.0, rel=1e-8)
-        assert accelerated.iterations < plain.iterations / 5
-
-    def test_argument_validation(self):
-        step = lambda x: x  # noqa: E731
-        with pytest.raises(ValueError):
-            fixed_point(step, [0.0], tolerance=-1.0, max_iterations=5)
-        with pytest.raises(ValueError):
-            fixed_point(step, [0.0], tolerance=1e-6, max_iterations=5, damping=1.5)
-        with pytest.raises(ValueError):
-            fixed_point(
-                step, [0.0], tolerance=1e-6, max_iterations=5, on_failure="explode"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -251,85 +135,6 @@ class TestPDNContracts:
     def test_check_pdn_result_degraded_hint(self, stacked_result):
         report = check_pdn_result(stacked_result, degraded=True)
         assert report.degraded
-
-
-# ----------------------------------------------------------------------
-# graceful degradation of the hardened loops (satellite: divergence paths)
-# ----------------------------------------------------------------------
-class _FlipFlopPolicy:
-    """Pathological controller: frequency alternates every evaluation."""
-
-    def __init__(self):
-        self.calls = 0
-
-    @property
-    def name(self):
-        return "flip-flop"
-
-    def frequency(self, spec, load_current):
-        self.calls += 1
-        return spec.switching_frequency * (1.0 if self.calls % 2 else 0.25)
-
-
-class TestLoopDegradation:
-    def test_oscillating_closed_loop_degrades_not_crashes(self, small_stack):
-        solver = ClosedLoopSystemSolver(
-            small_stack, converters_per_core=4, policy=_FlipFlopPolicy()
-        )
-        solved = solver.solve(layer_activities=[1.0, 0.2])
-        assert not solved.converged
-        assert solved.degraded
-        assert solved.oscillating
-        # The best-residual operating point is still usable.
-        assert solved.result is not None
-        assert 0.0 < solved.result.efficiency() <= 1.0
-        assert len(solved.residual_trace) == solved.iterations
-
-    def test_thermally_unstable_stack_raise_policy(self):
-        loop = LeakageThermalLoop(
-            _stack(8),
-            ThermalConfig(sink_resistance=1.5),
-            leakage_temp_coefficient=0.12,
-        )
-        with pytest.raises(ThermalRunawayError, match="leakage exploded"):
-            loop.converge()
-
-    def test_thermally_unstable_stack_degrade_policy(self):
-        loop = LeakageThermalLoop(
-            _stack(8),
-            ThermalConfig(sink_resistance=1.5),
-            leakage_temp_coefficient=0.12,
-        )
-        point = loop.converge(policy="degrade")
-        assert point.degraded and not point.converged
-        assert point.power_maps and point.thermal is not None
-        assert np.isfinite(point.total_power)
-
-    def test_thermal_policy_validated(self):
-        loop = LeakageThermalLoop(_stack(2))
-        with pytest.raises(ValueError, match="policy"):
-            loop.converge(policy="ignore")
-
-    def test_stable_thermal_loop_still_converges(self):
-        point = LeakageThermalLoop(_stack(2)).converge()
-        assert point.converged and not point.degraded
-        assert np.isfinite(point.leakage_uplift)
-
-    def test_regulator_settle_converges(self):
-        from repro.config.converters import default_sc_spec
-        from repro.regulator.compact import SCCompactModel
-        from repro.regulator.control import ClosedLoopControl
-
-        model = SCCompactModel(default_sc_spec())
-        settled = ClosedLoopControl().settle(
-            model, v_top=2.0, v_bottom=0.0, load_power=0.05
-        )
-        assert settled.converged and not settled.degraded
-        op = settled.operating_point
-        # Self-consistency: the accepted current reproduces the power.
-        assert settled.load_current * op.output_voltage == pytest.approx(
-            0.05, rel=1e-6
-        )
 
 
 # ----------------------------------------------------------------------

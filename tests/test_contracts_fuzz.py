@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.config.stackups import PadAllocation, ProcessorSpec, StackConfig, few_tsv
-from repro.contracts import absolute_residual, check_em_monotonicity, fixed_point
+from repro.contracts import check_em_monotonicity
 from repro.errors import ContractViolationError
 from repro.faults import FaultPlan
 from repro.pdn.regular3d import RegularPDN3D
@@ -114,52 +114,6 @@ class TestPDNFuzz:
             activities[bad] = rng.choice([np.nan, np.inf, -np.inf])
             with pytest.raises(ReproError, match=f"layer_activities\\[{bad}\\]"):
                 pdn.solve(layer_activities=activities)
-
-
-# ----------------------------------------------------------------------
-# fixed-point driver: contraction maps converge, expansions degrade
-# ----------------------------------------------------------------------
-class TestDriverFuzz:
-    def test_random_contractions_converge(self):
-        rng = np.random.default_rng(SEED + 3)
-        for _ in range(_budget(0.5)):
-            n = int(rng.integers(1, 5))
-            a = rng.standard_normal((n, n))
-            radius = max(np.abs(np.linalg.eigvals(a)))
-            a *= rng.uniform(0.1, 0.9) / max(radius, 1e-12)
-            b = rng.standard_normal(n)
-            anderson = int(rng.integers(0, 3))
-            # Absolute residual: the relative metric spikes when an
-            # iterate component crosses zero, which is measurement noise
-            # here, not divergence.
-            fp = fixed_point(
-                lambda x: a @ x + b,
-                rng.standard_normal(n),
-                tolerance=1e-10,
-                max_iterations=2000,
-                residual_fn=absolute_residual,
-                anderson_m=anderson,
-            )
-            assert fp.converged and not fp.degraded
-            exact = np.linalg.solve(np.eye(n) - a, b)
-            np.testing.assert_allclose(fp.x, exact, rtol=1e-6, atol=1e-8)
-
-    def test_random_expansions_degrade_gracefully(self):
-        rng = np.random.default_rng(SEED + 4)
-        for _ in range(_budget(0.25)):
-            scale = rng.uniform(1.5, 4.0)
-            fp = fixed_point(
-                lambda x: scale * x + 1.0,
-                [float(rng.uniform(0.5, 2.0))],
-                tolerance=1e-10,
-                max_iterations=60,
-                adaptive_damping=False,
-            )
-            # Never an exception under on_failure="degrade": the result
-            # is flagged and carries the full residual trace.
-            assert not fp.converged and fp.degraded
-            assert len(fp.residual_trace) == fp.iterations
-            assert fp.reason
 
 
 # ----------------------------------------------------------------------

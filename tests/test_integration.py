@@ -1,13 +1,13 @@
 """Cross-feature integration scenarios.
 
 Each test chains several subsystems the way a study would: workload
-generation feeding PDN solves feeding EM/thermal/guardband analyses.
+generation feeding PDN solves feeding noise/guardband analyses, and an
+experiment's result feeding its export.
 """
 
-import numpy as np
 import pytest
 
-from repro.config.stackups import ProcessorSpec, StackConfig
+from repro.config.stackups import ProcessorSpec
 
 GRID = 8
 
@@ -26,55 +26,6 @@ class TestGem5DrivenNoise:
         assert 0 < profiles["mixed"].worst < 0.2
 
 
-class TestHybridInTheExplorerStyle:
-    def test_hybrid_em_vs_noise_tradeoff(self):
-        """The multi-story sweep produces the expected Pareto shape:
-        EM improves with height while noise is non-monotone."""
-        from repro.em import (
-            C4_CROSS_SECTION,
-            expected_em_lifetime,
-            median_lifetimes_from_currents,
-        )
-        from repro.pdn.hybrid3d import HybridPDN3D
-        from repro.workload.imbalance import interleaved_layer_activities
-
-        stack = StackConfig(n_layers=4, grid_nodes=GRID)
-        acts = interleaved_layer_activities(4, 0.5)
-        lifetimes = {}
-        drops = {}
-        for h in (1, 2, 4):
-            result = HybridPDN3D(stack, story_height=h, converters_per_core=8).solve(
-                layer_activities=acts
-            )
-            drops[h] = result.max_ir_drop_fraction()
-            lifetimes[h] = expected_em_lifetime(
-                median_lifetimes_from_currents(
-                    result.conductor_currents("c4"), C4_CROSS_SECTION
-                )
-            )
-        assert lifetimes[4] > lifetimes[2] > lifetimes[1]
-        assert drops[2] <= max(drops[1], drops[4])
-
-
-class TestThermalAwareEMPipeline:
-    def test_full_chain(self):
-        """Leakage loop -> PDN solve with coupled maps -> per-tier EM."""
-        from repro.core.scenarios import build_regular_pdn
-        from repro.em.thermal_coupling import thermally_coupled_lifetime
-        from repro.power.thermal_feedback import LeakageThermalLoop
-
-        stack = StackConfig(n_layers=2, grid_nodes=GRID)
-        op = LeakageThermalLoop(stack).converge()
-        pdn = build_regular_pdn(2, grid_nodes=GRID)
-        result = pdn.solve(power_maps=op.power_maps)
-        life = thermally_coupled_lifetime(result, op.thermal, "tsv")
-        assert life > 0
-        # The coupled power maps differ from the nominal by the leakage
-        # temperature correction, so the solve consumed them.
-        nominal = pdn.solve().load_power()
-        assert result.load_power() != pytest.approx(nominal, rel=1e-6)
-
-
 class TestGuardbandOverNoiseProfile:
     def test_statistical_guardband(self):
         """P95-based guardbanding: combine the noise distribution with
@@ -91,19 +42,6 @@ class TestGuardbandOverNoiseProfile:
         p95_band = model.guardband_for_droop(profile.percentile(95))
         worst_band = model.guardband_for_droop(profile.worst)
         assert 0 < p95_band <= worst_band < 0.5
-
-
-class TestClosedLoopOnHybrid:
-    def test_placed_pdn_solves_with_custom_frequency(self):
-        """Explicit placement composes with per-rail frequency override."""
-        from repro.core.placement import PlacedStackedPDN3D
-        from repro.pdn.geometry import GridGeometry, distribute_per_core
-
-        stack = StackConfig(n_layers=2, grid_nodes=GRID)
-        cells = distribute_per_core(GridGeometry.from_stack(stack), 4)
-        pdn = PlacedStackedPDN3D(stack, cells, converter_fsw=[25e6])
-        result = pdn.solve()
-        assert result.max_ir_drop_fraction() > 0
 
 
 class TestExportPipeline:

@@ -1,4 +1,4 @@
-"""Power maps and floorplan rasterisation."""
+"""Power maps and their area-weighted rasterisation."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.stackups import ProcessorSpec, StackConfig
-from repro.floorplan.blocks import Rect
 from repro.power.mcpat_lite import CorePowerModel
 from repro.power.powermap import (
     PowerMap,
+    Rect,
+    _add_rect_power,
     layer_power_map,
-    rasterize_blocks,
     uniform_power_map,
 )
 
@@ -65,44 +65,6 @@ class TestPowerMap:
             PowerMap(np.zeros((2, 3)), 1e-3)
 
 
-class TestRasterize:
-    def test_conserves_block_power(self):
-        die = 1e-3
-        rects = {"a": Rect(0, 0, die / 2, die), "b": Rect(die / 2, 0, die / 2, die)}
-        powers = {"a": 3.0, "b": 1.0}
-        pm = rasterize_blocks(rects, powers, die, 8)
-        assert pm.total_power == pytest.approx(4.0)
-
-    def test_spatial_assignment(self):
-        die = 1e-3
-        rects = {"left": Rect(0, 0, die / 2, die)}
-        pm = rasterize_blocks(rects, {"left": 2.0}, die, 4)
-        # All power in the left half of the grid.
-        assert pm.cell_power[:, :2].sum() == pytest.approx(2.0)
-        assert pm.cell_power[:, 2:].sum() == pytest.approx(0.0)
-
-    def test_missing_rect_rejected(self):
-        with pytest.raises(KeyError):
-            rasterize_blocks({}, {"ghost": 1.0}, 1e-3, 4)
-
-    def test_negative_power_rejected(self):
-        rects = {"a": Rect(0, 0, 1e-3, 1e-3)}
-        with pytest.raises(ValueError):
-            rasterize_blocks(rects, {"a": -1.0}, 1e-3, 4)
-
-    @given(st.integers(min_value=2, max_value=12))
-    @settings(max_examples=20, deadline=None)
-    def test_power_conserved_at_any_resolution(self, grid):
-        die = 1e-3
-        rects = {
-            "a": Rect(0.1e-3, 0.2e-3, 0.3e-3, 0.5e-3),
-            "b": Rect(0.5e-3, 0.1e-3, 0.4e-3, 0.7e-3),
-        }
-        powers = {"a": 1.7, "b": 0.4}
-        pm = rasterize_blocks(rects, powers, die, grid)
-        assert pm.total_power == pytest.approx(2.1, rel=1e-9)
-
-
 class TestLayerPowerMap:
     def test_peak_total(self, stack):
         pm = layer_power_map(stack, activity=1.0)
@@ -119,11 +81,6 @@ class TestLayerPowerMap:
         proc = stack.processor
         expected = proc.leakage_power + proc.dynamic_power / proc.core_count
         assert pm.total_power == pytest.approx(expected, rel=1e-6)
-
-    def test_floorplanned_matches_uniform_total(self, stack):
-        uniform = layer_power_map(stack, activity=0.7)
-        detailed = layer_power_map(stack, activity=0.7, floorplanned=True)
-        assert detailed.total_power == pytest.approx(uniform.total_power, rel=1e-6)
 
     def test_wrong_activity_shape_rejected(self, stack):
         with pytest.raises(ValueError):
@@ -164,6 +121,27 @@ def _per_cell_loop_power_map(stack, core_activities):
             outline = Rect(c * tile, r * tile, tile, tile)
             _per_cell_add(grid, outline, power / outline.area, cell)
     return grid
+
+
+class TestRect:
+    def test_area(self):
+        assert Rect(0, 0, 2, 3).area == 6
+
+    def test_corners(self):
+        r = Rect(1, 2, 3, 4)
+        assert r.x2 == 4 and r.y2 == 6
+
+    def test_overlap_area(self):
+        a = Rect(0, 0, 2, 2)
+        b = Rect(1, 1, 2, 2)
+        assert a.overlap_area(b) == pytest.approx(1.0)
+
+    def test_disjoint_overlap_is_zero(self):
+        assert Rect(0, 0, 1, 1).overlap_area(Rect(5, 5, 1, 1)) == 0.0
+
+    def test_rejects_zero_size(self):
+        with pytest.raises(ValueError):
+            Rect(0, 0, 0, 1)
 
 
 class TestRasterizationOracle:
@@ -208,17 +186,14 @@ class TestRasterizationOracle:
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_rasterize_blocks_matches_per_cell_loop(self, grid, boxes):
-        """Blocks may hang over, or lie wholly off, the die's edge."""
+    def test_rect_accumulation_matches_per_cell_loop(self, grid, boxes):
+        """Rects may hang over, or lie wholly off, the die's edge."""
         die = 1e-3
-        rects = {
-            f"b{k}": Rect(x * die, y * die, w * die, h * die)
-            for k, (x, y, w, h, _) in enumerate(boxes)
-        }
-        powers = {f"b{k}": p for k, (*_, p) in enumerate(boxes)}
         cell = die / grid
         expected = np.zeros((grid, grid))
-        for name, power in powers.items():
-            _per_cell_add(expected, rects[name], power / rects[name].area, cell)
-        pm = rasterize_blocks(rects, powers, die, grid)
-        assert np.array_equal(pm.cell_power, expected)
+        accumulated = np.zeros((grid, grid))
+        for x, y, w, h, power in boxes:
+            rect = Rect(x * die, y * die, w * die, h * die)
+            _per_cell_add(expected, rect, power / rect.area, cell)
+            _add_rect_power(accumulated, rect, power / rect.area, cell)
+        assert np.array_equal(accumulated, expected)

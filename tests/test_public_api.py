@@ -24,7 +24,6 @@ class TestPublicSurface:
             "repro.config",
             "repro.grid",
             "repro.power",
-            "repro.floorplan",
             "repro.workload",
             "repro.regulator",
             "repro.pdn",

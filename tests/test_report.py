@@ -44,9 +44,12 @@ class TestReport:
         assert main(["noise", "--grid", "8", "--layers", "2", "--trials", "5"]) == 0
         assert "mixed" in capsys.readouterr().out
 
-    def test_cli_fig6_csv_export(self, tmp_path, capsys):
+    @pytest.mark.parametrize("figure", ["fig6", "fig8"])
+    def test_cli_csv_export(self, figure, tmp_path, capsys):
         from repro.cli import main
 
-        out = tmp_path / "fig6.csv"
-        assert main(["fig6", "--grid", "8", "--layers", "2", "--csv", str(out)]) == 0
-        assert out.exists()
+        out = tmp_path / f"{figure}.csv"
+        assert main([figure, "--grid", "8", "--layers", "2", "--csv", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header.startswith("imbalance,vs_2_conv_per_core")
+        assert rows

@@ -63,10 +63,6 @@ class TestBuilders:
         pdn = build_stacked_pdn(2, converters_per_core=6, grid_nodes=GRID)
         assert pdn.converters_per_core == 6
 
-    def test_stacked_builder_inductor_nodes(self):
-        pdn = build_stacked_pdn(2, grid_nodes=GRID, package_inductor_nodes=True)
-        assert pdn.package_inductor_nodes
-
 
 class TestFig5Accessors:
     @pytest.fixture(scope="class")

@@ -153,10 +153,6 @@ class TestSPDScreen:
         matrix, _ = _spd_system()
         assert spd_screen(matrix) is None
 
-    def test_complex_matrix_rejected(self):
-        matrix = sp.identity(4, dtype=complex, format="csc")
-        assert "complex" in spd_screen(matrix)
-
     def test_pdn_saddle_point_rejected(self, stacked_pdn):
         matrix = stacked_pdn.assembled()._matrix
         assert spd_screen(matrix) is not None
@@ -309,13 +305,6 @@ def _thermal_matrix():
     return thermal._assembled._matrix
 
 
-def _ac_matrix():
-    from repro.grid.ac import ACAnalysis
-
-    pdn = build_regular_pdn(2, grid_nodes=TEST_GRID)
-    return ACAnalysis(pdn.circuit)._system(2 * np.pi * 1e8)[0]
-
-
 def _floating_node_pdn():
     """A regular PDN with every resistor on one mesh node opened."""
     from repro.grid.netlist import RESISTOR
@@ -352,9 +341,8 @@ class TestLUOrdering:
                 n_layers=4, converters_per_core=4, grid_nodes=TEST_GRID
             ).assembled()._matrix,
             _thermal_matrix,
-            _ac_matrix,
         ],
-        ids=["stacked", "thermal-spd", "ac-complex"],
+        ids=["stacked", "thermal-spd"],
     )
     def test_other_systems_stay_bit_identical_to_splu(self, system):
         matrix = system()
@@ -363,7 +351,7 @@ class TestLUOrdering:
         assert fact.ordering == "general"
         assert fact.factor_entries == reference.nnz
         rng = np.random.default_rng(5)
-        rhs = rng.standard_normal((matrix.shape[0], 3)).astype(matrix.dtype)
+        rhs = rng.standard_normal((matrix.shape[0], 3))
         np.testing.assert_array_equal(fact.solve(rhs), reference.solve(rhs))
 
     @pytest.mark.parametrize("grid", [4, 5, 6])

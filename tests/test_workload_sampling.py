@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config.stackups import ProcessorSpec
-from repro.workload.sampling import (
-    expected_scheduling_gain,
-    sample_suite,
-    schedule_stack,
-)
+from repro.workload.sampling import sample_suite, schedule_stack
 
 
 @pytest.fixture(scope="module")
@@ -54,15 +50,3 @@ class TestScheduleStack:
     def test_single_layer_rejected(self, suite):
         with pytest.raises(ValueError):
             schedule_stack(suite, ["x264"])
-
-
-class TestSchedulingGain:
-    def test_same_app_scheduling_reduces_imbalance(self, suite):
-        """The paper's scheduling recommendation: same-application
-        stacks show materially lower worst-pair imbalance."""
-        gains = expected_scheduling_gain(suite, n_layers=4, trials=150, rng=5)
-        assert gains["same_application"] < gains["mixed_applications"]
-
-    def test_rejects_single_layer(self, suite):
-        with pytest.raises(ValueError):
-            expected_scheduling_gain(suite, n_layers=1)
