@@ -41,30 +41,3 @@ def test_noise_profile_distribution(benchmark, record_output):
     lines.append(f"  same-app scheduling cuts mean noise by {gain:.0%}")
     record_output("\n".join(lines), "tool_noise_profile")
     assert profiles["same-app"].mean < profiles["mixed"].mean
-
-
-def test_frequency_guardbands(benchmark, record_output):
-    """Translate the Fig. 6 noise numbers into frequency cost."""
-    from repro.core.experiments.fig6 import compute_fig6
-    from repro.core.guardband import AlphaPowerModel, fig6_guardbands
-
-    def evaluate():
-        result = compute_fig6(n_layers=8, grid_nodes=12)
-        return result, fig6_guardbands(result, imbalance=0.6)
-
-    result, bands = benchmark.pedantic(evaluate, rounds=1, iterations=1)
-    from repro.analysis.tables import format_table
-
-    rows = [
-        (name, None if value is None else value * 100)
-        for name, value in bands.items()
-    ]
-    text = format_table(
-        ["design", "frequency guardband (%)"],
-        rows,
-        title="Design aid: frequency guardband at 60% workload imbalance "
-        "(alpha-power law, Vth=0.35V)",
-    )
-    record_output(text, "tool_frequency_guardbands")
-    finite = [v for v in bands.values() if v is not None]
-    assert all(0 < v < 0.5 for v in finite)

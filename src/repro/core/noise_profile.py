@@ -57,8 +57,7 @@ class NoiseProfiler:
         reused for every sampled operating point.
     sample_sets:
         Per-application workload samples (from
-        :func:`repro.workload.sampling.sample_suite` or the gem5-lite
-        generator).
+        :func:`repro.workload.sampling.sample_suite`).
     """
 
     def __init__(
@@ -124,32 +123,3 @@ class NoiseProfiler:
             "mixed": self.profile("mixed", trials, gen),
             "same-app": self.profile("same-app", trials, gen),
         }
-
-    def profile_trace(
-        self,
-        layer_apps: Sequence[str],
-        n_windows: int = 50,
-        rng: SeedLike = None,
-    ) -> NoiseProfile:
-        """Quasi-static noise over a *temporal* window sequence.
-
-        Each layer runs its assigned application; every 2k-cycle window
-        draws that application's next activity sample and the PDN is
-        re-solved (RHS-only).  Unlike :meth:`profile`, consecutive
-        samples describe one execution's noise-vs-time, so the result's
-        ``samples`` array is an ordered time series (the worst entry is
-        the trace's voltage-noise high-water mark).
-        """
-        if len(layer_apps) != self.pdn.stack.n_layers:
-            raise ValueError(
-                f"need one application per layer "
-                f"({self.pdn.stack.n_layers}), got {len(layer_apps)}"
-            )
-        check_positive_int("n_windows", n_windows)
-        gen = make_rng(rng)
-        drops = np.empty(n_windows)
-        for k in range(n_windows):
-            activities = self._activities_for(layer_apps, gen)
-            result = self.pdn.solve(layer_activities=activities)
-            drops[k] = result.max_ir_drop_fraction()
-        return NoiseProfile(samples=drops, policy="trace")

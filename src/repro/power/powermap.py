@@ -152,7 +152,6 @@ def layer_power_map(
     stack: StackConfig,
     activity: float = 1.0,
     core_activities: Optional[np.ndarray] = None,
-    core_model: Optional[CorePowerModel] = None,
 ) -> PowerMap:
     """Power map of one silicon layer of the example processor.
 
@@ -168,11 +167,9 @@ def layer_power_map(
     core_activities:
         Optional per-core activity factors, length ``core_count``, laid
         out row-major over the core grid.
-    core_model:
-        Component power model; defaults to the calibrated A9-class model.
     """
     processor = stack.processor
-    model = core_model or CorePowerModel(processor)
+    model = CorePowerModel(processor)
     rows = cols = int(round(np.sqrt(processor.core_count)))
     if rows * cols != processor.core_count:
         raise ValueError("core_count must be a perfect square for the tile layout")

@@ -11,7 +11,6 @@ reproduces the converter pieces:
 * :mod:`control` — open-loop and closed-loop frequency modulation.
 * :mod:`switchcap_sim` — a piecewise-linear time-domain simulator of the
   switch/fly-cap network (the "circuit simulation" of Fig. 3).
-* :mod:`ladder` — the scalable multi-output ladder arrangement.
 * :mod:`area` — converter area under different capacitor technologies.
 """
 

@@ -49,13 +49,14 @@ JOURNAL_SCHEMA = 1
 
 def atomic_write_text(
     path: Union[str, pathlib.Path],
-    text: str,
+    text: Union[str, bytes],
     durable: bool = True,
     tmp_token: Optional[str] = None,
-) -> pathlib.Path:
+) -> None:
     """Write ``text`` to ``path`` atomically (tmp file, fsync, rename).
 
-    The containing directory is fsync'd too when the platform allows
+    ``text`` is written as UTF-8; bytes are written as they are.  The
+    containing directory is fsync'd too when the platform allows
     it, so the rename itself survives a crash.  ``durable=False`` skips
     both fsyncs: readers still never observe a torn file (the rename is
     what guarantees that), but an OS crash may lose the write — the
@@ -69,28 +70,31 @@ def atomic_write_text(
     tmp file could rename a torn mix of both payloads.  Tokened tmp
     files still match the ``*.tmp`` glob of :func:`clean_stale_tmp`.
     """
-    path = pathlib.Path(path)
-    suffix = f".{tmp_token}.tmp" if tmp_token else ".tmp"
-    tmp = path.with_name(path.name + suffix)
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
+    path = os.fspath(path)
+    data = text.encode("utf-8") if isinstance(text, str) else text
+    tmp = f"{path}.{tmp_token}.tmp" if tmp_token else f"{path}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
         if durable:
-            os.fsync(handle.fileno())
+            os.fsync(fd)
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
     if not durable:
-        return path
+        return
     try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
+        dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     except OSError:  # pragma: no cover - e.g. platforms without dir fds
-        return path
+        return
     try:
         os.fsync(dir_fd)
     except OSError:  # pragma: no cover
         pass
     finally:
         os.close(dir_fd)
-    return path
 
 
 def clean_stale_tmp(directory: Union[str, pathlib.Path]) -> List[pathlib.Path]:

@@ -437,19 +437,25 @@ class ResultCache:
         """
         payload = dict(payload)
         canonical = _canonical_json(payload)
-        record = {
-            "schema": CACHE_SCHEMA,
-            "fingerprint": fingerprint,
-            "payload": payload,
+        head = {
+            "checksum": _checksum(canonical),
             "created": time.time(),
             "epoch": self.epoch,
-            "checksum": _checksum(canonical),
+            "fingerprint": fingerprint,
         }
-        text = json.dumps(record, sort_keys=True) + "\n"
-        path = self.directory / f"{_PREFIX}{fingerprint}{_SUFFIX}"
+        record = dict(head, payload=payload, schema=CACHE_SCHEMA)
+        # The record's sorted-keys JSON, with the payload's canonical
+        # bytes spliced in: "payload" and "schema" sort after every key
+        # of ``head``.
+        data = b'%s, "payload": %s, "schema": %d}\n' % (
+            json.dumps(head, sort_keys=True)[:-1].encode("utf-8"),
+            canonical,
+            CACHE_SCHEMA,
+        )
+        path = os.path.join(self.directory, f"{_PREFIX}{fingerprint}{_SUFFIX}")
         atomic_write_text(
             path,
-            text,
+            data,
             durable=False,
             tmp_token=f"{os.getpid()}-{threading.get_ident()}",
         )
@@ -458,10 +464,11 @@ class ResultCache:
         except OSError:
             stamp = None  # evicted by a peer already: the next get misses
         now = time.time()
+        kept = pathlib.Path(path)
         with self._lock:
             self._index[fingerprint] = _Stored(
-                path=path,
-                size=len(text.encode("utf-8")),
+                path=kept,
+                size=len(data),
                 used_at=now,
                 created_at=now,
                 record=record,
@@ -470,7 +477,7 @@ class ResultCache:
             )
             self.writes += 1
             self._evict_over_cap(protect=fingerprint)
-        return path
+        return kept
 
     # ------------------------------------------------------------------
     # Offline inspection (the ``repro cache`` CLI)

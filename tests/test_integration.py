@@ -1,47 +1,12 @@
 """Cross-feature integration scenarios.
 
-Each test chains several subsystems the way a study would: workload
-generation feeding PDN solves feeding noise/guardband analyses, and an
-experiment's result feeding its export.
+An experiment's result feeding its export, the way a study would chain
+them.
 """
 
 import pytest
 
-from repro.config.stackups import ProcessorSpec
-
 GRID = 8
-
-
-class TestGem5DrivenNoise:
-    def test_emergent_workloads_drive_the_profiler(self):
-        """gem5-lite sample sets drop into the noise profiler."""
-        from repro.core.noise_profile import NoiseProfiler
-        from repro.core.scenarios import build_stacked_pdn
-        from repro.workload.gem5_lite import gem5_sample_suite
-
-        pdn = build_stacked_pdn(2, converters_per_core=8, grid_nodes=GRID)
-        suite = gem5_sample_suite(ProcessorSpec(), n_windows=200, rng=4)
-        profiles = NoiseProfiler(pdn, suite).compare_policies(trials=15, rng=2)
-        assert profiles["same-app"].mean <= profiles["mixed"].mean * 1.1
-        assert 0 < profiles["mixed"].worst < 0.2
-
-
-class TestGuardbandOverNoiseProfile:
-    def test_statistical_guardband(self):
-        """P95-based guardbanding: combine the noise distribution with
-        the alpha-power model (margin to cover 95% of operating points)."""
-        from repro.core.guardband import AlphaPowerModel
-        from repro.core.noise_profile import NoiseProfiler
-        from repro.core.scenarios import build_stacked_pdn
-        from repro.workload.sampling import sample_suite
-
-        pdn = build_stacked_pdn(2, converters_per_core=8, grid_nodes=GRID)
-        suite = sample_suite(ProcessorSpec(), n_samples=200, rng=6)
-        profile = NoiseProfiler(pdn, suite).profile("mixed", trials=20, rng=3)
-        model = AlphaPowerModel()
-        p95_band = model.guardband_for_droop(profile.percentile(95))
-        worst_band = model.guardband_for_droop(profile.worst)
-        assert 0 < p95_band <= worst_band < 0.5
 
 
 class TestExportPipeline:

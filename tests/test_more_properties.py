@@ -1,39 +1,12 @@
 """Second round of property-based tests across the substrates."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.heatmap import DEFAULT_RAMP, ascii_heatmap
 from repro.analysis.tables import format_table
 from repro.config.stackups import ProcessorSpec
-from repro.regulator.charge_multipliers import dickson, ladder, series_parallel
 from repro.regulator.compact import SCCompactModel
-from repro.workload.gem5_lite import GEM5_WORKLOADS
-
-
-class TestHeatmapProperties:
-    @given(
-        st.integers(min_value=1, max_value=8),
-        st.integers(min_value=1, max_value=8),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_renders_any_field(self, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        field = rng.uniform(-5, 5, size=(rows, cols))
-        text = ascii_heatmap(field)
-        body = text.splitlines()[:-1]
-        assert len(body) == rows
-        assert all(len(line) == cols for line in body)
-        assert all(ch in DEFAULT_RAMP for line in body for ch in line)
-
-    @given(st.floats(min_value=-100, max_value=100))
-    @settings(max_examples=25, deadline=None)
-    def test_constant_fields_render_cold(self, value):
-        text = ascii_heatmap(np.full((2, 3), value))
-        assert text.splitlines()[0] == DEFAULT_RAMP[0] * 3
 
 
 class TestTableProperties:
@@ -53,30 +26,6 @@ class TestTableProperties:
         lines = text.splitlines()
         widths = {len(line) for line in lines}
         assert len(widths) == 1  # perfectly rectangular output
-
-
-class TestChargeMultiplierProperties:
-    @given(st.integers(min_value=2, max_value=12))
-    @settings(max_examples=30, deadline=None)
-    def test_sums_positive_and_ordered(self, ratio):
-        sp = series_parallel(ratio)
-        la = ladder(ratio)
-        dk = dickson(ratio)
-        for t in (sp, la, dk):
-            assert t.sum_ac > 0 and t.sum_ar > 0
-        # Ladder SSL never beats series-parallel (equal at N=2).
-        assert la.sum_ac >= sp.sum_ac - 1e-12
-
-    @given(
-        st.integers(min_value=2, max_value=8),
-        st.floats(min_value=1e-9, max_value=1e-7),
-        st.floats(min_value=1e6, max_value=1e9),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_rssl_scaling_laws(self, ratio, cap, fsw):
-        t = series_parallel(ratio)
-        assert t.r_ssl(2 * cap, fsw) == pytest.approx(t.r_ssl(cap, fsw) / 2)
-        assert t.r_ssl(cap, 2 * fsw) == pytest.approx(t.r_ssl(cap, fsw) / 2)
 
 
 class TestConverterModelProperties:
@@ -103,30 +52,6 @@ class TestConverterModelProperties:
         sink = model.operating_point(2.0, 0.0, -load)
         assert source.series_loss == pytest.approx(sink.series_loss)
         assert source.parasitic_loss == pytest.approx(sink.parasitic_loss)
-
-
-class TestGem5Properties:
-    @given(st.sampled_from(sorted(GEM5_WORKLOADS)), st.integers(0, 1000))
-    @settings(max_examples=30, deadline=None)
-    def test_cpi_monotone_in_miss_rate(self, name, seed):
-        w = GEM5_WORKLOADS[name]
-        rng = np.random.default_rng(seed)
-        a, b = sorted(rng.uniform(0.0, 0.2, size=2))
-        assert w.cpi(a) <= w.cpi(b) + 1e-12
-
-    @given(st.sampled_from(sorted(GEM5_WORKLOADS)))
-    @settings(max_examples=13, deadline=None)
-    def test_phase_extremes_bound_the_windows(self, name):
-        from repro.workload.gem5_lite import simulate_activity_windows
-
-        w = GEM5_WORKLOADS[name]
-        acts = simulate_activity_windows(w, 300, rng=7)
-        lo = w.activity(w.miss_rate_high)
-        hi = w.activity(w.miss_rate_low)
-        # Jitter is lognormal-small; windows stay near the phase band
-        # (clipped to the physical [0, 1] activity range).
-        assert acts.min() > lo * 0.7
-        assert acts.max() <= min(1.0, hi * 1.3)
 
 
 class TestProcessorProperties:

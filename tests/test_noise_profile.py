@@ -61,30 +61,3 @@ class TestScheduling:
         pdn = build_stacked_pdn(2, grid_nodes=GRID)
         with pytest.raises(ValueError):
             NoiseProfiler(pdn, {})
-
-
-class TestTraceProfiling:
-    def test_trace_is_ordered_time_series(self, profiler):
-        trace = profiler.profile_trace(
-            ["x264", "blackscholes", "canneal", "ferret"], n_windows=12, rng=4
-        )
-        assert trace.policy == "trace"
-        assert len(trace.samples) == 12
-        assert trace.worst >= trace.mean
-
-    def test_trace_reproducible(self, profiler):
-        apps = ["vips"] * 4
-        a = profiler.profile_trace(apps, n_windows=8, rng=9)
-        b = profiler.profile_trace(apps, n_windows=8, rng=9)
-        assert np.array_equal(a.samples, b.samples)
-
-    def test_steady_app_trace_quieter_than_bursty(self, profiler):
-        steady = profiler.profile_trace(
-            ["blackscholes"] * 4, n_windows=15, rng=2
-        )
-        bursty = profiler.profile_trace(["x264"] * 4, n_windows=15, rng=2)
-        assert steady.worst <= bursty.worst + 1e-9
-
-    def test_wrong_layer_count_rejected(self, profiler):
-        with pytest.raises(ValueError, match="per layer"):
-            profiler.profile_trace(["x264"], n_windows=4)

@@ -82,6 +82,37 @@ class TestLazyImports:
         assert self._heavy_after(code, tmp_path) == "[]"
 
 
+class TestNoOrphanModules:
+    """Importing the two entry points loads every ``src/repro`` module
+    but three, each loaded by one command: ``python -m repro`` runs
+    ``__main__``, ``trace`` imports ``obs.profile`` and ``dash`` imports
+    ``service.dash``.  A module that neither entry point nor a command
+    imports is on no command's path."""
+
+    def test_entry_points_load_every_module(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        modules = set()
+        for path in (src / "repro").rglob("*.py"):
+            parts = path.relative_to(src).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            modules.add(".".join(parts))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro.cli, repro.service\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('repro')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        loaded = set(out.stdout.split())
+        assert modules - loaded == {
+            "repro.__main__", "repro.obs.profile", "repro.service.dash"
+        }
+
+
 class TestQuickstartFlow:
     def test_docstring_example_runs(self):
         pdn = repro.build_stacked_pdn(

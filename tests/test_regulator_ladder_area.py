@@ -1,43 +1,10 @@
-"""Ladder arrangement bookkeeping and converter area accounting."""
+"""Converter area accounting."""
 
 import pytest
 
 from repro.config.converters import default_sc_spec
 from repro.config.stackups import ProcessorSpec
 from repro.regulator.area import converter_area, converters_area_overhead
-from repro.regulator.ladder import design_ladder
-
-
-class TestLadderDesign:
-    def test_banks_count(self):
-        ladder = design_ladder(n_layers=8, converters_per_core=4)
-        assert ladder.banks == 7
-        assert ladder.intermediate_rails == tuple(range(1, 8))
-
-    def test_rail_span(self):
-        ladder = design_ladder(n_layers=4, converters_per_core=2)
-        assert ladder.rail_span(2) == (3, 1)
-
-    def test_rail_span_rejects_endpoints(self):
-        ladder = design_ladder(n_layers=4, converters_per_core=2)
-        with pytest.raises(ValueError):
-            ladder.rail_span(0)
-        with pytest.raises(ValueError):
-            ladder.rail_span(4)
-
-    def test_total_converters(self):
-        ladder = design_ladder(n_layers=3, converters_per_core=8)
-        assert ladder.total_converters(core_count=16) == 2 * 8 * 16
-
-    def test_mismatch_capability(self):
-        ladder = design_ladder(n_layers=2, converters_per_core=4)
-        assert ladder.max_mismatch_current_per_core() == pytest.approx(0.4)
-        assert ladder.supports_imbalance(0.35)
-        assert not ladder.supports_imbalance(0.45)
-
-    def test_single_layer_rejected(self):
-        with pytest.raises(ValueError):
-            design_ladder(n_layers=1, converters_per_core=2)
 
 
 class TestAreaAccounting:

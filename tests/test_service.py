@@ -123,6 +123,21 @@ class TestResultCache:
         assert not entry.stale
         assert cache.hits == 1 and cache.writes == 1
 
+    def test_put_writes_the_sorted_keys_record(self, tmp_path):
+        cache = ResultCache(tmp_path / "c", epoch='e-"1"').open()
+        payload = {
+            "zeta": [1, 2.5, None], "alpha": {"b": True, "a": "µ\n"},
+            "efficiency": 0.1 + 0.2,
+        }
+        path = cache.put("fp-é", payload)
+        record = cache._index["fp-é"].record
+        assert record == json.loads(path.read_bytes())
+        assert record["payload"] == payload and record["epoch"] == 'e-"1"'
+        assert path.read_bytes() == (
+            json.dumps(record, sort_keys=True) + "\n"
+        ).encode("utf-8")
+        assert cache._index["fp-é"].size == path.stat().st_size
+
     def test_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "c").open()
         assert cache.get("nope") is None
