@@ -10,8 +10,9 @@ distributions calibrated to the statistics the paper quotes:
 * the maximum imbalance across all samples exceeds 90%,
 * the *average* per-application maximum imbalance is ~65%.
 
-It also provides the interleaved "high-low" layer-activity pattern used
-as the stress benchmark of Fig. 6.
+It also provides the interleaved "high-low" layer-power pattern used as
+the stress benchmark of Fig. 6 and the imbalance metrics shared by all
+experiments.
 """
 
 from repro.workload.parsec import (
@@ -20,15 +21,24 @@ from repro.workload.parsec import (
     average_max_imbalance,
     sample_application_powers,
 )
-from repro.workload.imbalance import interleaved_layer_activities
-from repro.workload.sampling import SampleSet, sample_suite
+from repro.workload.imbalance import (
+    adjacent_imbalances,
+    imbalance_ratio,
+    interleaved_layer_activities,
+    layer_powers_from_activities,
+)
+from repro.workload.sampling import SampleSet, sample_suite, schedule_stack
 
 __all__ = [
     "PARSEC_APPLICATIONS",
     "ApplicationProfile",
     "average_max_imbalance",
     "sample_application_powers",
+    "adjacent_imbalances",
+    "imbalance_ratio",
     "interleaved_layer_activities",
+    "layer_powers_from_activities",
     "SampleSet",
     "sample_suite",
+    "schedule_stack",
 ]

@@ -1,4 +1,4 @@
-"""Workload imbalance and the Fig. 6 layer stress pattern.
+"""Workload-imbalance definitions and layer power patterns.
 
 The paper defines X% workload imbalance between two adjacent layers as
 the low-power layer consuming X% less *dynamic* power than the high-power
@@ -9,9 +9,36 @@ with X%-reduced layers so every intermediate rail sees the same mismatch.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro.config.stackups import ProcessorSpec
 from repro.utils.validation import check_fraction, check_positive_int
+
+
+def imbalance_ratio(dynamic_high: float, dynamic_low: float) -> float:
+    """Imbalance between two layers from their dynamic powers (0..1).
+
+    ``(D_high - D_low) / D_high``; by convention 0 when both are idle.
+    """
+    if dynamic_high < 0 or dynamic_low < 0:
+        raise ValueError("dynamic powers must be non-negative")
+    if dynamic_high < dynamic_low:
+        dynamic_high, dynamic_low = dynamic_low, dynamic_high
+    if dynamic_high == 0:
+        return 0.0
+    return (dynamic_high - dynamic_low) / dynamic_high
+
+
+def adjacent_imbalances(layer_dynamic_powers: Sequence[float]) -> np.ndarray:
+    """Imbalance ratio for every adjacent layer pair, bottom-up."""
+    powers = np.asarray(layer_dynamic_powers, dtype=float)
+    if powers.ndim != 1 or len(powers) < 2:
+        raise ValueError("need at least two layer powers")
+    return np.array(
+        [imbalance_ratio(powers[i], powers[i + 1]) for i in range(len(powers) - 1)]
+    )
 
 
 def interleaved_layer_activities(n_layers: int, imbalance: float) -> np.ndarray:
@@ -27,3 +54,10 @@ def interleaved_layer_activities(n_layers: int, imbalance: float) -> np.ndarray:
     activities = np.ones(n_layers)
     activities[1::2] = 1.0 - imbalance
     return activities
+
+
+def layer_powers_from_activities(
+    processor: ProcessorSpec, activities: Sequence[float]
+) -> np.ndarray:
+    """Convert per-layer activity factors to per-layer power (W)."""
+    return np.array([processor.layer_power(a) for a in activities])

@@ -1,22 +1,25 @@
-"""Statistical sampling of application power.
+"""Statistical sampling and stack scheduling of application samples.
 
 Reproduces the methodology of the paper's Sec. 5.2: draw many short
-execution samples per application.
-:class:`repro.core.noise_profile.NoiseProfiler` schedules them onto the
-layers of a stack and solves the supply noise of each draw (the
-``noise`` command).
+execution samples per application, schedule samples onto the layers of a
+3D stack, and measure the resulting adjacent-layer workload imbalance.
+The paper's scheduling observation — running instances of the *same*
+application in one core stack keeps imbalance near that application's own
+(small) spread, while mixing applications exposes the cross-application
+spread — is directly reproducible with :func:`schedule_stack`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.config.stackups import ProcessorSpec
 from repro.errors import ReproError
 from repro.utils.rng import SeedLike, make_rng
+from repro.workload.imbalance import adjacent_imbalances
 from repro.workload.parsec import PARSEC_APPLICATIONS, ApplicationProfile
 
 
@@ -65,3 +68,26 @@ def sample_suite(
             dynamic_powers=dynamic,
         )
     return result
+
+
+def schedule_stack(
+    sample_sets: Dict[str, SampleSet],
+    layer_apps: Sequence[str],
+    rng: SeedLike = None,
+) -> np.ndarray:
+    """Assign one random sample of ``layer_apps[i]`` to layer ``i``.
+
+    Returns the adjacent-layer imbalance ratios for the resulting stack
+    (length ``len(layer_apps) - 1``).  Scheduling the same application on
+    every layer reproduces the paper's low-imbalance recommendation.
+    """
+    if len(layer_apps) < 2:
+        raise ValueError("need at least two layers to compute imbalance")
+    gen = make_rng(rng)
+    dynamics: List[float] = []
+    for app in layer_apps:
+        if app not in sample_sets:
+            raise KeyError(f"no sample set for application {app!r}")
+        samples = sample_sets[app].dynamic_powers
+        dynamics.append(float(samples[gen.integers(len(samples))]))
+    return adjacent_imbalances(dynamics)

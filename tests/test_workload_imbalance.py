@@ -2,9 +2,55 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.stackups import ProcessorSpec
-from repro.workload.imbalance import interleaved_layer_activities
+from repro.workload.imbalance import (
+    adjacent_imbalances,
+    imbalance_ratio,
+    interleaved_layer_activities,
+    layer_powers_from_activities,
+)
+
+
+class TestImbalanceRatio:
+    def test_idle_low_layer_is_full_imbalance(self):
+        assert imbalance_ratio(10.0, 0.0) == pytest.approx(1.0)
+
+    def test_equal_layers_is_zero(self):
+        assert imbalance_ratio(5.0, 5.0) == 0.0
+
+    def test_symmetric_in_arguments(self):
+        assert imbalance_ratio(4.0, 8.0) == imbalance_ratio(8.0, 4.0)
+
+    def test_both_idle_is_zero(self):
+        assert imbalance_ratio(0.0, 0.0) == 0.0
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            imbalance_ratio(-1.0, 2.0)
+
+    @given(
+        st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=0.0, max_value=100.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_always_a_fraction(self, a, b):
+        assert 0.0 <= imbalance_ratio(a, b) <= 1.0
+
+
+class TestAdjacentImbalances:
+    def test_length(self):
+        assert len(adjacent_imbalances([1.0, 2.0, 3.0])) == 2
+
+    def test_values(self):
+        out = adjacent_imbalances([10.0, 5.0])
+        assert out[0] == pytest.approx(0.5)
+
+    def test_needs_two_layers(self):
+        with pytest.raises(ValueError):
+            adjacent_imbalances([1.0])
 
 
 class TestInterleavedPattern:
@@ -25,10 +71,17 @@ class TestInterleavedPattern:
         proc = ProcessorSpec()
         acts = interleaved_layer_activities(8, 0.4)
         dynamic = acts * proc.dynamic_power
-        high = np.maximum(dynamic[:-1], dynamic[1:])
-        low = np.minimum(dynamic[:-1], dynamic[1:])
-        assert np.allclose((high - low) / high, 0.4)
+        imbalances = adjacent_imbalances(dynamic)
+        assert np.allclose(imbalances, 0.4)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             interleaved_layer_activities(4, 1.2)
+
+
+class TestLayerPowers:
+    def test_matches_processor_model(self):
+        proc = ProcessorSpec()
+        powers = layer_powers_from_activities(proc, [0.0, 1.0])
+        assert powers[0] == pytest.approx(proc.leakage_power)
+        assert powers[1] == pytest.approx(proc.peak_power)
